@@ -151,7 +151,6 @@ class IvfIndex:
     def __init__(self, config: IvfConfig, centroids: np.ndarray):
         self.config = config
         self.centroids = np.ascontiguousarray(centroids, dtype=np.float32)
-        self.trained = True
         self.sealed = False
         self._list_ids: list[np.ndarray] = [
             np.empty(0, dtype=np.int64) for _ in range(config.nlist)
@@ -174,8 +173,6 @@ class IvfIndex:
     # -- build ---------------------------------------------------------------
 
     def add(self, items: Iterable[tuple[int, np.ndarray]]) -> "IvfIndex":
-        if not self.trained:
-            raise StateError("index must be trained before adding vectors")
         if self.sealed:
             raise StateError("index is sealed; no further additions allowed")
         items = list(items)
@@ -227,8 +224,6 @@ class IvfIndex:
     def search(
         self, query: np.ndarray, k: int, nprobe_override: int | None = None
     ) -> list[SearchHit]:
-        if not self.trained:
-            raise StateError("index must be trained before searching")
         if k <= 0:
             raise ArgumentError(f"k must be positive, got {k}")
         if nprobe_override is not None and nprobe_override <= 0:
@@ -284,30 +279,30 @@ class IvfIndex:
             metric=_METRIC_NAMES[metric_code],
         )
         offset = _HEADER.size
-        cent_bytes = nlist * dim * 4
-        centroids = (
-            np.frombuffer(raw, dtype="<f4", count=nlist * dim, offset=offset)
-            .reshape(nlist, dim)
-            .copy()
-        )
-        offset += cent_bytes
-        index = cls(cfg, centroids)
+
+        def take(dtype: str, count: int) -> np.ndarray:
+            nonlocal offset
+            nbytes = np.dtype(dtype).itemsize * count
+            if offset + nbytes > len(raw):
+                raise ArgumentError(
+                    f"{path}: truncated index file ({len(raw)} bytes, "
+                    f"{offset + nbytes} needed so far)"
+                )
+            arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).copy()
+            offset += nbytes
+            return arr
+
+        index = cls(cfg, take("<f4", nlist * dim).reshape(nlist, dim))
         total = 0
         for lst in range(nlist):
-            (length,) = struct.unpack_from("<Q", raw, offset)
-            offset += 8
-            ids = np.frombuffer(raw, dtype="<i8", count=length, offset=offset).copy()
-            offset += length * 8
-            vecs = (
-                np.frombuffer(raw, dtype="<f4", count=length * dim, offset=offset)
-                .reshape(length, dim)
-                .copy()
-            )
-            offset += length * dim * 4
+            length = int(take("<u8", 1)[0])
+            ids = take("<i8", length)
             index._list_ids[lst] = ids
-            index._list_vecs[lst] = vecs
+            index._list_vecs[lst] = take("<f4", length * dim).reshape(length, dim)
             index._known_ids.update(int(i) for i in ids)
             total += length
+        if offset != len(raw):
+            raise ArgumentError(f"{path}: {len(raw) - offset} trailing bytes after the last list")
         if total != size:
             raise ArgumentError(f"{path}: header size {size} != stored {total}")
         return index

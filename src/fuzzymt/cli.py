@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print(obj) -> None:
-    sys.stdout.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    sys.stdout.write(corpus.encode_jsonl(obj))
 
 
 def _log(message: str) -> None:
@@ -46,13 +46,7 @@ def _log(message: str) -> None:
 
 def _load_corpus_arg(spec: str) -> corpus.ParallelCorpus:
     if spec == "-":
-        pairs = []
-        for i, line in enumerate(sys.stdin.read().splitlines()):
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise DataError(f"stdin:{i + 1}: expected 2 tab-separated columns")
-            pairs.append(corpus.SegmentPair(id=i, source=cols[0], target=cols[1]))
-        return corpus.ParallelCorpus(pairs)
+        return corpus.parse_tsv(sys.stdin.read(), "stdin")
     return corpus.load_any(spec)
 
 
@@ -340,20 +334,7 @@ def _cmd_retrieve(args) -> int:
         _print({"queries": n, "out": args.out})
     else:
         for qid, matches in zip(query_corpus.ids(), match_lists):
-            _print(
-                {
-                    "query_id": qid,
-                    "matches": [
-                        {
-                            "context_id": m.pair.id,
-                            "score": m.score,
-                            "source": m.pair.source,
-                            "target": m.pair.target,
-                        }
-                        for m in matches
-                    ],
-                }
-            )
+            _print(retrieval.retrieval_record(qid, matches))
     return EXIT_OK
 
 
@@ -376,7 +357,7 @@ def _cmd_prompts(args) -> int:
         _print({"prompts": n, "shots": prompts[0].shots if prompts else 0, "out": args.out})
     else:
         for pid, prompt, ref in zip(test.ids(), prompts, test.targets()):
-            _print({"id": pid, "prompt": prompt.text, "shots": prompt.shots, "reference": ref})
+            _print(prompting.prompt_record(pid, prompt, ref))
     return EXIT_OK
 
 
@@ -433,7 +414,7 @@ def _cmd_manifest(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    records = prompting.read_prompt_dump(args.inp)
+    records = corpus.read_jsonl(args.inp, required=("id", "prompt"))
     langs = _langs_from_args(args)
     prompts = [
         prompting.RenderedPrompt(text=r["prompt"], shots=r.get("shots", 0)) for r in records
@@ -458,13 +439,9 @@ def _cmd_translate(args) -> int:
         max_concurrent_batches=args.max_concurrent_batches,
         trace_path=args.trace,
     )
-    lines = [
-        {"id": r.id, "text": r.text, "latency_ms": r.latency_ms} for r in results
-    ]
+    lines = [llm_client.generation_record(r) for r in results]
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(json.dumps(line, ensure_ascii=False) + "\n")
+        corpus.write_jsonl_records(args.out, lines)
         _print({"translations": len(lines), "out": args.out})
     else:
         for line in lines:
@@ -473,14 +450,11 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    pairs = []
     if args.inp is not None:
-        for line in Path(args.inp).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                obj = json.loads(line)
-                pairs.append(
-                    mt_metrics.EvalPair(hypothesis=obj["hypothesis"], reference=obj["reference"])
-                )
+        pairs = [
+            mt_metrics.EvalPair(hypothesis=r["hypothesis"], reference=r["reference"])
+            for r in corpus.read_jsonl(args.inp, required=("hypothesis", "reference"))
+        ]
     elif args.hyp is not None and args.ref is not None:
         hyp_lines = Path(args.hyp).read_text(encoding="utf-8").splitlines()
         ref_lines = Path(args.ref).read_text(encoding="utf-8").splitlines()

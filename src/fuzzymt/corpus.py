@@ -2,7 +2,8 @@
 
 A corpus is an ordered list of aligned segment pairs. Filtering removes
 exact duplicates, empty-sided pairs, and over-length pairs; splitting draws
-a seeded validation sample without replacement.
+a seeded validation sample without replacement. This module also owns the
+JSON-lines codec that every other module writes and reads records with.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .errors import AlignmentError, CorpusEncodingError, SizeError
+from .errors import AlignmentError, CorpusEncodingError, DataError, SizeError
 
 DEFAULT_MAX_WORDS = 70
 
@@ -56,25 +57,47 @@ class ParallelCorpus:
 
 @dataclass
 class DatasetSplit:
-    """Disjoint train/validation (and optional test/context) corpora."""
+    """Disjoint train/validation corpora."""
 
     train: ParallelCorpus
     validation: ParallelCorpus
-    test: ParallelCorpus | None = None
-    context: ParallelCorpus | None = None
 
 
-def _read_utf8_lines(path: str | Path) -> list[str]:
+def _read_utf8(path: str | Path) -> str:
+    raw = Path(path).read_bytes()
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CorpusEncodingError(f"{path} is not valid UTF-8: {exc}") from exc
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CorpusEncodingError(f"{path}:{line}: not valid UTF-8: {exc}") from exc
+
+
+def _lines(text: str) -> list[str]:
     if text == "":
         return []
     # a trailing LF terminates the last segment instead of opening an empty one
     if text.endswith("\n"):
         text = text[:-1]
     return text.split("\n")
+
+
+def parse_tsv(
+    text: str, origin: str | Path, source_lang: str = "es", target_lang: str = "en"
+) -> ParallelCorpus:
+    """Parse 2-column TSV text, one pair per line, ids in line order from 0.
+
+    Raises AlignmentError naming ``origin:line`` on a row without exactly
+    two columns.
+    """
+    pairs = []
+    for i, row in enumerate(_lines(text)):
+        cols = row.split("\t")
+        if len(cols) != 2:
+            raise AlignmentError(
+                f"{origin}:{i + 1}: expected 2 tab-separated columns, got {len(cols)}"
+            )
+        pairs.append(SegmentPair(id=i, source=cols[0], target=cols[1]))
+    return ParallelCorpus(pairs, source_lang, target_lang)
 
 
 def load_corpus(
@@ -89,19 +112,10 @@ def load_corpus(
     line-count mismatch and CorpusEncodingError on invalid UTF-8.
     """
     if target_path is None:
-        rows = _read_utf8_lines(source_path)
-        pairs = []
-        for i, row in enumerate(rows):
-            cols = row.split("\t")
-            if len(cols) != 2:
-                raise AlignmentError(
-                    f"{source_path}:{i + 1}: expected 2 tab-separated columns, got {len(cols)}"
-                )
-            pairs.append(SegmentPair(id=i, source=cols[0], target=cols[1]))
-        return ParallelCorpus(pairs, source_lang, target_lang)
+        return parse_tsv(_read_utf8(source_path), source_path, source_lang, target_lang)
 
-    src_lines = _read_utf8_lines(source_path)
-    tgt_lines = _read_utf8_lines(target_path)
+    src_lines = _lines(_read_utf8(source_path))
+    tgt_lines = _lines(_read_utf8(target_path))
     if len(src_lines) != len(tgt_lines):
         raise AlignmentError(
             f"line count mismatch: {source_path} has {len(src_lines)} lines, "
@@ -114,14 +128,51 @@ def load_corpus(
     return ParallelCorpus(pairs, source_lang, target_lang)
 
 
-def load_corpus_jsonl(path: str | Path, source_lang: str = "es", target_lang: str = "en") -> ParallelCorpus:
-    """Load a corpus from JSON-lines records {id, source, target}."""
-    pairs = []
-    for i, line in enumerate(_read_utf8_lines(path)):
+def encode_jsonl(record: dict) -> str:
+    """One JSON-lines line: compact JSON, non-ASCII kept, newline-terminated."""
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def write_jsonl_records(path: str | Path, records: Iterable[dict]) -> int:
+    """Write one JSON-lines line per record. Returns the count."""
+    count = 0
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for record in records:
+            fh.write(encode_jsonl(record))
+            count += 1
+    return count
+
+
+def read_jsonl(path: str | Path, required: Sequence[str] = ()) -> list[dict]:
+    """Parse a JSON-lines file into one dict per non-blank line.
+
+    Raises CorpusEncodingError on invalid UTF-8, and DataError naming
+    ``path:line`` on a line that is not a JSON object or lacks one of the
+    ``required`` keys.
+    """
+    records = []
+    for lineno, line in enumerate(_lines(_read_utf8(path)), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        pairs.append(SegmentPair(id=int(obj.get("id", i)), source=obj["source"], target=obj["target"]))
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg} (column {exc.colno})") from exc
+        if not isinstance(record, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object")
+        missing = [key for key in required if key not in record]
+        if missing:
+            raise DataError(f"{path}:{lineno}: missing keys {missing}")
+        records.append(record)
+    return records
+
+
+def load_corpus_jsonl(path: str | Path, source_lang: str = "es", target_lang: str = "en") -> ParallelCorpus:
+    """Load a corpus from JSON-lines records {id, source, target}."""
+    pairs = [
+        SegmentPair(id=int(r.get("id", i)), source=r["source"], target=r["target"])
+        for i, r in enumerate(read_jsonl(path, required=("source", "target")))
+    ]
     return ParallelCorpus(pairs, source_lang, target_lang)
 
 
@@ -182,29 +233,11 @@ def write_tsv(corpus: ParallelCorpus, path: str | Path) -> int:
     return len(corpus)
 
 
-def write_parallel(corpus: ParallelCorpus, source_path: str | Path, target_path: str | Path) -> int:
-    """Write pairs as two aligned plain-text files. Returns the count."""
-    with open(source_path, "w", encoding="utf-8", newline="\n") as src, open(
-        target_path, "w", encoding="utf-8", newline="\n"
-    ) as tgt:
-        for pair in corpus.pairs:
-            src.write(pair.source + "\n")
-            tgt.write(pair.target + "\n")
-    return len(corpus)
-
-
 def write_jsonl_corpus(corpus: ParallelCorpus, path: str | Path) -> int:
     """Write pairs as JSON-lines records {id, source, target}. Returns the count."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for pair in corpus.pairs:
-            fh.write(
-                json.dumps(
-                    {"id": pair.id, "source": pair.source, "target": pair.target},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-    return len(corpus)
+    return write_jsonl_records(
+        path, ({"id": p.id, "source": p.source, "target": p.target} for p in corpus.pairs)
+    )
 
 
 def pair_keys(corpus: ParallelCorpus) -> set[tuple[str, str]]:

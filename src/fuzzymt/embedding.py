@@ -1,29 +1,28 @@
-"""Sentence embeddings behind a pluggable provider boundary.
+"""Sentence embeddings from one of two providers.
 
-Two providers: a remote HTTP encoder speaking the OpenAI-embedding JSON
-shape, and a fully offline deterministic provider built from signed hashed
-character n-grams, used wherever tests need stable vectors with meaningful
-cosine structure.
+A remote HTTP encoder speaks the OpenAI-embedding JSON shape; its requests
+go through the shared retrying POST in ``_http`` (``max_attempts`` attempts
+per chunk) and a failure surfaces as ``ProviderError`` with the last HTTP
+status. A fully offline deterministic provider builds vectors from signed
+hashed character n-grams and is used wherever tests need stable vectors
+with meaningful cosine structure.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import requests
 
+from . import _http
 from .errors import ArgumentError, ContractViolationError, ProviderError
 
 DEFAULT_DIM = 384
-API_KEY_ENV = "FUZZYMT_API_KEY"
 
 CACHE_MAGIC = b"EMB1"
 _CACHE_HEADER = struct.Struct("<4sIQ")  # magic, dim, count
@@ -107,44 +106,28 @@ def _embed_batch_deterministic(texts: Sequence[str], cfg: EmbeddingProviderConfi
 
 def _post_embeddings(texts: Sequence[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
     payload = {"model": cfg.model_name, "input": list(texts)}
-    headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(API_KEY_ENV)
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-
-    last_status: int | None = None
-    last_err: Exception | None = None
-    for attempt in range(cfg.max_attempts):
-        if attempt > 0:
-            time.sleep(cfg.backoff_seconds * (2 ** (attempt - 1)))
-        try:
-            resp = requests.post(cfg.endpoint, json=payload, headers=headers, timeout=120)
-        except requests.RequestException as exc:
-            last_err = exc
-            continue
-        if resp.status_code != 200:
-            last_status = resp.status_code
-            continue
-        try:
-            data = resp.json()["data"]
-            rows = [item["embedding"] for item in data]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContractViolationError(f"malformed embedding response: {exc}") from exc
-        if len(rows) != len(texts):
-            raise ContractViolationError(
-                f"provider returned {len(rows)} embeddings for {len(texts)} inputs"
-            )
+    reply = _http.post_json(cfg.endpoint, payload, cfg.max_attempts, cfg.backoff_seconds, timeout=120)
+    if reply.malformed:
+        raise ContractViolationError(f"malformed embedding response: {reply.error}")
+    if reply.error is not None:
+        raise ProviderError(
+            f"embedding endpoint {cfg.endpoint} failed after {cfg.max_attempts} attempts ({reply.error})",
+            status=reply.status,
+        )
+    try:
+        rows = [item["embedding"] for item in reply.body["data"]]
         matrix = np.asarray(rows, dtype=np.float32)
-        if matrix.ndim != 2 or matrix.shape[1] != cfg.dim:
-            raise ContractViolationError(
-                f"provider returned dim {matrix.shape[-1] if matrix.ndim == 2 else '?'}, expected {cfg.dim}"
-            )
-        return matrix
-    detail = f"status {last_status}" if last_status is not None else repr(last_err)
-    raise ProviderError(
-        f"embedding endpoint {cfg.endpoint} failed after {cfg.max_attempts} attempts ({detail})",
-        status=last_status,
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractViolationError(f"malformed embedding response: {exc}") from exc
+    if len(rows) != len(texts):
+        raise ContractViolationError(
+            f"provider returned {len(rows)} embeddings for {len(texts)} inputs"
+        )
+    if matrix.ndim != 2 or matrix.shape[1] != cfg.dim:
+        raise ContractViolationError(
+            f"provider returned dim {matrix.shape[-1] if matrix.ndim == 2 else '?'}, expected {cfg.dim}"
+        )
+    return matrix
 
 
 def _embed_batch_remote(texts: Sequence[str], cfg: EmbeddingProviderConfig) -> np.ndarray:

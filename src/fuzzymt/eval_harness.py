@@ -194,17 +194,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
                 trace_path=out_dir / f"trace.{condition}.jsonl",
             )
             elapsed = max(time.monotonic() - t0, 1e-9)
-            with open(
-                out_dir / f"generations.{condition}.jsonl", "w", encoding="utf-8", newline="\n"
-            ) as fh:
-                for result in translations:
-                    fh.write(
-                        json.dumps(
-                            {"id": result.id, "text": result.text, "latency_ms": result.latency_ms},
-                            ensure_ascii=False,
-                        )
-                        + "\n"
-                    )
+            corpus_mod.write_jsonl_records(
+                out_dir / f"generations.{condition}.jsonl",
+                map(llm_client.generation_record, translations),
+            )
         with _stage(f"score-{condition}"):
             pairs = [
                 EvalPair(hypothesis=r.text, reference=t)
@@ -247,16 +240,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
 def rescore_condition(output_dir: str | Path, condition: str) -> list[MetricScore]:
     """Recompute scores for one condition from persisted artifacts only."""
     out_dir = Path(output_dir)
-    refs = {}
-    for line in (out_dir / f"prompts.{condition}.jsonl").read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            obj = json.loads(line)
-            refs[obj["id"]] = obj["reference"]
+    prompts_path = out_dir / f"prompts.{condition}.jsonl"
+    refs = {
+        r["id"]: r["reference"]
+        for r in corpus_mod.read_jsonl(prompts_path, required=("id", "reference"))
+    }
+    generations_path = out_dir / f"generations.{condition}.jsonl"
     pairs = []
-    for line in (out_dir / f"generations.{condition}.jsonl").read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            obj = json.loads(line)
-            pairs.append(EvalPair(hypothesis=obj["text"], reference=refs[obj["id"]]))
+    for g in corpus_mod.read_jsonl(generations_path, required=("id", "text")):
+        if g["id"] not in refs:
+            raise DataError(f"{generations_path}: id {g['id']!r} has no prompt in {prompts_path}")
+        pairs.append(EvalPair(hypothesis=g["text"], reference=refs[g["id"]]))
     return score_all(pairs)
 
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import ParallelCorpus
+from .corpus import ParallelCorpus, write_jsonl_records
 from .errors import ArgumentError, SizeError, StateError, ValidationError
 from .prompting import LanguageNames, normalize_segment, render_few_shot, render_zero_shot
 from .retrieval import ContextStore, retrieve_fuzzy_many
@@ -171,35 +171,18 @@ def build_finetune_dataset(
 
 def write_jsonl(examples: Sequence[FinetuneExample], path: str | Path) -> int:
     """One JSON object per example; round-trips losslessly. Returns the count."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "prompt": ex.prompt,
-                        "completion": ex.completion,
-                        "shot_type": ex.shot_type,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-    return len(examples)
-
-
-def read_jsonl(path: str | Path) -> list[FinetuneExample]:
-    examples = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        examples.append(
-            FinetuneExample(
-                prompt=obj["prompt"], completion=obj["completion"], shot_type=obj["shot_type"]
-            )
-        )
-    return examples
+    return write_jsonl_records(
+        path,
+        (
+            {
+                "schema_version": SCHEMA_VERSION,
+                "prompt": ex.prompt,
+                "completion": ex.completion,
+                "shot_type": ex.shot_type,
+            }
+            for ex in examples
+        ),
+    )
 
 
 def emit_training_manifest(manifest: TrainingManifest, path: str | Path) -> None:

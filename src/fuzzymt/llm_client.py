@@ -3,14 +3,17 @@
 The wire protocol is the OpenAI-compatible completions shape:
 POST {endpoint}/v1/completions with {"model", "prompt" (array), "temperature",
 "top_p", "max_tokens", "stop"} returning {"choices": [{"index", "text"}]}.
-The bundled mock server speaks the same protocol (and the embeddings shape)
-fully deterministically for offline end-to-end runs.
+Each batch is one request through the shared retrying POST in ``_http``
+(``1 + max_retries`` attempts): a batch that never gets a reply raises
+``TransportError`` naming its prompt ids, and a reply that is not JSON or
+does not match the shape raises ``ContractViolationError``. The bundled
+mock server speaks the same protocol (and the embeddings shape) fully
+deterministically for offline end-to-end runs.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,13 +22,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Sequence
 
-import requests
-
+from . import _http
 from . import embedding as embedding_mod
+from .corpus import encode_jsonl
 from .errors import ArgumentError, ContractViolationError, StateError, TransportError
 from .prompting import RenderedPrompt
-
-API_KEY_ENV = "FUZZYMT_API_KEY"
 
 MODE_GREEDY = "greedy"
 MODE_SAMPLED = "sampled"
@@ -130,7 +131,12 @@ def truncate_at_stop(text: str, stop_sequences: Sequence[str]) -> str:
 def _write_trace(trace_path: str | Path, record: dict) -> None:
     with _trace_lock:
         with open(trace_path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(encode_jsonl(record))
+
+
+def generation_record(result: TranslationResult) -> dict:
+    """The JSONL record of one generation, as written to files and stdout."""
+    return {"id": result.id, "text": result.text, "latency_ms": result.latency_ms}
 
 
 def translate_batch(
@@ -151,40 +157,24 @@ def translate_batch(
         "max_tokens": batch.params.max_tokens,
         "stop": list(batch.params.stop_sequences),
     }
-    headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(API_KEY_ENV)
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
     url = endpoint.rstrip("/") + "/v1/completions"
 
     start = time.monotonic()
-    body = None
-    last_detail = "no attempt made"
-    for attempt in range(1 + max_retries):
-        if attempt > 0:
-            time.sleep(backoff_seconds * (2 ** (attempt - 1)))
-        try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
-            last_detail = repr(exc)
-            continue
-        if resp.status_code != 200:
-            last_detail = f"HTTP {resp.status_code}: {resp.text[:200]}"
-            continue
-        body = resp.json()
-        break
+    reply = _http.post_json(url, payload, 1 + max_retries, backoff_seconds, timeout)
     latency_ms = int((time.monotonic() - start) * 1000)
     if trace_path is not None:
         _write_trace(
             trace_path,
-            {"url": url, "request": payload, "response": body, "error": None if body else last_detail},
+            {"url": url, "request": payload, "response": reply.body, "error": reply.error},
         )
-    if body is None:
+    if reply.malformed:
+        raise ContractViolationError(f"{url} for prompt ids {batch.ids}: {reply.error}")
+    if reply.error is not None:
         raise TransportError(
-            f"{url} failed for prompt ids {batch.ids} ({last_detail})", prompt_ids=batch.ids
+            f"{url} failed for prompt ids {batch.ids} ({reply.error})", prompt_ids=batch.ids
         )
 
-    choices = body.get("choices")
+    choices = reply.body.get("choices") if isinstance(reply.body, dict) else None
     if not isinstance(choices, list) or len(choices) != len(batch.prompts):
         raise ContractViolationError(
             f"expected {len(batch.prompts)} choices, got {choices if choices is None else len(choices)}"

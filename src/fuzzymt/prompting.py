@@ -13,12 +13,12 @@ trailing whitespace.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .corpus import write_jsonl_records
 from .errors import ArgumentError
 from .retrieval import FuzzyMatch
 
@@ -138,30 +138,18 @@ def parse_prompt(text: str, langs: LanguageNames = LanguageNames()) -> tuple[lis
     return examples, query_line[len(src_prefix):]
 
 
+def prompt_record(prompt_id: int, prompt: RenderedPrompt, reference: str) -> dict:
+    """The JSONL record {id, prompt, shots, reference} of one prompt."""
+    return {"id": prompt_id, "prompt": prompt.text, "shots": prompt.shots, "reference": reference}
+
+
 def write_prompt_dump(
     path: str | Path,
     ids: Sequence[int],
     prompts: Sequence[RenderedPrompt],
     references: Sequence[str],
 ) -> int:
-    """Write one JSONL record {id, prompt, shots, reference} per prompt."""
+    """Write one prompt_record per prompt."""
     if not (len(ids) == len(prompts) == len(references)):
         raise ArgumentError("ids, prompts, and references must have equal lengths")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for pid, prompt, ref in zip(ids, prompts, references):
-            fh.write(
-                json.dumps(
-                    {"id": pid, "prompt": prompt.text, "shots": prompt.shots, "reference": ref},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-    return len(ids)
-
-
-def read_prompt_dump(path: str | Path) -> list[dict]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
+    return write_jsonl_records(path, map(prompt_record, ids, prompts, references))

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from . import ann_index, embedding
 from .ann_index import IvfConfig, IvfIndex
-from .corpus import ParallelCorpus, SegmentPair
+from .corpus import ParallelCorpus, SegmentPair, write_jsonl_records
 from .embedding import EmbeddingProviderConfig
 from .errors import ArgumentError, LeakageError, SizeError
 
@@ -103,9 +102,20 @@ def retrieve_fuzzy_many(
     return results
 
 
-def rerank(matches: list[FuzzyMatch], query: str) -> list[FuzzyMatch]:
-    """Cross-encoder re-ranking extension point; the default is identity."""
-    return list(matches)
+def retrieval_record(query_id: int, matches: Sequence[FuzzyMatch]) -> dict:
+    """The JSONL record {query_id, matches: [...]} of one query's matches."""
+    return {
+        "query_id": query_id,
+        "matches": [
+            {
+                "context_id": m.pair.id,
+                "score": m.score,
+                "source": m.pair.source,
+                "target": m.pair.target,
+            }
+            for m in matches
+        ],
+    }
 
 
 def write_retrieval_dump(
@@ -113,30 +123,7 @@ def write_retrieval_dump(
     query_ids: Sequence[int],
     all_matches: Sequence[Sequence[FuzzyMatch]],
 ) -> int:
-    """Write one JSONL record {query_id, matches: [...]} per query."""
+    """Write one retrieval_record per query."""
     if len(query_ids) != len(all_matches):
         raise ArgumentError("one match list required per query id")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for qid, matches in zip(query_ids, all_matches):
-            record = {
-                "query_id": qid,
-                "matches": [
-                    {
-                        "context_id": m.pair.id,
-                        "score": m.score,
-                        "source": m.pair.source,
-                        "target": m.pair.target,
-                    }
-                    for m in matches
-                ],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    return len(query_ids)
-
-
-def read_retrieval_dump(path: str | Path) -> list[dict]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
+    return write_jsonl_records(path, map(retrieval_record, query_ids, all_matches))

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import random
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from fuzzymt import _http
 from fuzzymt.ann_index import IvfConfig
 from fuzzymt.corpus import ParallelCorpus, SegmentPair
 from fuzzymt.embedding import EmbeddingProviderConfig
@@ -47,3 +51,39 @@ def det_provider() -> EmbeddingProviderConfig:
 @pytest.fixture
 def small_ivf() -> IvfConfig:
     return IvfConfig(dim=64, nlist=2, nprobe=2, kmeans_iters=8, seed=0)
+
+
+@pytest.fixture
+def sleeps(monkeypatch) -> list[float]:
+    """Backoff sleeps of the shared HTTP helper, recorded instead of slept."""
+    recorded: list[float] = []
+    monkeypatch.setattr(_http, "sleep", recorded.append)
+    return recorded
+
+
+@contextmanager
+def local_endpoint(body: bytes, status: int = 200):
+    """Answer every POST with one fixed reply; yields (endpoint, request paths)."""
+    paths: list[str] = []
+
+    class FixedHandler(BaseHTTPRequestHandler):
+        def log_message(self, *a):
+            pass
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", "0")))
+            paths.append(self.path)
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), FixedHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", paths
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)

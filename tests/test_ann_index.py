@@ -109,12 +109,6 @@ class TestAdd:
         with pytest.raises(ConflictError):
             index.add([(0, vectors[1])])
 
-    def test_untrained_add_rejected(self):
-        index, vectors = self._trained()
-        index.trained = False
-        with pytest.raises(StateError):
-            index.add([(1, vectors[0])])
-
     def test_sealed_add_rejected(self):
         index, vectors = self._trained()
         index.seal()
@@ -222,6 +216,34 @@ class TestPersistence:
         assert loaded.config.nlist == 2
         assert loaded.config.metric == "l2"
         assert loaded.size == 50
+
+    @staticmethod
+    def _saved(tmp_path):
+        vectors = unit_rows(50, 8, seed=2)
+        index = train(vectors, IvfConfig(dim=8, nlist=2, nprobe=1, kmeans_iters=4, seed=0))
+        index.add(zip(range(50), vectors))
+        path = tmp_path / "index.ivf"
+        index.save(path)
+        return path
+
+    # 21-byte header, then 2 x 8 float32 centroids (64 bytes), then the lists
+    @pytest.mark.parametrize(
+        "keep",
+        [lambda n: 10, lambda n: 40, lambda n: 21 + 64 + 8 + 4, lambda n: n - 1],
+        ids=["header", "centroids", "mid-list", "last-byte"],
+    )
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path = self._saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: keep(len(raw))])
+        with pytest.raises(ArgumentError, match="truncated"):
+            IvfIndex.load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ArgumentError, match="trailing"):
+            IvfIndex.load(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "index.ivf"

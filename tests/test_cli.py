@@ -11,7 +11,11 @@ from fuzzymt import cli
 from fuzzymt.corpus import write_tsv
 from fuzzymt.llm_client import run_mock_server
 
-from conftest import synth_corpus
+from conftest import local_endpoint, synth_corpus
+
+
+# one record that both `translate --in` and `evaluate --in` accept
+GOOD_LINE = b'{"id": 0, "prompt": "Spanish: a\\nEnglish:", "hypothesis": "a", "reference": "a"}\n'
 
 
 def run_cli(argv, capsys):
@@ -135,6 +139,14 @@ class TestIndexPipeline:
         hits = json.loads(stdout)["hits"]
         assert len(hits) == 3
 
+        with open(index_path, "r+b") as fh:
+            fh.truncate(fh.seek(0, 2) - 5)
+        code, _, err = run_cli(
+            ["index-search", "--index", index_path, "--query", "paciente", "--dim", "32"], capsys
+        )
+        assert code == 2
+        assert "truncated index file" in err
+
     def test_cluster_range_warning_on_stderr(self, corpus_tsv, tmp_path):
         cache = str(tmp_path / "vectors.bin")
         subprocess.run(
@@ -219,7 +231,7 @@ class TestTranslateEvaluateReport:
         assert code == 0
         assert len(stdout.splitlines()) == 12
 
-    def test_transport_failure_exit_3(self, corpus_tsv, tmp_path, capsys):
+    def test_transport_failure_exit_3(self, corpus_tsv, tmp_path, capsys, sleeps):
         prompts_path = str(tmp_path / "prompts.jsonl")
         run_cli(["prompts", "--in", corpus_tsv, "--out", prompts_path], capsys)
         code, _, err = run_cli(
@@ -227,6 +239,33 @@ class TestTranslateEvaluateReport:
         )
         assert code == 3
         assert "transport error" in err
+
+    def test_non_json_body_exit_3(self, corpus_tsv, tmp_path, capsys):
+        prompts_path = str(tmp_path / "prompts.jsonl")
+        run_cli(["prompts", "--in", corpus_tsv, "--out", prompts_path], capsys)
+        with local_endpoint(b"<html>busy</html>") as (endpoint, _):
+            code, _, err = run_cli(["translate", "--in", prompts_path, "--endpoint", endpoint], capsys)
+        assert code == 3
+        assert "not JSON" in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (GOOD_LINE + b"\xff\xfe\n", "bad.jsonl:2: not valid UTF-8"),
+            (GOOD_LINE + b'\n{"id": 1,\n', "bad.jsonl:3: invalid JSON"),
+        ],
+        ids=["utf8", "json"],
+    )
+    @pytest.mark.parametrize("sub", ["translate", "evaluate"])
+    def test_bad_jsonl_input_exit_2(self, sub, content, message, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(content)
+        argv = [sub, "--in", str(path)]
+        if sub == "translate":
+            argv += ["--endpoint", "http://127.0.0.1:9"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert message in err
 
     def test_evaluate_parallel_files(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"

@@ -127,6 +127,19 @@ class TestRemoteProvider:
                 embed_batch(["texto"], cfg)
             assert err.value.status == 404
 
+    def test_retry_schedule(self, sleeps):
+        with run_mock_server("echo-fuzzy") as server:
+            cfg = EmbeddingProviderConfig(
+                kind="remote-http",
+                endpoint=server.endpoint + "/wrong/path",
+                dim=16,
+                backoff_seconds=0.5,
+            )
+            with pytest.raises(ProviderError):
+                embed_batch(["texto"], cfg)
+            assert len(server.state.request_log) == cfg.max_attempts == 3
+        assert sleeps == [0.5, 1.0]
+
     def test_connection_failure(self):
         cfg = EmbeddingProviderConfig(
             kind="remote-http",

@@ -182,6 +182,21 @@ class TestReproducibilityAndRescoring:
                 (s.name, s.value) for s in result.scores
             ]
 
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [(b"\xff\xfe\n", "not valid UTF-8"), (b'{"id": 1, "text"\n', "invalid JSON")],
+        ids=["utf8", "json"],
+    )
+    def test_rescore_bad_artifact_names_line(self, tmp_path, bad_line, message):
+        (tmp_path / "prompts.zero-shot.jsonl").write_text(
+            json.dumps({"id": 0, "reference": "a b"}) + "\n", encoding="utf-8"
+        )
+        (tmp_path / "generations.zero-shot.jsonl").write_bytes(
+            json.dumps({"id": 0, "text": "a b"}).encode() + b"\n" + bad_line
+        )
+        with pytest.raises(DataError, match=f"generations.zero-shot.jsonl:2: {message}"):
+            rescore_condition(tmp_path, CONDITION_ZERO)
+
 
 def _fake_results():
     return [

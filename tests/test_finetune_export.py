@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fuzzymt.ann_index import IvfConfig
+from fuzzymt.corpus import read_jsonl
 from fuzzymt.errors import ArgumentError, SizeError, StateError, ValidationError
 from fuzzymt.finetune_export import (
     FinetuneExample,
@@ -13,7 +14,6 @@ from fuzzymt.finetune_export import (
     build_finetune_dataset,
     emit_training_manifest,
     make_completion,
-    read_jsonl,
     write_jsonl,
 )
 from fuzzymt.prompting import LanguageNames, parse_prompt
@@ -121,7 +121,10 @@ class TestJsonl:
         ]
         path = tmp_path / "data.jsonl"
         assert write_jsonl(examples, path) == 2
-        assert read_jsonl(path) == examples
+        assert [
+            FinetuneExample(prompt=r["prompt"], completion=r["completion"], shot_type=r["shot_type"])
+            for r in read_jsonl(path)
+        ] == examples
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["schema_version"] == 1

@@ -1,12 +1,11 @@
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
 
+from fuzzymt.embedding import EmbeddingProviderConfig, embed_batch
 from fuzzymt.errors import ArgumentError, ContractViolationError, TransportError
 from fuzzymt.llm_client import (
     DecodingParams,
@@ -20,6 +19,8 @@ from fuzzymt.llm_client import (
 from fuzzymt.prompting import LanguageNames, render_few_shot, render_zero_shot
 from fuzzymt.retrieval import FuzzyMatch
 from fuzzymt.corpus import SegmentPair
+
+from conftest import local_endpoint
 
 LANGS = LanguageNames()
 
@@ -141,29 +142,50 @@ class TestTransport:
         assert err.value.prompt_ids == [4, 5]
 
     def test_malformed_response_contract_violation(self):
-        class BadHandler(BaseHTTPRequestHandler):
-            def log_message(self, *a):
-                pass
-
-            def do_POST(self):
-                raw = json.dumps({"choices": [{"index": 0, "text": "only one"}]}).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(raw)))
-                self.end_headers()
-                self.wfile.write(raw)
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), BadHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            endpoint = f"http://127.0.0.1:{server.server_address[1]}"
+        raw = json.dumps({"choices": [{"index": 0, "text": "only one"}]}).encode()
+        with local_endpoint(raw) as (endpoint, _):
             sources = ["a", "b"]
             batches = make_batches(_prompts(sources), sources)
             with pytest.raises(ContractViolationError):
                 translate_batch(batches[0], endpoint, backoff_seconds=0.0)
-        finally:
-            server.shutdown()
-            server.server_close()
+
+    @pytest.mark.parametrize("client", ["translate_batch", "embed_batch"])
+    def test_non_json_body_contract_violation(self, client, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        with local_endpoint(b"<html>busy</html>") as (endpoint, paths):
+            with pytest.raises(ContractViolationError):
+                if client == "translate_batch":
+                    batches = make_batches(_prompts(["a"]), ["a"])
+                    translate_batch(batches[0], endpoint, backoff_seconds=0.0, trace_path=trace)
+                else:
+                    cfg = EmbeddingProviderConfig(
+                        kind="remote-http", endpoint=endpoint, dim=4, backoff_seconds=0.0
+                    )
+                    embed_batch(["texto"], cfg)
+        # a 200 reply ends the retry loop even when its body is unusable
+        assert len(paths) == 1
+        if client == "translate_batch":
+            record = json.loads(trace.read_text(encoding="utf-8"))
+            assert record["response"] is None
+            assert "not JSON" in record["error"]
+
+    def test_falsy_body_traced_as_received(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        with local_endpoint(b"{}") as (endpoint, _):
+            batches = make_batches(_prompts(["a"]), ["a"])
+            with pytest.raises(ContractViolationError):
+                translate_batch(batches[0], endpoint, backoff_seconds=0.0, trace_path=trace)
+        record = json.loads(trace.read_text(encoding="utf-8"))
+        assert record["response"] == {} and record["error"] is None
+
+    def test_retry_schedule(self, sleeps):
+        with run_mock_server("canned", fixtures=[]) as server:
+            batches = make_batches(_prompts(["a"]), ["a"], ids=[3])
+            with pytest.raises(TransportError) as err:
+                translate_batch(batches[0], server.endpoint, max_retries=3, backoff_seconds=0.5)
+            assert len(server.state.request_log) == 4
+        assert sleeps == [0.5, 1.0, 2.0]
+        assert "HTTP 400" in str(err.value) and err.value.prompt_ids == [3]
 
 
 class TestTranslateAll:

@@ -3,13 +3,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzymt.corpus import SegmentPair
+from fuzzymt.corpus import SegmentPair, read_jsonl
 from fuzzymt.errors import ArgumentError
 from fuzzymt.prompting import (
     LanguageNames,
     normalize_segment,
     parse_prompt,
-    read_prompt_dump,
     render_few_shot,
     render_seq2seq_fuzzy,
     render_zero_shot,
@@ -160,6 +159,6 @@ def test_prompt_dump_round_trip(tmp_path):
     path = tmp_path / "prompts.jsonl"
     n = write_prompt_dump(path, [5, 6], prompts, ["hello", "ref"])
     assert n == 2
-    records = read_prompt_dump(path)
+    records = read_jsonl(path)
     assert records[0] == {"id": 5, "prompt": prompts[0].text, "shots": 0, "reference": "hello"}
     assert records[1]["shots"] == 1

@@ -3,13 +3,10 @@ from __future__ import annotations
 import pytest
 
 from fuzzymt.ann_index import IvfConfig
-from fuzzymt.corpus import ParallelCorpus, SegmentPair
+from fuzzymt.corpus import ParallelCorpus, read_jsonl
 from fuzzymt.errors import ArgumentError, LeakageError, SizeError
 from fuzzymt.retrieval import (
-    FuzzyMatch,
     build_context_store,
-    read_retrieval_dump,
-    rerank,
     retrieve_fuzzy,
     retrieve_fuzzy_many,
     write_retrieval_dump,
@@ -93,19 +90,6 @@ class TestRetrieveFuzzy:
             ]
 
 
-class TestRerank:
-    def test_identity(self, store):
-        matches = retrieve_fuzzy(store, "analisis de sangre", k=3)
-        assert rerank(matches, "analisis de sangre") == matches
-
-    def test_empty(self):
-        assert rerank([], "q") == []
-
-    def test_single(self):
-        match = FuzzyMatch(pair=SegmentPair(0, "s", "t"), score=0.5)
-        assert rerank([match], "q") == [match]
-
-
 class TestRetrievalDump:
     def test_round_trip(self, tmp_path, store, small_corpus):
         sources = [p.source for p in small_corpus.pairs[:3]]
@@ -113,7 +97,7 @@ class TestRetrievalDump:
         path = tmp_path / "retrieval.jsonl"
         n = write_retrieval_dump(path, [10, 11, 12], many)
         assert n == 3
-        records = read_retrieval_dump(path)
+        records = read_jsonl(path)
         assert [r["query_id"] for r in records] == [10, 11, 12]
         assert records[0]["matches"][0]["context_id"] == many[0][0].pair.id
         assert records[0]["matches"][0]["source"] == many[0][0].pair.source
