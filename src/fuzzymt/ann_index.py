@@ -164,6 +164,10 @@ class IvfIndex:
     def size(self) -> int:
         return len(self._known_ids)
 
+    @property
+    def ids(self) -> frozenset[int]:
+        return frozenset(self._known_ids)
+
     def list_lengths(self) -> list[int]:
         return [len(ids) for ids in self._list_ids]
 

@@ -5,6 +5,14 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 transport
 error. Defaults mirror the reference experiment configuration (max-words 70,
 dim 384, nlist 4096, nprobe 32, batch 20, token multiplier 4, temperature
 0.3, top_p 1, mix 20000 at ratio 0.5, validation 1000).
+
+Context store: ``index-build --in CORPUS --out DIR`` writes DIR/corpus.jsonl,
+DIR/index.ivf and DIR/store.json (provider fingerprint, IVF build config,
+SHA-256 of both files). Wherever a context is named (--context, --index, a
+run config's context_corpus), a directory is loaded as a store and a file is
+a corpus that is embedded and indexed on the spot. A store fixes --provider,
+--model, --dim, --no-normalize and --seed (the caller's must match, else
+exit 2) and --nlist, --metric and --kmeans-iters; the caller sets --nprobe.
 """
 
 from __future__ import annotations
@@ -63,11 +71,11 @@ def _write_corpus(c: corpus.ParallelCorpus, out: str | None) -> None:
 def _provider_from_args(args) -> embedding.EmbeddingProviderConfig:
     return embedding.EmbeddingProviderConfig(
         kind=args.provider,
-        endpoint=getattr(args, "endpoint", "") or "",
-        model_name=getattr(args, "model", "deterministic-ngram"),
+        endpoint=args.endpoint,
+        model_name=args.model,
         dim=args.dim,
-        batch_size=getattr(args, "embed_batch_size", 64),
-        normalize=not getattr(args, "no_normalize", False),
+        batch_size=args.embed_batch_size,
+        normalize=not args.no_normalize,
         seed=args.seed,
     )
 
@@ -118,11 +126,16 @@ def _ivf_from_args(args, size: int) -> ann_index.IvfConfig:
     )
 
 
+_CONTEXT_HELP = (
+    "context corpus (embedded and indexed here) or store directory from index-build "
+    "(loaded: provider flags must match it, its IVF build values win, --nprobe is the caller's)"
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fuzzymt", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    common.add_argument("--config", default=None, help="JSON file of flag defaults")
     common.add_argument("--out", "--output", dest="out", default=None, help="output path")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -136,26 +149,25 @@ def build_parser() -> _Parser:
     p.add_argument("--validation-size", type=int, default=1000)
     p.add_argument("--validation-out", default=None)
 
-    p = sub.add_parser("embed", parents=[common], help="embed corpus sources into a cache file")
-    p.add_argument("--in", dest="inp", required=True)
+    p = sub.add_parser("index-build", parents=[common], help="embed and index a context corpus once")
+    p.add_argument("--in", dest="inp", required=True,
+                   help="context corpus or store directory; --out DIR gets corpus.jsonl, index.ivf and store.json, "
+                   "which fix the provider flags, --seed, --nlist, --metric and --kmeans-iters")
     _add_provider_flags(p)
-
-    p = sub.add_parser("index-build", parents=[common], help="train+populate an IVF index")
-    p.add_argument("--in", dest="inp", required=True, help="embedding cache file")
     _add_ivf_flags(p)
-    p.add_argument("--dim", type=int, default=None, help="override dimension check")
 
-    p = sub.add_parser("index-search", parents=[common], help="query a saved index")
-    p.add_argument("--index", required=True)
+    p = sub.add_parser("index-search", parents=[common], help="query a context store")
+    p.add_argument("--index", required=True, help="store directory from index-build; the provider "
+                   "flags must match it, --nprobe and -k are the caller's")
     p.add_argument("--query", default=None, help="single query text")
     p.add_argument("--queries", default=None, help="file with one query per line")
     p.add_argument("-k", type=int, default=1)
-    p.add_argument("--nprobe", type=int, default=None)
+    p.add_argument("--nprobe", type=int, default=32, help="clusters searched per query")
     _add_provider_flags(p)
 
     p = sub.add_parser("retrieve", parents=[common], help="fuzzy-match lookup against a context corpus")
     p.add_argument("--in", dest="inp", required=True, help="query corpus")
-    p.add_argument("--context", required=True, help="context corpus")
+    p.add_argument("--context", required=True, help=_CONTEXT_HELP)
     p.add_argument("-k", type=int, default=1)
     p.add_argument("--fit-nlist", action="store_true",
                    help="clamp nlist to the context size (small corpora)")
@@ -166,7 +178,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="inp", required=True, help="test corpus")
     p.add_argument("--condition", default="zero-shot",
                    choices=[eval_harness.CONDITION_ZERO, eval_harness.CONDITION_ONE])
-    p.add_argument("--context", default=None, help="context corpus (one-shot)")
+    p.add_argument("--context", default=None, help=_CONTEXT_HELP + " (one-shot)")
     p.add_argument("--fit-nlist", action="store_true")
     _add_provider_flags(p)
     _add_ivf_flags(p)
@@ -174,7 +186,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("export-dataset", parents=[common], help="build the fine-tuning JSONL mix")
     p.add_argument("--in", dest="inp", required=True, help="training corpus")
-    p.add_argument("--context", default=None, help="context corpus for one-shot retrieval")
+    p.add_argument("--context", default=None, help=_CONTEXT_HELP + " (one-shot)")
     p.add_argument("--total", type=int, default=20000)
     p.add_argument("--ratio", type=float, default=0.5, help="one-shot fraction")
     p.add_argument("--validation-size", type=int, default=1000)
@@ -216,6 +228,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", default="markdown", choices=["markdown", "tsv"])
 
     p = sub.add_parser("run", parents=[common], help="run the full experiment from a config file")
+    p.add_argument("--config", required=True, help="experiment JSON config")
 
     return parser
 
@@ -261,72 +274,36 @@ def _cmd_split(args) -> int:
     return EXIT_OK
 
 
-def _read_texts(spec: str) -> tuple[list[int], list[str]]:
-    if spec.endswith((".tsv", ".jsonl")) or "," in spec:
-        c = corpus.load_any(spec)
-        return c.ids(), c.sources()
-    lines = Path(spec).read_text(encoding="utf-8").splitlines()
-    return list(range(len(lines))), lines
-
-
-def _cmd_embed(args) -> int:
-    if args.out is None:
-        raise UsageError("embed requires --out for the binary cache file")
-    ids, texts = _read_texts(args.inp)
-    cfg = _provider_from_args(args)
-    vectors = embedding.embed_batch(texts, cfg)
-    embedding.write_embedding_cache(args.out, vectors, texts, ids=ids)
-    _print({"count": len(texts), "dim": cfg.dim, "out": args.out})
-    return EXIT_OK
-
-
 def _cmd_index_build(args) -> int:
     if args.out is None:
-        raise UsageError("index-build requires --out for the index file")
-    matrix, sidecar = embedding.read_embedding_cache(args.inp)
-    dim = args.dim or matrix.shape[1]
-    cfg = ann_index.IvfConfig(
-        dim=dim,
-        nlist=args.nlist,
-        nprobe=args.nprobe,
-        metric=args.metric,
-        kmeans_iters=args.kmeans_iters,
-        seed=args.seed,
-    )
-    index = ann_index.train(matrix, cfg)
-    ids = sidecar.get("ids", list(range(matrix.shape[0])))
-    index.add(zip(ids, matrix))
-    index.save(args.out)
-    _print({"size": index.size, "nlist": cfg.nlist, "dim": dim, "out": args.out})
+        raise UsageError("index-build requires --out DIR for the context store")
+    store = _context_store(args, args.inp)
+    store.save(args.out)
+    cfg = store.index.config
+    _print({"size": len(store), "nlist": cfg.nlist, "dim": cfg.dim, "out": args.out})
     return EXIT_OK
 
 
 def _cmd_index_search(args) -> int:
-    index = ann_index.IvfIndex.load(args.index, nprobe=args.nprobe)
     if args.query is not None:
         queries = [args.query]
     elif args.queries is not None:
-        queries = Path(args.queries).read_text(encoding="utf-8").splitlines()
+        queries = corpus.read_lines(args.queries)
     else:
         raise UsageError("index-search needs --query or --queries")
-    cfg = _provider_from_args(args)
-    cfg.dim = index.config.dim
-    vectors = embedding.embed_batch(queries, cfg)
-    for i, vec in enumerate(vectors):
-        hits = index.search(vec, args.k, nprobe_override=args.nprobe)
-        _print({"query_index": i, "hits": [{"id": h.id, "score": h.score} for h in hits]})
+    store = retrieval.ContextStore.load(args.index, _provider_from_args(args), args.nprobe)
+    for i, matches in enumerate(retrieval.retrieve_fuzzy_many(store, queries, k=args.k)):
+        _print({"query_index": i, "hits": [{"id": m.pair.id, "score": m.score} for m in matches]})
     return EXIT_OK
 
 
-def _build_store(args, context_spec: str) -> retrieval.ContextStore:
-    context = corpus.load_any(context_spec)
+def _context_store(args, spec: str) -> retrieval.ContextStore:
     provider = _provider_from_args(args)
-    ivf = _ivf_from_args(args, len(context))
-    return retrieval.build_context_store(context, provider, ivf)
+    return retrieval.open_context_store(spec, provider, args.nprobe, lambda n: _ivf_from_args(args, n))
 
 
 def _cmd_retrieve(args) -> int:
-    store = _build_store(args, args.context)
+    store = _context_store(args, args.context)
     query_corpus = _load_corpus_arg(args.inp)
     match_lists = retrieval.retrieve_fuzzy_many(store, query_corpus.sources(), k=args.k)
     if args.out is not None:
@@ -344,7 +321,7 @@ def _cmd_prompts(args) -> int:
     if args.condition == eval_harness.CONDITION_ONE:
         if args.context is None:
             raise UsageError("one-shot prompts need --context")
-        store = _build_store(args, args.context)
+        store = _context_store(args, args.context)
         match_lists = retrieval.retrieve_fuzzy_many(store, test.sources(), k=1)
         prompts = [
             prompting.render_few_shot(pair.source, matches, langs)
@@ -375,7 +352,7 @@ def _cmd_export_dataset(args) -> int:
     if args.ratio > 0:
         if args.context is None:
             raise UsageError("export-dataset with --ratio > 0 needs --context")
-        store = _build_store(args, args.context)
+        store = _context_store(args, args.context)
     langs = _langs_from_args(args)
     train, validation = finetune_export.build_finetune_dataset(train_corpus, store, mix, langs)
     train_path = f"{args.out}.train.jsonl"
@@ -456,8 +433,8 @@ def _cmd_evaluate(args) -> int:
             for r in corpus.read_jsonl(args.inp, required=("hypothesis", "reference"))
         ]
     elif args.hyp is not None and args.ref is not None:
-        hyp_lines = Path(args.hyp).read_text(encoding="utf-8").splitlines()
-        ref_lines = Path(args.ref).read_text(encoding="utf-8").splitlines()
+        hyp_lines = corpus.read_lines(args.hyp)
+        ref_lines = corpus.read_lines(args.ref)
         if len(hyp_lines) != len(ref_lines):
             raise DataError(
                 f"hypothesis file has {len(hyp_lines)} lines, reference {len(ref_lines)}"
@@ -486,8 +463,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.config is None:
-        raise UsageError("run requires --config experiment.json")
     cfg = eval_harness.load_experiment_config(args.config)
     if args.out is not None:
         cfg.output_dir = args.out
@@ -499,7 +474,6 @@ def _cmd_run(args) -> int:
 _COMMANDS = {
     "filter": _cmd_filter,
     "split": _cmd_split,
-    "embed": _cmd_embed,
     "index-build": _cmd_index_build,
     "index-search": _cmd_index_search,
     "retrieve": _cmd_retrieve,
@@ -514,19 +488,7 @@ _COMMANDS = {
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
-    # apply --config values as flag defaults before the real parse
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1] if argv.index("--config") + 1 < len(argv) else None
-        if cfg_path and Path(cfg_path).exists() and len(argv) > 0 and argv[0] != "run":
-            try:
-                defaults = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
-                if isinstance(defaults, dict):
-                    flat = {k.replace("-", "_"): v for k, v in defaults.items() if not isinstance(v, (dict, list))}
-                    parser.set_defaults(**flat)
-            except ValueError as exc:
-                raise DataError(f"{cfg_path}: invalid JSON config: {exc}") from exc
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return _COMMANDS[args.subcommand](args)
 
 
@@ -543,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     except FuzzyMtError as exc:
         _log(f"error: {exc}")
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:
         _log(f"error: {exc}")
         return EXIT_DATA
     except json.JSONDecodeError as exc:

@@ -81,6 +81,11 @@ def _lines(text: str) -> list[str]:
     return text.split("\n")
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """One segment per line of a UTF-8 file; only LF, CRLF and CR end a line (not U+2028)."""
+    return _lines(_read_utf8(path).replace("\r\n", "\n").replace("\r", "\n"))
+
+
 def parse_tsv(
     text: str, origin: str | Path, source_lang: str = "es", target_lang: str = "en"
 ) -> ParallelCorpus:

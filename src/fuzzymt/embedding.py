@@ -11,10 +11,7 @@ with meaningful cosine structure.
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +20,6 @@ from . import _http
 from .errors import ArgumentError, ContractViolationError, ProviderError
 
 DEFAULT_DIM = 384
-
-CACHE_MAGIC = b"EMB1"
-_CACHE_HEADER = struct.Struct("<4sIQ")  # magic, dim, count
 
 
 @dataclass
@@ -159,57 +153,3 @@ def embed_batch(texts: Sequence[str], cfg: EmbeddingProviderConfig) -> np.ndarra
     for row in matrix:
         check_vector(row, cfg.dim, cfg.normalize)
     return matrix
-
-
-def text_sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def write_embedding_cache(
-    path: str | Path,
-    vectors: np.ndarray,
-    texts: Sequence[str],
-    ids: Sequence[int] | None = None,
-) -> None:
-    """Write vectors as magic/dim/count header + row-major float32 rows.
-
-    A JSON sidecar at ``<path>.json`` records the text hashes (and row ids)
-    so a cache can be matched back to its corpus.
-    """
-    matrix = np.ascontiguousarray(vectors, dtype=np.float32)
-    if matrix.ndim != 2:
-        raise ArgumentError("vectors must be a 2-D matrix")
-    if len(texts) != matrix.shape[0]:
-        raise ArgumentError("one text required per vector row")
-    count, dim = matrix.shape
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, dim, count))
-        fh.write(matrix.tobytes(order="C"))
-    sidecar = {
-        "schema_version": 1,
-        "dim": dim,
-        "count": count,
-        "ids": list(ids) if ids is not None else list(range(count)),
-        "sha256": [text_sha256(t) for t in texts],
-    }
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def read_embedding_cache(path: str | Path) -> tuple[np.ndarray, dict]:
-    """Read a cache file; returns (matrix, sidecar dict)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _CACHE_HEADER.size:
-        raise ContractViolationError(f"{path}: truncated embedding cache")
-    magic, dim, count = _CACHE_HEADER.unpack_from(raw, 0)
-    if magic != CACHE_MAGIC:
-        raise ContractViolationError(f"{path}: bad magic {magic!r}")
-    body = raw[_CACHE_HEADER.size :]
-    expected = dim * count * 4
-    if len(body) != expected:
-        raise ContractViolationError(f"{path}: expected {expected} payload bytes, got {len(body)}")
-    matrix = np.frombuffer(body, dtype="<f4").reshape(count, dim).copy()
-    sidecar_path = Path(str(path) + ".json")
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8")) if sidecar_path.exists() else {}
-    return matrix, sidecar

@@ -47,6 +47,10 @@ class TrainingError(DataError):
     """Index training cannot proceed (e.g. fewer vectors than clusters)."""
 
 
+class StoreError(DataError):
+    """A saved context store is damaged or does not fit the caller's provider."""
+
+
 class ValidationError(DataError):
     """A structured value fails schema or range validation."""
 

@@ -41,9 +41,9 @@ REPORT_COLUMNS = ("Model", "Context", "BLEU ↑", "chrF++ ↑", "TER ↓")
 @dataclass
 class ExperimentConfig:
     test_corpus: str
-    context_corpus: str
+    context_corpus: str  # a corpus spec, or a store directory written by `fuzzymt index-build`
     provider: EmbeddingProviderConfig = field(default_factory=EmbeddingProviderConfig)
-    ivf: IvfConfig | None = None
+    ivf: IvfConfig | None = None  # None: defaults at the provider dim and `seed`; a store takes only nprobe
     endpoint: str = "http://127.0.0.1:8000"
     decoding: DecodingParams = field(default_factory=DecodingParams)
     conditions: list[str] = field(default_factory=lambda: [CONDITION_ZERO, CONDITION_ONE])
@@ -72,25 +72,29 @@ class ConditionResult:
     segments_per_second: float
 
 
-def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON file."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+def _config_object(path, what: str, cls, raw):
+    """``cls(**raw)``, with unknown keys and bad arguments a ValidationError."""
     if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - known
+        raise ValidationError(f"{path}: {what} must be a JSON object")
+    unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
     if unknown:
-        raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
-    kwargs = dict(raw)
-    if "provider" in kwargs:
-        kwargs["provider"] = EmbeddingProviderConfig(**kwargs["provider"])
-    if kwargs.get("ivf") is not None:
-        kwargs["ivf"] = IvfConfig(**kwargs["ivf"])
-    if "decoding" in kwargs:
-        kwargs["decoding"] = DecodingParams(**kwargs["decoding"])
-    if "langs" in kwargs:
-        kwargs["langs"] = LanguageNames(**kwargs["langs"])
-    return ExperimentConfig(**kwargs)
+        raise ValidationError(f"{path}: unknown {what} keys {unknown}")
+    try:
+        return cls(**raw)
+    except TypeError as exc:
+        raise ValidationError(f"{path}: {what}: {exc}") from exc
+
+
+def load_experiment_config(path: str | Path) -> ExperimentConfig:
+    """Build an ExperimentConfig from a JSON file; a null nested object means its default."""
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if isinstance(raw, dict):
+        for key, cls in (("provider", EmbeddingProviderConfig), ("ivf", IvfConfig),
+                         ("decoding", DecodingParams), ("langs", LanguageNames)):
+            value = raw.pop(key, None)
+            if value is not None:
+                raw[key] = _config_object(path, key, cls, value)
+    return _config_object(path, "config", ExperimentConfig, raw)
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
@@ -148,15 +152,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
 
     with _stage("load-test-corpus"):
         test = corpus_mod.load_any(cfg.test_corpus)
+    ivf = cfg.ivf if cfg.ivf is not None else IvfConfig(dim=cfg.provider.dim, seed=cfg.seed)
+    # a store directory is loaded; a corpus is embedded and indexed here
     with _stage("load-context-corpus"):
-        context = corpus_mod.load_any(cfg.context_corpus)
+        store = retrieval.open_context_store(
+            cfg.context_corpus, cfg.provider, ivf.nprobe, lambda size: ivf
+        )
     if not cfg.allow_context_overlap:
         with _stage("leakage-check"):
-            check_no_leakage(test, context)
-
-    ivf = cfg.ivf if cfg.ivf is not None else IvfConfig(dim=cfg.provider.dim)
-    with _stage("build-context-store"):
-        store = retrieval.build_context_store(context, cfg.provider, ivf)
+            check_no_leakage(test, store.corpus)
 
     matches_by_id: dict[int, list] = {}
     if CONDITION_ONE in cfg.conditions:
@@ -226,7 +230,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
             "finished_at": datetime.now(timezone.utc).isoformat(),
             "conditions": [r.condition for r in results],
             "test_segments": len(test),
-            "context_segments": len(context),
+            "context_segments": len(store),
             "segments_per_second": {
                 r.condition: r.segments_per_second for r in results
             },

@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+import json
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import ann_index, embedding
 from .ann_index import IvfConfig, IvfIndex
-from .corpus import ParallelCorpus, SegmentPair, write_jsonl_records
+from .corpus import ParallelCorpus, SegmentPair, load_any, load_corpus_jsonl
+from .corpus import write_jsonl_corpus, write_jsonl_records
 from .embedding import EmbeddingProviderConfig
-from .errors import ArgumentError, LeakageError, SizeError
+from .errors import ArgumentError, LeakageError, SizeError, StoreError
+
+STORE_CORPUS, STORE_INDEX, STORE_META = "corpus.jsonl", "index.ivf", "store.json"
+# the provider fields that decide the vectors; the others only say how to fetch them
+FINGERPRINT_FIELDS = ("kind", "model_name", "dim", "normalize", "seed")
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -38,6 +49,57 @@ class ContextStore:
     def pair(self, pair_id: int) -> SegmentPair:
         return self._by_id[pair_id]
 
+    def save(self, directory: str | Path) -> None:
+        """Write corpus.jsonl, index.ivf and store.json (provider fingerprint, IVF build
+        config, SHA-256 of both files) under ``directory``."""
+        out = Path(directory)
+        out.mkdir(parents=True, exist_ok=True)
+        write_jsonl_corpus(self.corpus, out / STORE_CORPUS)
+        self.index.save(out / STORE_INDEX)
+        meta = {
+            "provider": {name: getattr(self.provider, name) for name in FINGERPRINT_FIELDS},
+            # nprobe is chosen per search, so a store does not fix it
+            "ivf": {k: v for k, v in asdict(self.index.config).items() if k != "nprobe"},
+            "sha256": {name: _sha256(out / name) for name in (STORE_CORPUS, STORE_INDEX)},
+        }
+        (out / STORE_META).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+
+    @classmethod
+    def load(cls, directory: str | Path, provider: EmbeddingProviderConfig, nprobe: int) -> "ContextStore":
+        """Read a store written by ``save``; only ``nprobe`` overrides its IVF config.
+
+        Raises StoreError when metadata, provider fingerprint, SHA-256 digests,
+        index header, provider dim or corpus ids disagree.
+        """
+        src = Path(directory)
+        try:
+            meta = json.loads((src / STORE_META).read_text(encoding="utf-8"))
+            built = IvfConfig(**meta["ivf"], nprobe=min(nprobe, meta["ivf"]["nlist"]))
+            stored = {name: meta["provider"][name] for name in FINGERPRINT_FIELDS}
+            digests = {name: meta["sha256"][name] for name in (STORE_CORPUS, STORE_INDEX)}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StoreError(f"{src / STORE_META}: malformed store metadata ({exc!r})") from exc
+        for name, value in stored.items():
+            if getattr(provider, name) != value:
+                raise StoreError(f"{src}: store was built with provider {name}={value!r}, "
+                                 f"queries would use {name}={getattr(provider, name)!r}")
+        # the index reader names structural damage itself; the digests catch any other edit
+        index = IvfIndex.load(src / STORE_INDEX, nprobe=nprobe)
+        for name, digest in digests.items():
+            if _sha256(src / name) != digest:
+                raise StoreError(f"{src / name}: SHA-256 differs from {STORE_META}")
+        context = load_corpus_jsonl(src / STORE_CORPUS)
+        header = replace(index.config, kmeans_iters=built.kmeans_iters, seed=built.seed)
+        if header != built or built.dim != provider.dim:
+            raise StoreError(f"{src / STORE_INDEX}: index {index.config} does not match "
+                             f"{STORE_META} ivf {built} and provider dim {provider.dim}")
+        if index.ids != set(context.ids()):
+            diff = sorted(index.ids ^ set(context.ids()))[:10]
+            raise StoreError(f"{src}: ids in only one of {STORE_INDEX} and {STORE_CORPUS}: {diff}")
+        index.config = built
+        index.seal()
+        return cls(corpus=context, index=index, provider=provider)
+
 
 def build_context_store(
     corpus: ParallelCorpus,
@@ -59,6 +121,20 @@ def build_context_store(
     index.add(zip(corpus.ids(), vectors))
     index.seal()
     return ContextStore(corpus=corpus, index=index, provider=provider)
+
+
+def open_context_store(
+    spec: str,
+    provider: EmbeddingProviderConfig,
+    nprobe: int,
+    ivf_for_size: Callable[[int], IvfConfig],
+) -> ContextStore:
+    """Load the store directory ``spec`` (its IVF build values kept, ``nprobe`` taken),
+    or build a store from the corpus ``spec`` with ``ivf_for_size(len(corpus))``."""
+    if Path(spec).is_dir():
+        return ContextStore.load(spec, provider, nprobe)
+    context = load_any(spec)
+    return build_context_store(context, provider, ivf_for_size(len(context)))
 
 
 def retrieve_fuzzy(

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +42,7 @@ class TestHelpAndUsage:
 
     @pytest.mark.parametrize(
         "sub",
-        ["filter", "split", "embed", "index-build", "index-search", "retrieve",
+        ["filter", "split", "index-build", "index-search", "retrieve",
          "prompts", "export-dataset", "manifest", "translate", "evaluate", "report", "run"],
     )
     def test_subcommand_help_exits_zero(self, sub, capsys):
@@ -82,6 +85,19 @@ class TestFilter:
         code, _, _ = run_cli(["filter", "--in", "no-such-file.tsv"], capsys)
         assert code == 2
 
+    def test_directory_input_exit_2(self, tmp_path, capsys):
+        code, _, err = run_cli(["filter", "--in", str(tmp_path)], capsys)
+        assert code == 2
+        assert "Is a directory" in err
+
+    def test_config_flag_is_usage_error(self, corpus_tsv, tmp_path, capsys):
+        # --config belongs to `run` only; it never set flag defaults of other commands
+        path = tmp_path / "fc.json"
+        path.write_text(json.dumps({"max_words": 3}), encoding="utf-8")
+        code, _, err = run_cli(["filter", "--in", corpus_tsv, "--config", str(path)], capsys)
+        assert code == 1
+        assert "--config" in err
+
 
 class TestSplit:
     def test_split_files(self, corpus_tsv, tmp_path, capsys):
@@ -116,52 +132,173 @@ class TestSplit:
 
 class TestIndexPipeline:
     def test_embed_build_search(self, corpus_tsv, tmp_path, capsys):
-        cache = str(tmp_path / "vectors.bin")
-        code, stdout, _ = run_cli(
-            ["embed", "--in", corpus_tsv, "--dim", "32", "--out", cache], capsys
-        )
-        assert code == 0
-        assert json.loads(stdout) == {"count": 12, "dim": 32, "out": cache}
-
-        index_path = str(tmp_path / "index.ivf")
+        store_dir = str(tmp_path / "store")
         code, stdout, err = run_cli(
-            ["index-build", "--in", cache, "--nlist", "2", "--nprobe", "2",
-             "--out", index_path], capsys
+            ["index-build", "--in", corpus_tsv, "--dim", "32", "--nlist", "2", "--nprobe", "2",
+             "--out", store_dir], capsys
         )
         assert code == 0
-        assert json.loads(stdout)["size"] == 12
+        assert json.loads(stdout) == {"size": 12, "nlist": 2, "dim": 32, "out": store_dir}
 
         code, stdout, _ = run_cli(
-            ["index-search", "--index", index_path, "--query", "paciente dosis",
+            ["index-search", "--index", store_dir, "--query", "paciente dosis",
              "-k", "3", "--dim", "32"], capsys
         )
         assert code == 0
         hits = json.loads(stdout)["hits"]
         assert len(hits) == 3
 
-        with open(index_path, "r+b") as fh:
+        with open(tmp_path / "store" / "index.ivf", "r+b") as fh:
             fh.truncate(fh.seek(0, 2) - 5)
         code, _, err = run_cli(
-            ["index-search", "--index", index_path, "--query", "paciente", "--dim", "32"], capsys
+            ["index-search", "--index", store_dir, "--query", "paciente", "--dim", "32"], capsys
         )
         assert code == 2
         assert "truncated index file" in err
 
     def test_cluster_range_warning_on_stderr(self, corpus_tsv, tmp_path):
-        cache = str(tmp_path / "vectors.bin")
-        subprocess.run(
-            [sys.executable, "-m", "fuzzymt.cli", "embed", "--in", corpus_tsv,
-             "--dim", "16", "--out", cache],
-            capture_output=True, text=True, check=True,
-        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
-            [sys.executable, "-m", "fuzzymt.cli", "index-build", "--in", cache,
-             "--nlist", "2", "--nprobe", "1", "--out", str(tmp_path / "i.ivf")],
-            capture_output=True, text=True,
+            [sys.executable, "-m", "fuzzymt.cli", "index-build", "--in", corpus_tsv,
+             "--dim", "16", "--nlist", "2", "--nprobe", "1", "--out", str(tmp_path / "store")],
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "outside recommended range" in proc.stderr
         assert json.loads(proc.stdout)["size"] == 12
+
+
+BUILD_FLAGS = ["--dim", "32", "--nlist", "2", "--nprobe", "2"]
+
+
+@pytest.fixture
+def store_dir(corpus_tsv, tmp_path, capsys):
+    """A context store built by index-build from corpus_tsv with BUILD_FLAGS."""
+    path = str(tmp_path / "store")
+    code, _, _ = run_cli(["index-build", "--in", corpus_tsv, *BUILD_FLAGS, "--out", path], capsys)
+    assert code == 0
+    return path
+
+
+@pytest.fixture
+def queries_tsv(tmp_path):
+    path = tmp_path / "queries.tsv"
+    write_tsv(synth_corpus(5, seed=9, id_offset=500), path)
+    return str(path)
+
+
+def _same_outputs(argv, corpus_tsv, store_dir, files, tmp_path, capsys):
+    """Run argv with --context CORPUS and with --context STORE; both must write the same bytes."""
+    outputs = []
+    for name, context in (("corpus", corpus_tsv), ("store", store_dir)):
+        prefix = str(tmp_path / name)
+        full = [part.format(context=context, out=prefix) for part in argv]
+        code, stdout, err = run_cli(full, capsys)
+        assert code == 0, err
+        written = [Path(prefix + suffix).read_bytes() for suffix in files]
+        outputs.append((stdout.replace(prefix, "PREFIX"), written))
+    assert outputs[0] == outputs[1]
+    return outputs[0]
+
+
+class TestContextStore:
+    def test_retrieve_store_matches_corpus(self, corpus_tsv, store_dir, queries_tsv, tmp_path, capsys):
+        argv = ["retrieve", "--in", queries_tsv, "--context", "{context}", *BUILD_FLAGS, "-k", "2"]
+        stdout, _ = _same_outputs(argv, corpus_tsv, store_dir, [], tmp_path, capsys)
+        assert len(stdout.splitlines()) == 5
+        _, (dump,) = _same_outputs(argv + ["--out", "{out}.jsonl"], corpus_tsv, store_dir, [".jsonl"],
+                                   tmp_path, capsys)
+        assert len(dump.splitlines()) == 5
+
+    def test_prompts_one_shot_store_matches_corpus(self, corpus_tsv, store_dir, queries_tsv, tmp_path, capsys):
+        argv = ["prompts", "--in", queries_tsv, "--condition", "one-shot", "--context", "{context}",
+                *BUILD_FLAGS]
+        stdout, _ = _same_outputs(argv, corpus_tsv, store_dir, [], tmp_path, capsys)
+        assert all(json.loads(line)["shots"] == 1 for line in stdout.splitlines())
+        _same_outputs(argv + ["--out", "{out}.jsonl"], corpus_tsv, store_dir, [".jsonl"], tmp_path, capsys)
+
+    def test_export_dataset_store_matches_corpus(self, corpus_tsv, store_dir, tmp_path, capsys):
+        argv = ["export-dataset", "--in", corpus_tsv, "--context", "{context}", "--total", "8",
+                "--ratio", "0.5", "--validation-size", "2", *BUILD_FLAGS, "--out", "{out}"]
+        stdout, _ = _same_outputs(
+            argv, corpus_tsv, store_dir, [".train.jsonl", ".validation.jsonl"], tmp_path, capsys
+        )
+        assert json.loads(stdout)["one_shot"] == 4
+
+    def test_run_store_matches_corpus(self, corpus_tsv, store_dir, queries_tsv, tmp_path, capsys):
+        files = ["report.md", "report.tsv", "report.json", "retrieval.jsonl",
+                 "prompts.zero-shot.jsonl", "prompts.one-shot.jsonl"]
+        outputs = []
+        with run_mock_server("echo-fuzzy") as server:
+            for name, context in (("corpus", corpus_tsv), ("store", store_dir)):
+                config = {
+                    "test_corpus": queries_tsv,
+                    "context_corpus": context,
+                    "provider": {"kind": "deterministic-test", "dim": 32, "seed": 0},
+                    "ivf": {"dim": 32, "nlist": 2, "nprobe": 2},
+                    "endpoint": server.endpoint,
+                    "output_dir": str(tmp_path / name),
+                }
+                cfg_path = tmp_path / f"{name}.json"
+                cfg_path.write_text(json.dumps(config), encoding="utf-8")
+                code, stdout, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+                assert code == 0, err
+                outputs.append((stdout, [(tmp_path / name / f).read_bytes() for f in files]))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("damage", ["truncated-index", "edited-corpus", "stray-index-id", "provider-seed"])
+    def test_damaged_store_exit_2(self, damage, store_dir, queries_tsv, capsys):
+        store = Path(store_dir)
+        argv = ["retrieve", "--in", queries_tsv, "--context", store_dir, *BUILD_FLAGS]
+        if damage == "truncated-index":
+            with open(store / "index.ivf", "r+b") as fh:
+                fh.truncate(fh.seek(0, 2) - 3)
+            message = "truncated index file"
+        elif damage == "edited-corpus":
+            text = (store / "corpus.jsonl").read_text(encoding="utf-8")
+            (store / "corpus.jsonl").write_text(text.replace("paciente", "pacientes", 1), encoding="utf-8")
+            message = "corpus.jsonl: SHA-256 differs from store.json"
+        elif damage == "stray-index-id":
+            # drop the first pair and re-record the digest, so only the id check can object
+            lines = (store / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+            (store / "corpus.jsonl").write_bytes(b"".join(lines[1:]))
+            meta = json.loads((store / "store.json").read_text(encoding="utf-8"))
+            meta["sha256"]["corpus.jsonl"] = hashlib.sha256(b"".join(lines[1:])).hexdigest()
+            (store / "store.json").write_text(json.dumps(meta), encoding="utf-8")
+            message = "ids in only one of index.ivf and corpus.jsonl: [0]"
+        else:
+            argv += ["--seed", "7"]
+            message = "store was built with provider seed=0, queries would use seed=7"
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert message in err
+
+    def test_index_search_provider_mismatch_exit_2(self, store_dir, capsys):
+        code, _, err = run_cli(
+            ["index-search", "--index", store_dir, "--query", "paciente", "--dim", "32", "--seed", "7"],
+            capsys,
+        )
+        assert code == 2
+        assert "seed=7" in err
+
+    @pytest.mark.parametrize(
+        "content, code, hits",
+        [(b"paciente\xff dosis\n", 2, None), ("el paciente\u2028mejora\r\nla dosis\r\n".encode(), 0, 2)],
+        ids=["invalid-utf8", "u2028-crlf"],
+    )
+    def test_index_search_queries_file(self, content, code, hits, store_dir, tmp_path, capsys):
+        path = tmp_path / "queries.txt"
+        path.write_bytes(content)
+        got, stdout, err = run_cli(
+            ["index-search", "--index", store_dir, "--queries", str(path), "--dim", "32"], capsys
+        )
+        assert got == code
+        if hits is None:
+            assert "queries.txt:1: not valid UTF-8" in err
+        else:
+            assert [json.loads(line)["query_index"] for line in stdout.splitlines()] == list(range(hits))
 
 
 class TestRetrieveAndPrompts:
@@ -277,6 +414,27 @@ class TestTranslateEvaluateReport:
         scores = json.loads(stdout)
         assert scores["bleu"] == 100.0 and scores["ter"] == 0.0
 
+    @pytest.mark.parametrize(
+        "hyp, code, message",
+        [
+            (b"el paciente\xff mejora\n", 2, "hyp.txt:1: not valid UTF-8"),
+            ("el paciente\u2028mejora\n".encode(), 0, None),
+            (b"el paciente mejora\r\n", 0, None),
+        ],
+        ids=["invalid-utf8", "u2028", "crlf"],
+    )
+    def test_evaluate_parallel_files_one_segment_per_line(self, hyp, code, message, tmp_path, capsys):
+        hyp_path = tmp_path / "hyp.txt"
+        ref_path = tmp_path / "ref.txt"
+        hyp_path.write_bytes(hyp)
+        ref_path.write_bytes(b"el paciente mejora\n")
+        got, stdout, err = run_cli(["evaluate", "--hyp", str(hyp_path), "--ref", str(ref_path)], capsys)
+        assert got == code
+        if message is not None:
+            assert message in err
+        else:
+            assert json.loads(stdout)["ter"] == 0.0
+
     def test_evaluate_jsonl(self, tmp_path, capsys):
         path = tmp_path / "pairs.jsonl"
         path.write_text(
@@ -341,6 +499,16 @@ class TestRun:
         code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
         assert code == 2
         assert "load-context-corpus" in err
+
+    def test_run_unknown_nested_config_key_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(
+            json.dumps({"test_corpus": "a.tsv", "context_corpus": "b.tsv", "provider": {"bogus": 1}}),
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert "unknown provider keys ['bogus']" in err
 
     def test_run_without_config_usage_error(self, capsys):
         code, _, _ = run_cli(["run"], capsys)

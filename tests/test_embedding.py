@@ -8,9 +8,6 @@ from fuzzymt.embedding import (
     EmbeddingProviderConfig,
     deterministic_embed,
     embed_batch,
-    read_embedding_cache,
-    text_sha256,
-    write_embedding_cache,
 )
 from fuzzymt.errors import ArgumentError, ContractViolationError, ProviderError
 from fuzzymt.llm_client import run_mock_server
@@ -149,33 +146,6 @@ class TestRemoteProvider:
         )
         with pytest.raises(ProviderError):
             embed_batch(["texto"], cfg)
-
-
-class TestEmbeddingCache:
-    def test_round_trip_bit_identical(self, tmp_path, det_provider):
-        texts = ["primera", "segunda", "tercera"]
-        vectors = embed_batch(texts, det_provider)
-        path = tmp_path / "cache.bin"
-        write_embedding_cache(path, vectors, texts, ids=[10, 11, 12])
-        loaded, sidecar = read_embedding_cache(path)
-        assert loaded.tobytes() == vectors.tobytes()
-        assert sidecar["ids"] == [10, 11, 12]
-        assert sidecar["sha256"] == [text_sha256(t) for t in texts]
-        assert sidecar["dim"] == det_provider.dim
-
-    def test_truncated_cache_rejected(self, tmp_path):
-        path = tmp_path / "cache.bin"
-        vectors = np.ones((2, 4), dtype=np.float32)
-        write_embedding_cache(path, vectors, ["a", "b"])
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(ContractViolationError):
-            read_embedding_cache(path)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "cache.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 12)
-        with pytest.raises(ContractViolationError):
-            read_embedding_cache(path)
 
 
 def test_config_validation():

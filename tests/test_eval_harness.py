@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from fuzzymt.corpus import ParallelCorpus, SegmentPair, write_tsv
+from fuzzymt import ann_index, embedding, retrieval
+from fuzzymt.corpus import ParallelCorpus, SegmentPair, read_jsonl, write_tsv
 from fuzzymt.errors import DataError, LeakageError, ValidationError
 from fuzzymt.eval_harness import (
     CONDITION_ONE,
@@ -288,6 +289,20 @@ class TestConfigLoading:
         with pytest.raises(ValidationError):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize("key", ["provider", "ivf", "decoding", "langs"])
+    @pytest.mark.parametrize("value", [{"bogus": 1}, [1], "x"], ids=["unknown-key", "list", "string"])
+    def test_bad_nested_object_rejected(self, key, value, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"test_corpus": "a", "context_corpus": "b", key: value}))
+        with pytest.raises(ValidationError, match=key):
+            load_experiment_config(path)
+
+    def test_missing_required_field_rejected(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"test_corpus": "a", "context_corpus": "b", "ivf": {"nlist": 2}}))
+        with pytest.raises(ValidationError, match="dim"):
+            load_experiment_config(path)
+
     def test_empty_conditions_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(test_corpus="a", context_corpus="b", conditions=[])
@@ -304,3 +319,52 @@ class TestConfigLoading:
         with pytest.raises(DataError) as err:
             run_experiment(cfg)
         assert "load-context-corpus" in str(err.value)
+
+
+class TestContextStoreDirectory:
+    def test_store_directory_is_not_rebuilt(self, tmp_path, monkeypatch):
+        test_corpus = synth_corpus(6, seed=50)
+        context = synth_corpus(10, seed=51, id_offset=100)
+        test_path, _ = _write_corpora(tmp_path, test_corpus, context)
+        provider = EmbeddingProviderConfig(kind="deterministic-test", dim=48, seed=0)
+        ivf = IvfConfig(dim=48, nlist=2, nprobe=2, kmeans_iters=4, seed=0)
+        store_dir = tmp_path / "store"
+        retrieval.build_context_store(context, provider, ivf).save(store_dir)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a saved store must not be trained again")
+
+        embedded: list[str] = []
+        embed_batch = embedding.embed_batch
+
+        def recording_embed(texts, cfg):
+            embedded.extend(texts)
+            return embed_batch(texts, cfg)
+
+        monkeypatch.setattr(ann_index, "train", no_training)
+        monkeypatch.setattr(embedding, "embed_batch", recording_embed)
+        with run_mock_server("echo-fuzzy") as server:
+            cfg = _config(tmp_path, server.endpoint, test_path, str(store_dir))
+            run_experiment(cfg)
+        assert embedded == test_corpus.sources()
+        retrieved = read_jsonl(tmp_path / "run" / "retrieval.jsonl")
+        assert {r["matches"][0]["context_id"] for r in retrieved} <= set(context.ids())
+
+    def test_default_ivf_is_trained_with_experiment_seed(self, tmp_path, monkeypatch):
+        test_path, context_path = _write_corpora(
+            tmp_path, synth_corpus(3, seed=52), synth_corpus(4, seed=53, id_offset=100)
+        )
+        seen: list[IvfConfig] = []
+
+        class Stop(Exception):
+            pass
+
+        def capture(corpus, provider, ivf):
+            seen.append(ivf)
+            raise Stop
+
+        monkeypatch.setattr(retrieval, "build_context_store", capture)
+        cfg = _config(tmp_path, "http://127.0.0.1:9", test_path, context_path, ivf=None, seed=11)
+        with pytest.raises(Stop):
+            run_experiment(cfg)
+        assert seen == [IvfConfig(dim=48, seed=11)]

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from fuzzymt.ann_index import IvfConfig
 from fuzzymt.corpus import ParallelCorpus, read_jsonl
-from fuzzymt.errors import ArgumentError, LeakageError, SizeError
+from fuzzymt.errors import ArgumentError, LeakageError, SizeError, StoreError
 from fuzzymt.retrieval import (
+    ContextStore,
     build_context_store,
     retrieve_fuzzy,
     retrieve_fuzzy_many,
@@ -42,6 +46,45 @@ class TestBuildContextStore:
 
     def test_store_is_sealed(self, store):
         assert store.index.sealed
+
+
+class TestSaveLoad:
+    def test_round_trip_keeps_build_config_and_matches(self, tmp_path, store, small_corpus, det_provider):
+        store.save(tmp_path / "store")
+        loaded = ContextStore.load(tmp_path / "store", det_provider, nprobe=store.index.config.nprobe)
+        assert loaded.index.sealed
+        assert loaded.corpus.pairs == small_corpus.pairs
+        assert loaded.index.config == store.index.config
+
+        def ranked(s):
+            return [[(m.pair.id, m.score) for m in ms] for ms in retrieve_fuzzy_many(s, small_corpus.sources(), k=3)]
+
+        assert ranked(loaded) == ranked(store)
+        assert ContextStore.load(tmp_path / "store", det_provider, nprobe=99).index.config.nprobe == 2
+
+    def test_first_differing_provider_field_named(self, tmp_path, store, det_provider):
+        store.save(tmp_path / "store")
+        other = replace(det_provider, dim=32, seed=5)
+        with pytest.raises(StoreError, match="provider dim=64, queries would use dim=32"):
+            ContextStore.load(tmp_path / "store", other, nprobe=1)
+
+    def test_malformed_metadata(self, tmp_path, store, det_provider):
+        store.save(tmp_path / "store")
+        meta_path = tmp_path / "store" / "store.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        del meta["sha256"]["index.ivf"]
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(StoreError, match="malformed store metadata"):
+            ContextStore.load(tmp_path / "store", det_provider, nprobe=1)
+
+    def test_index_header_must_match_metadata(self, tmp_path, store, det_provider):
+        store.save(tmp_path / "store")
+        meta_path = tmp_path / "store" / "store.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["ivf"]["metric"] = "l2"
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(StoreError, match="does not match store.json"):
+            ContextStore.load(tmp_path / "store", det_provider, nprobe=1)
 
 
 class TestRetrieveFuzzy:
