@@ -12,7 +12,10 @@ SHA-256 of both files). Wherever a context is named (--context, --index, a
 run config's context_corpus), a directory is loaded as a store and a file is
 a corpus that is embedded and indexed on the spot. A store fixes --provider,
 --model, --dim, --no-normalize and --seed (the caller's must match, else
-exit 2) and --nlist, --metric and --kmeans-iters; the caller sets --nprobe.
+exit 2) and --nlist, --metric and --kmeans-iters. It does not fix nprobe:
+only the commands that search (index-search, retrieve, prompts,
+export-dataset) take --nprobe. A context corpus smaller than the default
+nlist needs --nlist N with N at most its size.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import (
     ProviderError,
     TransportError,
     UsageError,
+    ValidationError,
 )
 
 EXIT_OK = 0
@@ -81,12 +85,7 @@ def _provider_from_args(args) -> embedding.EmbeddingProviderConfig:
 
 
 def _langs_from_args(args) -> prompting.LanguageNames:
-    return prompting.LanguageNames(
-        source_name=args.source_name,
-        target_name=args.target_name,
-        source_code=args.source_code,
-        target_code=args.target_code,
-    )
+    return prompting.LanguageNames(source_name=args.source_name, target_name=args.target_name)
 
 
 def _add_provider_flags(p: argparse.ArgumentParser) -> None:
@@ -101,25 +100,25 @@ def _add_provider_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_ivf_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nlist", type=int, default=4096, help="number of coarse clusters")
-    p.add_argument("--nprobe", type=int, default=32, help="clusters searched per query")
     p.add_argument("--metric", default=ann_index.METRIC_COSINE,
                    choices=[ann_index.METRIC_COSINE, ann_index.METRIC_L2])
     p.add_argument("--kmeans-iters", type=int, default=25)
 
 
+def _add_nprobe_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--nprobe", type=int, default=32, help="clusters searched per query")
+
+
 def _add_lang_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--source-name", default="Spanish")
     p.add_argument("--target-name", default="English")
-    p.add_argument("--source-code", default="spa_Latn")
-    p.add_argument("--target-code", default="eng_Latn")
 
 
-def _ivf_from_args(args, size: int) -> ann_index.IvfConfig:
-    nlist = min(args.nlist, size) if getattr(args, "fit_nlist", False) else args.nlist
+def _ivf_from_args(args) -> ann_index.IvfConfig:
     return ann_index.IvfConfig(
         dim=args.dim,
-        nlist=nlist,
-        nprobe=min(args.nprobe, nlist),
+        nlist=args.nlist,
+        nprobe=min(args.nprobe, args.nlist),
         metric=args.metric,
         kmeans_iters=args.kmeans_iters,
         seed=args.seed,
@@ -155,6 +154,8 @@ def build_parser() -> _Parser:
                    "which fix the provider flags, --seed, --nlist, --metric and --kmeans-iters")
     _add_provider_flags(p)
     _add_ivf_flags(p)
+    # a store does not fix nprobe (save drops it), so any valid value builds the same bytes
+    p.set_defaults(nprobe=1)
 
     p = sub.add_parser("index-search", parents=[common], help="query a context store")
     p.add_argument("--index", required=True, help="store directory from index-build; the provider "
@@ -162,26 +163,25 @@ def build_parser() -> _Parser:
     p.add_argument("--query", default=None, help="single query text")
     p.add_argument("--queries", default=None, help="file with one query per line")
     p.add_argument("-k", type=int, default=1)
-    p.add_argument("--nprobe", type=int, default=32, help="clusters searched per query")
+    _add_nprobe_flag(p)
     _add_provider_flags(p)
 
     p = sub.add_parser("retrieve", parents=[common], help="fuzzy-match lookup against a context corpus")
     p.add_argument("--in", dest="inp", required=True, help="query corpus")
     p.add_argument("--context", required=True, help=_CONTEXT_HELP)
     p.add_argument("-k", type=int, default=1)
-    p.add_argument("--fit-nlist", action="store_true",
-                   help="clamp nlist to the context size (small corpora)")
     _add_provider_flags(p)
     _add_ivf_flags(p)
+    _add_nprobe_flag(p)
 
     p = sub.add_parser("prompts", parents=[common], help="render a prompt dump for a test corpus")
     p.add_argument("--in", dest="inp", required=True, help="test corpus")
     p.add_argument("--condition", default="zero-shot",
                    choices=[eval_harness.CONDITION_ZERO, eval_harness.CONDITION_ONE])
     p.add_argument("--context", default=None, help=_CONTEXT_HELP + " (one-shot)")
-    p.add_argument("--fit-nlist", action="store_true")
     _add_provider_flags(p)
     _add_ivf_flags(p)
+    _add_nprobe_flag(p)
     _add_lang_flags(p)
 
     p = sub.add_parser("export-dataset", parents=[common], help="build the fine-tuning JSONL mix")
@@ -190,9 +190,9 @@ def build_parser() -> _Parser:
     p.add_argument("--total", type=int, default=20000)
     p.add_argument("--ratio", type=float, default=0.5, help="one-shot fraction")
     p.add_argument("--validation-size", type=int, default=1000)
-    p.add_argument("--fit-nlist", action="store_true")
     _add_provider_flags(p)
     _add_ivf_flags(p)
+    _add_nprobe_flag(p)
     _add_lang_flags(p)
 
     p = sub.add_parser("manifest", parents=[common], help="emit the training manifest JSON")
@@ -298,8 +298,7 @@ def _cmd_index_search(args) -> int:
 
 
 def _context_store(args, spec: str) -> retrieval.ContextStore:
-    provider = _provider_from_args(args)
-    return retrieval.open_context_store(spec, provider, args.nprobe, lambda n: _ivf_from_args(args, n))
+    return retrieval.open_context_store(spec, _provider_from_args(args), _ivf_from_args(args))
 
 
 def _cmd_retrieve(args) -> int:
@@ -391,11 +390,9 @@ def _cmd_manifest(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    records = corpus.read_jsonl(args.inp, required=("id", "prompt"))
+    records = corpus.read_jsonl(args.inp, required={"id": int, "prompt": str})
     langs = _langs_from_args(args)
-    prompts = [
-        prompting.RenderedPrompt(text=r["prompt"], shots=r.get("shots", 0)) for r in records
-    ]
+    prompts = [prompting.RenderedPrompt(text=r["prompt"]) for r in records]
     sources = [prompting.parse_prompt(r["prompt"], langs)[1] for r in records]
     ids = [r["id"] for r in records]
     params = llm_client.DecodingParams(
@@ -430,7 +427,7 @@ def _cmd_evaluate(args) -> int:
     if args.inp is not None:
         pairs = [
             mt_metrics.EvalPair(hypothesis=r["hypothesis"], reference=r["reference"])
-            for r in corpus.read_jsonl(args.inp, required=("hypothesis", "reference"))
+            for r in corpus.read_jsonl(args.inp, required={"hypothesis": str, "reference": str})
         ]
     elif args.hyp is not None and args.ref is not None:
         hyp_lines = corpus.read_lines(args.hyp)
@@ -451,9 +448,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    table = eval_harness.report_json_to_table(
-        Path(args.inp).read_text(encoding="utf-8"), args.format
-    )
+    try:
+        table = eval_harness.report_json_to_table(Path(args.inp).read_text(encoding="utf-8"), args.format)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.inp}: {exc}") from exc
     if args.out is not None:
         Path(args.out).write_text(table, encoding="utf-8")
         _print({"out": args.out})

@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import AlignmentError, CorpusEncodingError, DataError, SizeError
 
@@ -33,8 +33,6 @@ class ParallelCorpus:
     """An ordered collection of segment pairs for one language direction."""
 
     pairs: list[SegmentPair] = field(default_factory=list)
-    source_lang: str = "es"
-    target_lang: str = "en"
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -86,9 +84,7 @@ def read_lines(path: str | Path) -> list[str]:
     return _lines(_read_utf8(path).replace("\r\n", "\n").replace("\r", "\n"))
 
 
-def parse_tsv(
-    text: str, origin: str | Path, source_lang: str = "es", target_lang: str = "en"
-) -> ParallelCorpus:
+def parse_tsv(text: str, origin: str | Path) -> ParallelCorpus:
     """Parse 2-column TSV text, one pair per line, ids in line order from 0.
 
     Raises AlignmentError naming ``origin:line`` on a row without exactly
@@ -102,22 +98,17 @@ def parse_tsv(
                 f"{origin}:{i + 1}: expected 2 tab-separated columns, got {len(cols)}"
             )
         pairs.append(SegmentPair(id=i, source=cols[0], target=cols[1]))
-    return ParallelCorpus(pairs, source_lang, target_lang)
+    return ParallelCorpus(pairs)
 
 
-def load_corpus(
-    source_path: str | Path,
-    target_path: str | Path | None = None,
-    source_lang: str = "es",
-    target_lang: str = "en",
-) -> ParallelCorpus:
+def load_corpus(source_path: str | Path, target_path: str | Path | None = None) -> ParallelCorpus:
     """Load a corpus from two parallel text files or one 2-column TSV.
 
     Ids are assigned in file order starting at 0. Raises AlignmentError on a
     line-count mismatch and CorpusEncodingError on invalid UTF-8.
     """
     if target_path is None:
-        return parse_tsv(_read_utf8(source_path), source_path, source_lang, target_lang)
+        return parse_tsv(_read_utf8(source_path), source_path)
 
     src_lines = _lines(_read_utf8(source_path))
     tgt_lines = _lines(_read_utf8(target_path))
@@ -130,7 +121,7 @@ def load_corpus(
         SegmentPair(id=i, source=s, target=t)
         for i, (s, t) in enumerate(zip(src_lines, tgt_lines))
     ]
-    return ParallelCorpus(pairs, source_lang, target_lang)
+    return ParallelCorpus(pairs)
 
 
 def encode_jsonl(record: dict) -> str:
@@ -148,12 +139,20 @@ def write_jsonl_records(path: str | Path, records: Iterable[dict]) -> int:
     return count
 
 
-def read_jsonl(path: str | Path, required: Sequence[str] = ()) -> list[dict]:
+def _type_names(types: type | tuple[type, ...]) -> str:
+    types = types if isinstance(types, tuple) else (types,)
+    return " or ".join("null" if t is type(None) else t.__name__ for t in types)
+
+
+def read_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]] = {}) -> list[dict]:
     """Parse a JSON-lines file into one dict per non-blank line.
 
+    ``required`` maps each key the caller reads to the type(s) its value must
+    have; a key whose types include ``type(None)`` may also be absent or null.
+    JSON true/false pass as no type, so a bool is never taken for an int.
     Raises CorpusEncodingError on invalid UTF-8, and DataError naming
-    ``path:line`` on a line that is not a JSON object or lacks one of the
-    ``required`` keys.
+    ``path:line`` on a line that is not a JSON object, lacks a required key
+    or holds a value of another type under it.
     """
     records = []
     for lineno, line in enumerate(_lines(_read_utf8(path)), 1):
@@ -165,20 +164,26 @@ def read_jsonl(path: str | Path, required: Sequence[str] = ()) -> list[dict]:
             raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg} (column {exc.colno})") from exc
         if not isinstance(record, dict):
             raise DataError(f"{path}:{lineno}: expected a JSON object")
-        missing = [key for key in required if key not in record]
-        if missing:
-            raise DataError(f"{path}:{lineno}: missing keys {missing}")
+        for key, types in required.items():
+            if key not in record and not isinstance(None, types):
+                raise DataError(f"{path}:{lineno}: missing key {key!r}")
+            value = record.get(key)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise DataError(f"{path}:{lineno}: key {key!r} must be {_type_names(types)}, "
+                                f"got {json.dumps(value, ensure_ascii=False)[:40]}")
         records.append(record)
     return records
 
 
-def load_corpus_jsonl(path: str | Path, source_lang: str = "es", target_lang: str = "en") -> ParallelCorpus:
-    """Load a corpus from JSON-lines records {id, source, target}."""
+def load_corpus_jsonl(path: str | Path) -> ParallelCorpus:
+    """Load a corpus from JSON-lines records {id, source, target}; a record
+    without an id (or with a null one) takes its record index."""
+    records = read_jsonl(path, required={"id": (int, type(None)), "source": str, "target": str})
     pairs = [
-        SegmentPair(id=int(r.get("id", i)), source=r["source"], target=r["target"])
-        for i, r in enumerate(read_jsonl(path, required=("source", "target")))
+        SegmentPair(id=i if r.get("id") is None else r["id"], source=r["source"], target=r["target"])
+        for i, r in enumerate(records)
     ]
-    return ParallelCorpus(pairs, source_lang, target_lang)
+    return ParallelCorpus(pairs)
 
 
 def word_count(text: str) -> int:
@@ -250,7 +255,7 @@ def pair_keys(corpus: ParallelCorpus) -> set[tuple[str, str]]:
     return {(p.source.rstrip(), p.target.rstrip()) for p in corpus.pairs}
 
 
-def load_any(spec: str, source_lang: str = "es", target_lang: str = "en") -> ParallelCorpus:
+def load_any(spec: str) -> ParallelCorpus:
     """Load a corpus from a path spec.
 
     ``a.txt,b.txt`` loads two parallel files, ``x.jsonl`` loads JSON lines,
@@ -258,7 +263,7 @@ def load_any(spec: str, source_lang: str = "es", target_lang: str = "en") -> Par
     """
     if "," in spec:
         src, tgt = spec.split(",", 1)
-        return load_corpus(src.strip(), tgt.strip(), source_lang, target_lang)
+        return load_corpus(src.strip(), tgt.strip())
     if spec.endswith(".jsonl"):
-        return load_corpus_jsonl(spec, source_lang, target_lang)
-    return load_corpus(spec, None, source_lang, target_lang)
+        return load_corpus_jsonl(spec)
+    return load_corpus(spec)

@@ -36,6 +36,7 @@ CONTEXT_LABELS = {
 }
 
 REPORT_COLUMNS = ("Model", "Context", "BLEU ↑", "chrF++ ↑", "TER ↓")
+_SCORE_KEYS = ("bleu", "chrf_pp", "ter")
 
 
 @dataclass
@@ -155,9 +156,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
     ivf = cfg.ivf if cfg.ivf is not None else IvfConfig(dim=cfg.provider.dim, seed=cfg.seed)
     # a store directory is loaded; a corpus is embedded and indexed here
     with _stage("load-context-corpus"):
-        store = retrieval.open_context_store(
-            cfg.context_corpus, cfg.provider, ivf.nprobe, lambda size: ivf
-        )
+        store = retrieval.open_context_store(cfg.context_corpus, cfg.provider, ivf)
     if not cfg.allow_context_overlap:
         with _stage("leakage-check"):
             check_no_leakage(test, store.corpus)
@@ -247,11 +246,11 @@ def rescore_condition(output_dir: str | Path, condition: str) -> list[MetricScor
     prompts_path = out_dir / f"prompts.{condition}.jsonl"
     refs = {
         r["id"]: r["reference"]
-        for r in corpus_mod.read_jsonl(prompts_path, required=("id", "reference"))
+        for r in corpus_mod.read_jsonl(prompts_path, required={"id": int, "reference": str})
     }
     generations_path = out_dir / f"generations.{condition}.jsonl"
     pairs = []
-    for g in corpus_mod.read_jsonl(generations_path, required=("id", "text")):
+    for g in corpus_mod.read_jsonl(generations_path, required={"id": int, "text": str}):
         if g["id"] not in refs:
             raise DataError(f"{generations_path}: id {g['id']!r} has no prompt in {prompts_path}")
         pairs.append(EvalPair(hypothesis=g["text"], reference=refs[g["id"]]))
@@ -273,38 +272,19 @@ def _result_row(result: ConditionResult, model_name: str) -> dict:
     }
 
 
-def _rows_to_markdown(rows: list[dict]) -> str:
-    header = "| " + " | ".join(REPORT_COLUMNS) + " |"
-    rule = "|" + "|".join(" --- " for _ in REPORT_COLUMNS) + "|"
-    lines = [header, rule]
-    for row in rows:
-        lines.append(
-            "| {model} | {context} | {bleu:.2f} | {chrf:.2f} | {ter:.2f} |".format(
-                model=row["model"],
-                context=row["context"],
-                bleu=row["bleu"],
-                chrf=row["chrf_pp"],
-                ter=row["ter"],
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _rows_to_tsv(rows: list[dict]) -> str:
-    lines = ["\t".join(REPORT_COLUMNS)]
-    for row in rows:
-        lines.append(
-            "\t".join(
-                [
-                    row["model"],
-                    row["context"],
-                    f"{row['bleu']:.2f}",
-                    f"{row['chrf_pp']:.2f}",
-                    f"{row['ter']:.2f}",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _table(rows: list[dict], format: str) -> str:
+    """Report rows as a markdown or TSV table, scores to two decimals."""
+    lines = [list(REPORT_COLUMNS)] + [
+        [row["model"], row["context"], *(f"{row[key]:.2f}" for key in _SCORE_KEYS)] for row in rows
+    ]
+    if format == "markdown":
+        text = ["| " + " | ".join(cells) + " |" for cells in lines]
+        text.insert(1, "|" + "|".join(" --- " for _ in REPORT_COLUMNS) + "|")
+    elif format == "tsv":
+        text = ["\t".join(cells) for cells in lines]
+    else:
+        raise ValidationError(f"unknown report format {format!r}")
+    return "\n".join(text) + "\n"
 
 
 def render_report(
@@ -317,19 +297,30 @@ def render_report(
     rows = [_result_row(r, model_name) for r in ordered]
     if format == "json":
         return json.dumps({"columns": list(REPORT_COLUMNS), "rows": rows}, indent=2) + "\n"
-    if format == "markdown":
-        return _rows_to_markdown(rows)
-    if format == "tsv":
-        return _rows_to_tsv(rows)
-    raise ValidationError(f"unknown report format {format!r}")
+    return _table(rows, format)
+
+
+def _is_report_row(row) -> bool:
+    if not isinstance(row, dict):
+        return False
+    scores = [row.get(key) for key in _SCORE_KEYS]
+    return (isinstance(row.get("model"), str) and isinstance(row.get("context"), str)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in scores))
 
 
 def report_json_to_table(json_text: str, format: str = "markdown") -> str:
-    """Re-render a JSON report as a markdown or TSV table."""
-    payload = json.loads(json_text)
-    rows = payload["rows"]
-    if format == "markdown":
-        return _rows_to_markdown(rows)
-    if format == "tsv":
-        return _rows_to_tsv(rows)
-    raise ValidationError(f"unknown report format {format!r}")
+    """Re-render a JSON report as a markdown or TSV table.
+
+    Raises ValidationError when the text is not a report that render_report
+    could have written: an object whose "rows" each hold model and context
+    strings and bleu, chrf_pp and ter numbers.
+    """
+    try:
+        payload = json.loads(json_text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid JSON: {exc}") from exc
+    rows = payload.get("rows") if isinstance(payload, dict) else None
+    if not isinstance(rows, list) or not all(map(_is_report_row, rows)):
+        raise ValidationError('not a JSON report: expected {"rows": [{model, context, '
+                              'bleu, chrf_pp, ter}, ...]}')
+    return _table(rows, format)

@@ -87,6 +87,13 @@ def _ngram_counts(tokens: Sequence, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _ngram_stats(hyp: Sequence, ref: Sequence, n: int) -> tuple[int, int, int]:
+    """(hypothesis n-grams, reference n-grams, hypothesis n-grams clipped to their reference count)."""
+    ref_ngrams = _ngram_counts(ref, n)
+    matches = sum(min(count, ref_ngrams[gram]) for gram, count in _ngram_counts(hyp, n).items())
+    return max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0), matches
+
+
 # -- BLEU -----------------------------------------------------------------------
 
 
@@ -103,12 +110,9 @@ def bleu(pairs: Sequence[EvalPair]) -> MetricScore:
         hyp_len += len(hyp_toks)
         ref_len += len(ref_toks)
         for n in range(1, BLEU_ORDER + 1):
-            hyp_ngrams = _ngram_counts(hyp_toks, n)
-            ref_ngrams = _ngram_counts(ref_toks, n)
-            total[n - 1] += sum(hyp_ngrams.values())
-            correct[n - 1] += sum(
-                min(count, ref_ngrams[gram]) for gram, count in hyp_ngrams.items()
-            )
+            hyp_total, _, matches = _ngram_stats(hyp_toks, ref_toks, n)
+            total[n - 1] += hyp_total
+            correct[n - 1] += matches
 
     if any(t == 0 for t in total):
         return MetricScore("BLEU", 0.0, HIGHER_BETTER)
@@ -138,43 +142,33 @@ def _chrf_streams(text: str) -> tuple[str, list[str]]:
     return "".join(text.split()), text.split()
 
 
+# (stream, n) per chrF++ order: stream 0 is characters without whitespace, 1 is words
+_CHRF_ORDERS = [
+    *((0, n) for n in range(1, CHRF_CHAR_ORDER + 1)),
+    *((1, n) for n in range(1, CHRF_WORD_ORDER + 1)),
+]
+
+
 def chrf_pp(pairs: Sequence[EvalPair]) -> MetricScore:
     """Corpus chrF++ in [0, 100]."""
     _require_pairs(pairs)
-    n_orders = CHRF_CHAR_ORDER + CHRF_WORD_ORDER
-    hyp_totals = [0] * n_orders
-    ref_totals = [0] * n_orders
-    matches = [0] * n_orders
+    # [hypothesis n-grams, reference n-grams, matches] per order, pooled over the corpus
+    stats = [[0, 0, 0] for _ in _CHRF_ORDERS]
     for pair in pairs:
-        hyp_chars, hyp_words = _chrf_streams(pair.hypothesis)
-        ref_chars, ref_words = _chrf_streams(pair.reference)
-        for n in range(1, CHRF_CHAR_ORDER + 1):
-            hyp_ngrams = _ngram_counts(hyp_chars, n)
-            ref_ngrams = _ngram_counts(ref_chars, n)
-            hyp_totals[n - 1] += sum(hyp_ngrams.values())
-            ref_totals[n - 1] += sum(ref_ngrams.values())
-            matches[n - 1] += sum(
-                min(count, ref_ngrams[gram]) for gram, count in hyp_ngrams.items()
-            )
-        for n in range(1, CHRF_WORD_ORDER + 1):
-            o = CHRF_CHAR_ORDER + n - 1
-            hyp_ngrams = _ngram_counts(hyp_words, n)
-            ref_ngrams = _ngram_counts(ref_words, n)
-            hyp_totals[o] += sum(hyp_ngrams.values())
-            ref_totals[o] += sum(ref_ngrams.values())
-            matches[o] += sum(
-                min(count, ref_ngrams[gram]) for gram, count in hyp_ngrams.items()
-            )
+        hyp, ref = _chrf_streams(pair.hypothesis), _chrf_streams(pair.reference)
+        for pooled, (stream, n) in zip(stats, _CHRF_ORDERS):
+            for i, count in enumerate(_ngram_stats(hyp[stream], ref[stream], n)):
+                pooled[i] += count
 
     eps = 1e-16
     beta_sq = CHRF_BETA * CHRF_BETA
     f_sum = 0.0
     present = 0
-    for o in range(n_orders):
-        if hyp_totals[o] == 0 and ref_totals[o] == 0:
+    for hyp_total, ref_total, matches in stats:
+        if hyp_total == 0 and ref_total == 0:
             continue
-        precision = matches[o] / hyp_totals[o] if hyp_totals[o] > 0 else eps
-        recall = matches[o] / ref_totals[o] if ref_totals[o] > 0 else eps
+        precision = matches / hyp_total if hyp_total > 0 else eps
+        recall = matches / ref_total if ref_total > 0 else eps
         denom = beta_sq * precision + recall
         f_sum += ((1 + beta_sq) * precision * recall / denom) if denom > 0 else eps
         present += 1

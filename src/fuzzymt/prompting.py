@@ -46,7 +46,6 @@ class LanguageNames:
 @dataclass(frozen=True)
 class RenderedPrompt:
     text: str
-    stop_sequence: str = "\n"
     shots: int = 0
 
 

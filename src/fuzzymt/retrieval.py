@@ -6,14 +6,14 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import ann_index, embedding
 from .ann_index import IvfConfig, IvfIndex
 from .corpus import ParallelCorpus, SegmentPair, load_any, load_corpus_jsonl
 from .corpus import write_jsonl_corpus, write_jsonl_records
 from .embedding import EmbeddingProviderConfig
-from .errors import ArgumentError, LeakageError, SizeError, StoreError
+from .errors import ArgumentError, SizeError, StoreError
 
 STORE_CORPUS, STORE_INDEX, STORE_META = "corpus.jsonl", "index.ivf", "store.json"
 # the provider fields that decide the vectors; the others only say how to fetch them
@@ -123,59 +123,30 @@ def build_context_store(
     return ContextStore(corpus=corpus, index=index, provider=provider)
 
 
-def open_context_store(
-    spec: str,
-    provider: EmbeddingProviderConfig,
-    nprobe: int,
-    ivf_for_size: Callable[[int], IvfConfig],
-) -> ContextStore:
-    """Load the store directory ``spec`` (its IVF build values kept, ``nprobe`` taken),
-    or build a store from the corpus ``spec`` with ``ivf_for_size(len(corpus))``."""
+def open_context_store(spec: str, provider: EmbeddingProviderConfig, ivf: IvfConfig) -> ContextStore:
+    """Load the store directory ``spec`` (its IVF build values kept, ``ivf.nprobe`` taken),
+    or build a store from the corpus ``spec`` with ``ivf``."""
     if Path(spec).is_dir():
-        return ContextStore.load(spec, provider, nprobe)
-    context = load_any(spec)
-    return build_context_store(context, provider, ivf_for_size(len(context)))
+        return ContextStore.load(spec, provider, ivf.nprobe)
+    return build_context_store(load_any(spec), provider, ivf)
 
 
-def retrieve_fuzzy(
-    store: ContextStore,
-    source: str,
-    k: int = 1,
-    forbid_exact_source: bool = False,
-) -> list[FuzzyMatch]:
-    """Top-k most similar context pairs for one source segment.
-
-    With ``forbid_exact_source`` the lookup raises LeakageError when a hit's
-    source text is byte-equal to the query (off by default).
-    """
-    return retrieve_fuzzy_many(store, [source], k, forbid_exact_source)[0]
+def retrieve_fuzzy(store: ContextStore, source: str, k: int = 1) -> list[FuzzyMatch]:
+    """Top-k most similar context pairs for one source segment."""
+    return retrieve_fuzzy_many(store, [source], k)[0]
 
 
-def retrieve_fuzzy_many(
-    store: ContextStore,
-    sources: Sequence[str],
-    k: int = 1,
-    forbid_exact_source: bool = False,
-) -> list[list[FuzzyMatch]]:
+def retrieve_fuzzy_many(store: ContextStore, sources: Sequence[str], k: int = 1) -> list[list[FuzzyMatch]]:
     """Batched retrieve_fuzzy; one result list per query, in query order."""
     if k <= 0:
         raise ArgumentError(f"k must be positive, got {k}")
     if len(sources) == 0:
         return []
     queries = embedding.embed_batch(sources, store.provider)
-    results = []
-    for source, query in zip(sources, queries):
-        hits = store.index.search(query, k)
-        matches = [FuzzyMatch(pair=store.pair(h.id), score=h.score) for h in hits]
-        if forbid_exact_source:
-            leaked = [m.pair.id for m in matches if m.pair.source == source]
-            if leaked:
-                raise LeakageError(
-                    f"query text present verbatim in context store (ids {leaked})",
-                    offending_ids=leaked,
-                )
-        results.append(matches)
-    return results
+    return [
+        [FuzzyMatch(pair=store.pair(h.id), score=h.score) for h in store.index.search(query, k)]
+        for query in queries
+    ]
 
 
 def retrieval_record(query_id: int, matches: Sequence[FuzzyMatch]) -> dict:

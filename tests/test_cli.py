@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -17,8 +18,55 @@ from fuzzymt.llm_client import run_mock_server
 from conftest import local_endpoint, synth_corpus
 
 
-# one record that both `translate --in` and `evaluate --in` accept
-GOOD_LINE = b'{"id": 0, "prompt": "Spanish: a\\nEnglish:", "hypothesis": "a", "reference": "a"}\n'
+# one record that `filter --in`, `translate --in` and `evaluate --in` all accept
+GOOD_LINE = (b'{"id": 0, "source": "a", "target": "a", "prompt": "Spanish: a\\nEnglish:", '
+             b'"hypothesis": "a", "reference": "a"}\n')
+
+# a file that every JSONL-reading subcommand rejects
+BAD_JSONL = {
+    "utf8": (GOOD_LINE + b"\xff\xfe\n", "bad.jsonl:2: not valid UTF-8"),
+    "json": (GOOD_LINE + b'\n{"id": 1,\n', "bad.jsonl:3: invalid JSON"),
+}
+# a second record whose value under a key the subcommand reads has the wrong type
+BAD_TYPE = [
+    ("filter", "str-id", b'{"id": "x", "source": "a", "target": "b"}', "key 'id' must be int or null, got \"x\""),
+    ("filter", "bool-id", b'{"id": true, "source": "a", "target": "b"}', "key 'id' must be int or null, got true"),
+    ("filter", "float-id", b'{"id": 1.7, "source": "a", "target": "b"}', "key 'id' must be int or null, got 1.7"),
+    ("filter", "int-source", b'{"id": 1, "source": 5, "target": "b"}', "key 'source' must be str, got 5"),
+    ("evaluate", "int-hypothesis", b'{"hypothesis": 5, "reference": "a"}', "key 'hypothesis' must be str"),
+    ("translate", "int-prompt", b'{"id": 1, "prompt": 5}', "key 'prompt' must be str"),
+]
+BAD_JSONL_CASES = [
+    pytest.param(sub, content, message, id=f"{sub}-{case}")
+    for sub in ("filter", "translate", "evaluate")
+    for case, (content, message) in BAD_JSONL.items()
+] + [
+    pytest.param(sub, GOOD_LINE + line + b"\n", "bad.jsonl:2: " + message, id=f"{sub}-{case}")
+    for sub, case, line, message in BAD_TYPE
+]
+
+# every option string of every subcommand; a flag added or removed shows up here
+COMMON = "--seed --out --output"
+PROVIDER = "--provider --endpoint --model --dim --embed-batch-size --no-normalize"
+IVF_BUILD = "--nlist --metric --kmeans-iters"
+LANGS = "--source-name --target-name"
+CLI_SURFACE = {
+    "filter": f"{COMMON} --in --max-words",
+    "split": f"{COMMON} --in --validation-size --validation-out",
+    "index-build": f"{COMMON} --in {PROVIDER} {IVF_BUILD}",
+    "index-search": f"{COMMON} --index --query --queries -k --nprobe {PROVIDER}",
+    "retrieve": f"{COMMON} --in --context -k {PROVIDER} {IVF_BUILD} --nprobe",
+    "prompts": f"{COMMON} --in --condition --context {PROVIDER} {IVF_BUILD} --nprobe {LANGS}",
+    "export-dataset": f"{COMMON} --in --context --total --ratio --validation-size {PROVIDER} {IVF_BUILD} "
+                      f"--nprobe {LANGS}",
+    "manifest": f"{COMMON} --epochs --train-batch-size --learning-rate --warmup-ratio --lora-r --lora-alpha "
+                "--lora-dropout",
+    "translate": f"{COMMON} --in --endpoint --model --batch-size --token-multiplier --mode --temperature --top-p "
+                 f"--max-concurrent-batches --trace {LANGS}",
+    "evaluate": f"{COMMON} --in --hyp --ref",
+    "report": f"{COMMON} --in --format",
+    "run": f"{COMMON} --config",
+}
 
 
 def run_cli(argv, capsys):
@@ -56,8 +104,20 @@ class TestHelpAndUsage:
         assert "usage error" in err
 
     def test_unknown_flag_usage_error(self, capsys):
-        code, _, _ = run_cli(["filter", "--in", "x.tsv", "--bogus"], capsys)
-        assert code == 1
+        for argv in (["filter", "--in", "x.tsv", "--bogus"],
+                     ["index-build", "--in", "x.tsv", "--out", "store", "--nprobe", "2"]):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 1
+            assert "unrecognized arguments" in err
+
+    def test_option_strings_per_subcommand(self):
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        surface = {
+            name: sorted(opt for action in parser._actions if not isinstance(action, argparse._HelpAction)
+                         for opt in action.option_strings)
+            for name, parser in subparsers.choices.items()
+        }
+        assert surface == {name: sorted(opts.split()) for name, opts in CLI_SURFACE.items()}
 
 
 class TestFilter:
@@ -134,8 +194,7 @@ class TestIndexPipeline:
     def test_embed_build_search(self, corpus_tsv, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
         code, stdout, err = run_cli(
-            ["index-build", "--in", corpus_tsv, "--dim", "32", "--nlist", "2", "--nprobe", "2",
-             "--out", store_dir], capsys
+            ["index-build", "--in", corpus_tsv, "--dim", "32", "--nlist", "2", "--out", store_dir], capsys
         )
         assert code == 0
         assert json.loads(stdout) == {"size": 12, "nlist": 2, "dim": 32, "out": store_dir}
@@ -161,7 +220,7 @@ class TestIndexPipeline:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "fuzzymt.cli", "index-build", "--in", corpus_tsv,
-             "--dim", "16", "--nlist", "2", "--nprobe", "1", "--out", str(tmp_path / "store")],
+             "--dim", "16", "--nlist", "2", "--out", str(tmp_path / "store")],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
@@ -169,7 +228,9 @@ class TestIndexPipeline:
         assert json.loads(proc.stdout)["size"] == 12
 
 
-BUILD_FLAGS = ["--dim", "32", "--nlist", "2", "--nprobe", "2"]
+BUILD_FLAGS = ["--dim", "32", "--nlist", "2"]
+# a store does not fix nprobe; only the commands that search take it
+NPROBE = ["--nprobe", "2"]
 
 
 @pytest.fixture
@@ -204,7 +265,7 @@ def _same_outputs(argv, corpus_tsv, store_dir, files, tmp_path, capsys):
 
 class TestContextStore:
     def test_retrieve_store_matches_corpus(self, corpus_tsv, store_dir, queries_tsv, tmp_path, capsys):
-        argv = ["retrieve", "--in", queries_tsv, "--context", "{context}", *BUILD_FLAGS, "-k", "2"]
+        argv = ["retrieve", "--in", queries_tsv, "--context", "{context}", *BUILD_FLAGS, *NPROBE, "-k", "2"]
         stdout, _ = _same_outputs(argv, corpus_tsv, store_dir, [], tmp_path, capsys)
         assert len(stdout.splitlines()) == 5
         _, (dump,) = _same_outputs(argv + ["--out", "{out}.jsonl"], corpus_tsv, store_dir, [".jsonl"],
@@ -213,14 +274,14 @@ class TestContextStore:
 
     def test_prompts_one_shot_store_matches_corpus(self, corpus_tsv, store_dir, queries_tsv, tmp_path, capsys):
         argv = ["prompts", "--in", queries_tsv, "--condition", "one-shot", "--context", "{context}",
-                *BUILD_FLAGS]
+                *BUILD_FLAGS, *NPROBE]
         stdout, _ = _same_outputs(argv, corpus_tsv, store_dir, [], tmp_path, capsys)
         assert all(json.loads(line)["shots"] == 1 for line in stdout.splitlines())
         _same_outputs(argv + ["--out", "{out}.jsonl"], corpus_tsv, store_dir, [".jsonl"], tmp_path, capsys)
 
     def test_export_dataset_store_matches_corpus(self, corpus_tsv, store_dir, tmp_path, capsys):
         argv = ["export-dataset", "--in", corpus_tsv, "--context", "{context}", "--total", "8",
-                "--ratio", "0.5", "--validation-size", "2", *BUILD_FLAGS, "--out", "{out}"]
+                "--ratio", "0.5", "--validation-size", "2", *BUILD_FLAGS, *NPROBE, "--out", "{out}"]
         stdout, _ = _same_outputs(
             argv, corpus_tsv, store_dir, [".train.jsonl", ".validation.jsonl"], tmp_path, capsys
         )
@@ -250,7 +311,7 @@ class TestContextStore:
     @pytest.mark.parametrize("damage", ["truncated-index", "edited-corpus", "stray-index-id", "provider-seed"])
     def test_damaged_store_exit_2(self, damage, store_dir, queries_tsv, capsys):
         store = Path(store_dir)
-        argv = ["retrieve", "--in", queries_tsv, "--context", store_dir, *BUILD_FLAGS]
+        argv = ["retrieve", "--in", queries_tsv, "--context", store_dir, *BUILD_FLAGS, *NPROBE]
         if damage == "truncated-index":
             with open(store / "index.ivf", "r+b") as fh:
                 fh.truncate(fh.seek(0, 2) - 3)
@@ -385,15 +446,7 @@ class TestTranslateEvaluateReport:
         assert code == 3
         assert "not JSON" in err
 
-    @pytest.mark.parametrize(
-        "content, message",
-        [
-            (GOOD_LINE + b"\xff\xfe\n", "bad.jsonl:2: not valid UTF-8"),
-            (GOOD_LINE + b'\n{"id": 1,\n', "bad.jsonl:3: invalid JSON"),
-        ],
-        ids=["utf8", "json"],
-    )
-    @pytest.mark.parametrize("sub", ["translate", "evaluate"])
+    @pytest.mark.parametrize("sub, content, message", BAD_JSONL_CASES)
     def test_bad_jsonl_input_exit_2(self, sub, content, message, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(content)
@@ -458,6 +511,19 @@ class TestTranslateEvaluateReport:
         code, stdout, _ = run_cli(["report", "--in", str(path), "--format", "tsv"], capsys)
         assert code == 0
         assert "TER ↓" in stdout
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{}, {"rows": [{"model": "m", "bleu": 1.0, "chrf_pp": 2.0, "ter": 3.0}]}, [1]],
+        ids=["no-rows", "row-without-context", "list"],
+    )
+    def test_malformed_report_exit_2(self, payload, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, stdout, err = run_cli(["report", "--in", str(path)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert f"{path}: not a JSON report" in err
 
 
 class TestRun:

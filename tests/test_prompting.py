@@ -35,7 +35,6 @@ class TestZeroShot:
         prompt = render_zero_shot("Hola.", LANGS)
         assert prompt.text == "Spanish: Hola.\nEnglish:"
         assert prompt.shots == 0
-        assert prompt.stop_sequence == "\n"
 
     def test_internal_newline_normalized(self):
         prompt = render_zero_shot("Hola\nmundo.", LANGS)

@@ -7,7 +7,7 @@ import pytest
 
 from fuzzymt.ann_index import IvfConfig
 from fuzzymt.corpus import ParallelCorpus, read_jsonl
-from fuzzymt.errors import ArgumentError, LeakageError, SizeError, StoreError
+from fuzzymt.errors import ArgumentError, SizeError, StoreError
 from fuzzymt.retrieval import (
     ContextStore,
     build_context_store,
@@ -116,12 +116,6 @@ class TestRetrieveFuzzy:
         a = retrieve_fuzzy(store, "fiebre aguda", k=3)
         b = retrieve_fuzzy(store, "fiebre aguda", k=3)
         assert [(m.pair.id, m.score) for m in a] == [(m.pair.id, m.score) for m in b]
-
-    def test_leakage_guard(self, store, small_corpus):
-        query = small_corpus.pairs[0].source
-        with pytest.raises(LeakageError) as err:
-            retrieve_fuzzy(store, query, k=1, forbid_exact_source=True)
-        assert err.value.offending_ids == [small_corpus.pairs[0].id]
 
     def test_many_matches_single_order(self, store, small_corpus):
         sources = [p.source for p in small_corpus.pairs[:4]]
