@@ -449,7 +449,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        table = eval_harness.report_json_to_table(Path(args.inp).read_text(encoding="utf-8"), args.format)
+        table = eval_harness.report_json_to_table(corpus._read_utf8(args.inp), args.format)
     except ValidationError as exc:
         raise ValidationError(f"{args.inp}: {exc}") from exc
     if args.out is not None:

@@ -88,7 +88,7 @@ def _config_object(path, what: str, cls, raw):
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file; a null nested object means its default."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = json.loads(corpus_mod._read_utf8(path))
     if isinstance(raw, dict):
         for key, cls in (("provider", EmbeddingProviderConfig), ("ivf", IvfConfig),
                          ("decoding", DecodingParams), ("langs", LanguageNames)):
@@ -107,8 +107,10 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 
 @contextmanager
-def _stage(label: str):
-    """Re-raise pipeline and file errors with the failing stage named."""
+def _stage(label: str, stages: list[dict]):
+    """Append the stage's label and wall seconds to ``stages`` when it succeeds;
+    re-raise pipeline and file errors with the failing stage named."""
+    t0 = time.perf_counter()
     try:
         yield
     except FuzzyMtError as exc:
@@ -116,6 +118,7 @@ def _stage(label: str):
         raise
     except OSError as exc:
         raise DataError(f"[{label}] {exc}") from exc
+    stages.append({"stage": label, "seconds": time.perf_counter() - t0})
 
 
 def check_no_leakage(test: ParallelCorpus, context: ParallelCorpus) -> None:
@@ -150,20 +153,21 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started_at = datetime.now(timezone.utc).isoformat()
+    stages: list[dict] = []
 
-    with _stage("load-test-corpus"):
+    with _stage("load-test-corpus", stages):
         test = corpus_mod.load_any(cfg.test_corpus)
     ivf = cfg.ivf if cfg.ivf is not None else IvfConfig(dim=cfg.provider.dim, seed=cfg.seed)
     # a store directory is loaded; a corpus is embedded and indexed here
-    with _stage("load-context-corpus"):
+    with _stage("load-context-corpus", stages):
         store = retrieval.open_context_store(cfg.context_corpus, cfg.provider, ivf)
     if not cfg.allow_context_overlap:
-        with _stage("leakage-check"):
+        with _stage("leakage-check", stages):
             check_no_leakage(test, store.corpus)
 
     matches_by_id: dict[int, list] = {}
     if CONDITION_ONE in cfg.conditions:
-        with _stage("retrieve"):
+        with _stage("retrieve", stages):
             match_lists = retrieval.retrieve_fuzzy_many(store, test.sources(), k=1)
             matches_by_id = dict(zip(test.ids(), match_lists))
             retrieval.write_retrieval_dump(
@@ -174,12 +178,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
     for condition in CONDITION_ORDER:
         if condition not in cfg.conditions:
             continue
-        with _stage(f"prompts-{condition}"):
+        with _stage(f"prompts-{condition}", stages):
             prompts = _condition_prompts(condition, test, matches_by_id, cfg.langs)
             write_prompt_dump(
                 out_dir / f"prompts.{condition}.jsonl", test.ids(), prompts, test.targets()
             )
-        with _stage(f"translate-{condition}"):
+        with _stage(f"translate-{condition}", stages):
             batches = llm_client.make_batches(
                 prompts,
                 test.sources(),
@@ -201,7 +205,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
                 out_dir / f"generations.{condition}.jsonl",
                 map(llm_client.generation_record, translations),
             )
-        with _stage(f"score-{condition}"):
+        with _stage(f"score-{condition}", stages):
             pairs = [
                 EvalPair(hypothesis=r.text, reference=t)
                 for r, t in zip(translations, test.targets())
@@ -216,11 +220,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
             )
         )
 
-    with _stage("report"):
+    with _stage("report", stages):
         for fmt, suffix in (("markdown", "md"), ("tsv", "tsv"), ("json", "json")):
             (out_dir / f"report.{suffix}").write_text(
                 render_report(results, fmt, model_name=cfg.model_name), encoding="utf-8"
             )
+    with _stage("run-meta", stages):
         meta = {
             "schema_version": 1,
             "config_sha256": config_digest(cfg),
@@ -233,6 +238,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
             "segments_per_second": {
                 r.condition: r.segments_per_second for r in results
             },
+            # wall time of every stage before this one; timings stay out of report.*
+            "stages": stages,
         }
         (out_dir / "run_meta.json").write_text(
             json.dumps(meta, indent=2) + "\n", encoding="utf-8"

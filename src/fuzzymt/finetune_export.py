@@ -125,9 +125,9 @@ def build_finetune_dataset(
 ) -> tuple[list[FinetuneExample], list[FinetuneExample]]:
     """Draw mix.total pairs, render the shot mix, split train/validation.
 
-    round(total * one_shot_ratio) examples get a top-1 fuzzy match from the
-    store; the remainder are zero-shot. Fully deterministic for a fixed
-    (corpus, store, mix).
+    round(total * one_shot_ratio) examples get the store's best fuzzy match
+    that is not the example's own (source, target) pair; the remainder are
+    zero-shot. Fully deterministic for a fixed (corpus, store, mix).
     """
     if len(corpus) < mix.total:
         raise SizeError(f"corpus has {len(corpus)} pairs, need {mix.total}")
@@ -143,9 +143,14 @@ def build_finetune_dataset(
 
     examples: list[FinetuneExample] = []
     if one_shot_pairs:
-        match_lists = retrieve_fuzzy_many(store, [p.source for p in one_shot_pairs], k=1)
+        # two hits, so a store that holds the training pair itself still yields another match
+        match_lists = retrieve_fuzzy_many(store, [p.source for p in one_shot_pairs], k=2)
         for pair, matches in zip(one_shot_pairs, match_lists):
-            prompt = render_few_shot(pair.source, matches, langs)
+            shot = next((m for m in matches
+                         if (m.pair.source, m.pair.target) != (pair.source, pair.target)), None)
+            if shot is None:
+                raise StateError(f"pair {pair.id}: the context store has no match other than the pair itself")
+            prompt = render_few_shot(pair.source, [shot], langs)
             examples.append(
                 FinetuneExample(
                     prompt=prompt.text,

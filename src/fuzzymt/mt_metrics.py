@@ -11,6 +11,14 @@ Fixed scorer settings, chosen to match dominant community defaults:
 * TER: word edits (insert/delete/substitute, cost 1) plus block shifts
   (cost 1), greedy shift search capped at 50 iterations per segment,
   case-sensitive, 13a-style tokenization, divided by total reference words.
+  Each shift iteration computes the hypothesis's integer DP table once (for
+  its edit distance and the misaligned-word backtrace), then scores every
+  candidate move (a reference-matching block of at most 10 words with a
+  misaligned word, moved at most 50 positions) in one batched DP that starts
+  each candidate at the table row where its prefix shared with the
+  hypothesis ends. The move with the largest edit-distance gain is applied
+  if that gain is positive; of equal gains the first in (start, length,
+  destination) order wins.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ArgumentError
 
@@ -180,39 +190,35 @@ def chrf_pp(pairs: Sequence[EvalPair]) -> MetricScore:
 # -- TER ------------------------------------------------------------------------
 
 
-def _edit_distance(hyp: Sequence[str], ref: Sequence[str]) -> int:
-    """Word-level Levenshtein with uniform costs."""
-    n, m = len(hyp), len(ref)
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    prev = list(range(m + 1))
-    for i in range(1, n + 1):
-        cur = [i] + [0] * m
-        hi = hyp[i - 1]
-        for j in range(1, m + 1):
-            sub = prev[j - 1] + (hi != ref[j - 1])
-            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return prev[m]
+def _dp_step(prev: np.ndarray, tokens: np.ndarray, step_cost: np.ndarray, out: np.ndarray) -> None:
+    """The next edit-distance DP row of each batch entry, after one more token.
+
+    Row i is kept as F[j] = D[j] - i - j, so that the uniform-cost recurrence
+    D[j] = min(D'[j-1] + cost, D'[j] + 1, D[j-1] + 1) becomes
+    F[j] = min(F'[j-1] + cost - 2, F'[j], F[j-1]) with F[0] = 0: the insertion
+    chain is a running minimum. ``step_cost[t]`` holds cost - 2 of token id t
+    against each reference word. ``out`` may be ``prev``; its column 0
+    must already hold 0.
+    """
+    np.minimum(prev[:, :-1] + step_cost[tokens], prev[:, 1:], out=out[:, 1:])
+    np.minimum.accumulate(out, axis=1, out=out)
 
 
-def _misaligned_positions(hyp: Sequence[str], ref: Sequence[str]) -> list[bool]:
-    """Per-hypothesis-word error flags from one deterministic DP backtrace."""
+def _dp_table(hyp: np.ndarray, step_cost: np.ndarray) -> np.ndarray:
+    """The (n+1, m+1) DP table of ``hyp`` against the reference, rows as in ``_dp_step``."""
+    table = np.zeros((len(hyp) + 1, step_cost.shape[1] + 1), dtype=np.int32)
+    for i in range(len(hyp)):
+        _dp_step(table[i : i + 1], hyp[i : i + 1], step_cost, table[i + 1 : i + 2])
+    return table
+
+
+def _misaligned_positions(hyp: list[int], ref: list[int], table: np.ndarray) -> list[bool]:
+    """Per-hypothesis-word error flags from one deterministic DP backtrace.
+
+    Ties prefer a diagonal step, then a hypothesis-side deletion.
+    """
     n, m = len(hyp), len(ref)
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dp[i][0] = i
-    for j in range(m + 1):
-        dp[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            dp[i][j] = min(
-                dp[i - 1][j - 1] + (hyp[i - 1] != ref[j - 1]),
-                dp[i - 1][j] + 1,
-                dp[i][j - 1] + 1,
-            )
+    dp = (table + np.arange(n + 1)[:, None] + np.arange(m + 1)).tolist()
     herr = [True] * n
     i, j = n, m
     while i > 0 or j > 0:
@@ -227,7 +233,7 @@ def _misaligned_positions(hyp: Sequence[str], ref: Sequence[str]) -> list[bool]:
     return herr
 
 
-def _ref_spans(ref: Sequence[str], max_size: int) -> set[tuple[str, ...]]:
+def _ref_spans(ref: Sequence[int], max_size: int) -> set[tuple[int, ...]]:
     spans = set()
     for length in range(1, min(max_size, len(ref)) + 1):
         for start in range(len(ref) - length + 1):
@@ -235,49 +241,83 @@ def _ref_spans(ref: Sequence[str], max_size: int) -> set[tuple[str, ...]]:
     return spans
 
 
-def _best_shift(hyp: list[str], ref: Sequence[str], base: int) -> tuple[int, list[str] | None]:
-    """The single block move that most reduces edit distance, if any."""
-    spans = _ref_spans(ref, TER_MAX_SHIFT_SIZE)
-    herr = _misaligned_positions(hyp, ref)
-    best_gain = 0
-    best_hyp = None
+def _shift_candidates(hyp: list[int], herr: list[bool], spans: set) -> np.ndarray:
+    """(start, length, dest) of every allowed block move, in greedy visit order."""
     n = len(hyp)
+    out = []
     for start in range(n):
         for length in range(1, min(TER_MAX_SHIFT_SIZE, n - start) + 1):
-            block = tuple(hyp[start : start + length])
-            if block not in spans:
+            if tuple(hyp[start : start + length]) not in spans:
                 # longer blocks only shrink the candidate set
                 break
             if not any(herr[start : start + length]):
                 continue
-            rest = hyp[:start] + hyp[start + length :]
-            for dest in range(len(rest) + 1):
-                if dest == start:
-                    continue
-                if abs(dest - start) > TER_MAX_SHIFT_DIST:
-                    continue
-                moved = rest[:dest] + list(block) + rest[dest:]
-                gain = base - _edit_distance(moved, ref)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_hyp = moved
-    return best_gain, best_hyp
+            out.extend(
+                (start, length, dest)
+                for dest in range(n - length + 1)
+                if dest != start and abs(dest - start) <= TER_MAX_SHIFT_DIST
+            )
+    return np.array(out, dtype=np.int32).reshape(-1, 3)
+
+
+def _best_shift(hyp: np.ndarray, ref: list[int], table: np.ndarray, spans: set,
+                step_cost: np.ndarray) -> np.ndarray | None:
+    """The block move that most reduces edit distance, or None if none does.
+
+    Every candidate's DP runs in one batch: a candidate shares its first
+    min(start, dest) words with ``hyp``, so it starts from that row of
+    ``table``. Of equal gains the first candidate in visit order wins.
+    """
+    n, m = len(hyp), len(ref)
+    hyp_list = hyp.tolist()
+    cands = _shift_candidates(hyp_list, _misaligned_positions(hyp_list, ref, table), spans)
+    if len(cands) == 0:
+        return None
+    start, length, dest = (col[:, None] for col in cands.T)
+    k = np.arange(n)
+    lo = np.minimum(start, dest)
+    # position in hyp of each candidate's k-th word: the block lands at dest,
+    # and the words it passes over move by its length
+    displaced = np.where(dest < start, k - length, k + length)
+    moved_at = np.where((k >= lo) & (k < np.maximum(start, dest) + length), displaced, k)
+    moved_at = np.where((k >= dest) & (k < dest + length), start + k - dest, moved_at)
+    moved = hyp[moved_at]
+
+    # candidates in order of shared prefix; each joins once the batch reaches its row
+    order = np.argsort(lo[:, 0], kind="stable")
+    batch = moved[order].T.copy()
+    joined = np.searchsorted(lo[order, 0], np.arange(n), side="right")
+    rows = np.empty((len(cands), m + 1), dtype=np.int32)
+    active = 0
+    for i in range(int(lo.min()), n):
+        rows[active : joined[i]] = table[i]
+        active = joined[i]
+        _dp_step(rows[:active], batch[i, :active], step_cost, rows[:active])
+
+    gain = np.empty(len(cands), dtype=np.int32)
+    gain[order] = table[n, m] - rows[:, m]
+    best = int(np.argmax(gain))
+    return moved[best] if gain[best] > 0 else None
 
 
 def ter_segment_edits(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> int:
     """Greedy-shift TER edit count for a single tokenized segment."""
-    hyp = list(hyp_tokens)
+    vocab: dict[str, int] = {}
+    hyp = np.array([vocab.setdefault(t, len(vocab)) for t in hyp_tokens], dtype=np.int32)
+    ref = [vocab.setdefault(t, len(vocab)) for t in ref_tokens]
+    step_cost = (np.arange(len(vocab))[:, None] != np.array(ref, dtype=np.int32)).astype(np.int32) - 2
+    spans = _ref_spans(ref, TER_MAX_SHIFT_SIZE)
     shifts = 0
-    for _ in range(TER_MAX_SHIFT_ITERS):
-        base = _edit_distance(hyp, ref_tokens)
-        if base == 0:
-            break
-        gain, shifted = _best_shift(hyp, ref_tokens, base)
-        if shifted is None or gain <= 0:
-            break
+    while True:
+        table = _dp_table(hyp, step_cost)
+        edits = int(table[-1, -1]) + len(hyp) + len(ref)
+        if edits == 0 or shifts == TER_MAX_SHIFT_ITERS:
+            return shifts + edits
+        shifted = _best_shift(hyp, ref, table, spans, step_cost)
+        if shifted is None:
+            return shifts + edits
         hyp = shifted
         shifts += 1
-    return shifts + _edit_distance(hyp, ref_tokens)
 
 
 def ter(pairs: Sequence[EvalPair]) -> MetricScore:

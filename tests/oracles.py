@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without any fuzzymt internals:
 brute-force exact nearest-neighbor ranking, a recursive word edit distance,
-and an exhaustive block-shift search.
+an exhaustive block-shift search, and a frozen copy of the scalar greedy
+TER shift search.
 """
 
 from __future__ import annotations
@@ -84,3 +85,114 @@ def exhaustive_shift_edits(hyp, ref, size_cap: int = 10) -> int:
                     best = min(best, shifts + lev_oracle(moved, ref))
         frontier = next_frontier
     return best
+
+
+# -- frozen greedy TER ------------------------------------------------------------
+#
+# The scalar greedy shift search as mt_metrics ran it before its batched DP:
+# one fresh O(n*m) edit distance per candidate move. Kept verbatim, with its
+# own constants, as the reference that the batched search must reproduce.
+
+_REF_MAX_SHIFT_ITERS = 50
+_REF_MAX_SHIFT_SIZE = 10
+_REF_MAX_SHIFT_DIST = 50
+
+
+def _ref_edit_distance(hyp, ref) -> int:
+    """Word-level Levenshtein with uniform costs."""
+    n, m = len(hyp), len(ref)
+    if n == 0:
+        return m
+    if m == 0:
+        return n
+    prev = list(range(m + 1))
+    for i in range(1, n + 1):
+        cur = [i] + [0] * m
+        hi = hyp[i - 1]
+        for j in range(1, m + 1):
+            sub = prev[j - 1] + (hi != ref[j - 1])
+            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
+        prev = cur
+    return prev[m]
+
+
+def _ref_misaligned_positions(hyp, ref) -> list[bool]:
+    """Per-hypothesis-word error flags from one deterministic DP backtrace."""
+    n, m = len(hyp), len(ref)
+    dp = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        dp[i][0] = i
+    for j in range(m + 1):
+        dp[0][j] = j
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            dp[i][j] = min(
+                dp[i - 1][j - 1] + (hyp[i - 1] != ref[j - 1]),
+                dp[i - 1][j] + 1,
+                dp[i][j - 1] + 1,
+            )
+    herr = [True] * n
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + (hyp[i - 1] != ref[j - 1]):
+            if hyp[i - 1] == ref[j - 1]:
+                herr[i - 1] = False
+            i, j = i - 1, j - 1
+        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
+            i -= 1
+        else:
+            j -= 1
+    return herr
+
+
+def _ref_spans(ref, max_size: int) -> set:
+    spans = set()
+    for length in range(1, min(max_size, len(ref)) + 1):
+        for start in range(len(ref) - length + 1):
+            spans.add(tuple(ref[start : start + length]))
+    return spans
+
+
+def _ref_best_shift(hyp: list, ref, base: int):
+    """The single block move that most reduces edit distance, if any."""
+    spans = _ref_spans(ref, _REF_MAX_SHIFT_SIZE)
+    herr = _ref_misaligned_positions(hyp, ref)
+    best_gain = 0
+    best_hyp = None
+    n = len(hyp)
+    for start in range(n):
+        for length in range(1, min(_REF_MAX_SHIFT_SIZE, n - start) + 1):
+            block = tuple(hyp[start : start + length])
+            if block not in spans:
+                # longer blocks only shrink the candidate set
+                break
+            if not any(herr[start : start + length]):
+                continue
+            rest = hyp[:start] + hyp[start + length :]
+            for dest in range(len(rest) + 1):
+                if dest == start:
+                    continue
+                if abs(dest - start) > _REF_MAX_SHIFT_DIST:
+                    continue
+                moved = rest[:dest] + list(block) + rest[dest:]
+                gain = base - _ref_edit_distance(moved, ref)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_hyp = moved
+    return best_gain, best_hyp
+
+
+def greedy_ter_reference(hyp_tokens, ref_tokens) -> int:
+    """Greedy-shift TER edit count for a single tokenized segment."""
+    hyp = list(hyp_tokens)
+    shifts = 0
+    for _ in range(_REF_MAX_SHIFT_ITERS):
+        base = _ref_edit_distance(hyp, ref_tokens)
+        if base == 0:
+            break
+        gain, shifted = _ref_best_shift(hyp, ref_tokens, base)
+        if shifted is None or gain <= 0:
+            break
+        hyp = shifted
+        shifts += 1
+    return shifts + _ref_edit_distance(hyp, ref_tokens)

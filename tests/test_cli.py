@@ -525,6 +525,14 @@ class TestTranslateEvaluateReport:
         assert stdout == ""
         assert f"{path}: not a JSON report" in err
 
+    def test_report_invalid_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_bytes(b'{"rows": []}\n\xff\n')
+        code, stdout, err = run_cli(["report", "--in", str(path)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert f"{path}:2: not valid UTF-8" in err
+
 
 class TestRun:
     def test_run_with_mock(self, tmp_path, capsys):
@@ -575,6 +583,13 @@ class TestRun:
         code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
         assert code == 2
         assert "unknown provider keys ['bogus']" in err
+
+    def test_run_invalid_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_bytes(b'{"test_corpus": "caf\xff.tsv"}\n')
+        code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert f"{cfg_path}:1: not valid UTF-8" in err
 
     def test_run_without_config_usage_error(self, capsys):
         code, _, _ = run_cli(["run"], capsys)

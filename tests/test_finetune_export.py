@@ -78,6 +78,22 @@ class TestBuildDataset:
         b = build_finetune_dataset(corpus, context_store, mix, LANGS)
         assert a == b
 
+    def test_training_pair_is_never_its_own_shot(self, det_provider, small_ivf):
+        corpus = synth_corpus(40, seed=2)
+        store = build_context_store(corpus, det_provider, small_ivf)
+        mix = MixSpec(total=10, one_shot_ratio=1.0, validation_size=2, seed=1)
+        train, validation = build_finetune_dataset(corpus, store, mix, LANGS)
+        for example in train + validation:
+            [shot], query = parse_prompt(example.prompt, LANGS)
+            assert shot != (query, example.completion.strip())
+
+    def test_store_holding_only_the_training_pair(self, det_provider):
+        corpus = synth_corpus(1, seed=2)
+        store = build_context_store(corpus, det_provider, IvfConfig(dim=64, nlist=1, nprobe=1))
+        mix = MixSpec(total=1, one_shot_ratio=1.0, validation_size=0, seed=0)
+        with pytest.raises(StateError, match="other than the pair itself"):
+            build_finetune_dataset(corpus, store, mix, LANGS)
+
     def test_corpus_too_small(self, context_store):
         corpus = synth_corpus(3, seed=9)
         mix = MixSpec(total=10, one_shot_ratio=0.5, validation_size=1, seed=0)

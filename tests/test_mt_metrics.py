@@ -33,7 +33,7 @@ def frozen_values():
     return json.loads((DATA / "metrics_expected.json").read_text(encoding="utf-8"))
 
 
-from oracles import exhaustive_shift_edits, lev_oracle
+from oracles import exhaustive_shift_edits, greedy_ter_reference, lev_oracle
 
 # -- tokenizer --------------------------------------------------------------------
 
@@ -143,6 +143,46 @@ class TestTer:
     def test_shift_never_beats_plain_edit_distance(self, hyp, ref):
         greedy = ter_segment_edits(tuple(hyp), tuple(ref))
         assert greedy <= lev_oracle(hyp, ref)
+
+
+@st.composite
+def _small_alphabet_pairs(draw):
+    """Pairs over 2-5 symbols, 0-20 words each: repeats and equal gains are common."""
+    alphabet = "abcde"[: draw(st.integers(2, 5))]
+    words = st.lists(st.sampled_from(alphabet), max_size=20)
+    return draw(words), draw(words)
+
+
+@st.composite
+def _moved_block_pairs(draw):
+    """A 15-40-word reference and a copy of it with one block moved and a few words replaced."""
+    vocab = [f"w{i}" for i in range(draw(st.integers(4, 30)))]
+    ref = draw(st.lists(st.sampled_from(vocab), min_size=15, max_size=40))
+    hyp = list(ref)
+    start = draw(st.integers(0, len(hyp) - 1))
+    block = hyp[start : start + draw(st.integers(1, 10))]
+    del hyp[start : start + len(block)]
+    dest = draw(st.integers(0, len(hyp)))
+    hyp[dest:dest] = block
+    for _ in range(draw(st.integers(0, 3))):
+        hyp[draw(st.integers(0, len(hyp) - 1))] = draw(st.sampled_from(vocab))
+    return hyp, ref
+
+
+class TestGreedyShiftReference:
+    """The batched shift search against the frozen scalar greedy search."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_small_alphabet_pairs())
+    def test_small_alphabets(self, pair):
+        hyp, ref = pair
+        assert ter_segment_edits(hyp, ref) == greedy_ter_reference(hyp, ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_moved_block_pairs())
+    def test_moved_block_near_duplicates(self, pair):
+        hyp, ref = pair
+        assert ter_segment_edits(hyp, ref) == greedy_ter_reference(hyp, ref)
 
 
 # -- cross-metric properties --------------------------------------------------------
