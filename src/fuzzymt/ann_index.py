@@ -57,6 +57,8 @@ class IvfConfig:
             raise ArgumentError(f"metric must be one of {sorted(_METRIC_CODES)}, got {self.metric!r}")
         if self.kmeans_iters <= 0:
             raise ArgumentError(f"kmeans_iters must be positive, got {self.kmeans_iters}")
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,8 @@ def read_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]]
     ``required`` maps each key the caller reads to the type(s) its value must
     have; a key whose types include ``type(None)`` may also be absent or null.
     JSON true/false pass as no type, so a bool is never taken for an int.
-    Raises CorpusEncodingError on invalid UTF-8, and DataError naming
+    Raises CorpusEncodingError on invalid UTF-8 or a string holding a lone
+    surrogate escape (such as "\\ud800"), and DataError naming
     ``path:line`` on a line that is not a JSON object, lacks a required key
     or holds a value of another type under it.
     """
@@ -164,6 +165,13 @@ def read_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]]
             raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg} (column {exc.colno})") from exc
         if not isinstance(record, dict):
             raise DataError(f"{path}:{lineno}: expected a JSON object")
+        # a \u escape can decode to a lone surrogate, which no UTF-8 writer accepts
+        if "\\u" in line:
+            try:
+                encode_jsonl(record).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                bad = exc.object[exc.start : exc.end]
+                raise CorpusEncodingError(f"{path}:{lineno}: not valid UTF-8: lone surrogate {bad!r}") from exc
         for key, types in required.items():
             if key not in record and not isinstance(None, types):
                 raise DataError(f"{path}:{lineno}: missing key {key!r}")

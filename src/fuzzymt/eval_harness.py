@@ -108,17 +108,20 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 @contextmanager
 def _stage(label: str, stages: list[dict]):
-    """Append the stage's label and wall seconds to ``stages`` when it succeeds;
-    re-raise pipeline and file errors with the failing stage named."""
+    """Append the stage's label, wall seconds and ``items`` (which the body
+    sets on the yielded record) to ``stages`` when it succeeds; re-raise
+    pipeline and file errors with the failing stage named."""
+    record = {"stage": label, "seconds": 0.0, "items": 0}
     t0 = time.perf_counter()
     try:
-        yield
+        yield record
     except FuzzyMtError as exc:
         exc.args = (f"[{label}] {exc}",) + exc.args[1:]
         raise
     except OSError as exc:
         raise DataError(f"[{label}] {exc}") from exc
-    stages.append({"stage": label, "seconds": time.perf_counter() - t0})
+    record["seconds"] = time.perf_counter() - t0
+    stages.append(record)
 
 
 def check_no_leakage(test: ParallelCorpus, context: ParallelCorpus) -> None:
@@ -155,20 +158,24 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
     started_at = datetime.now(timezone.utc).isoformat()
     stages: list[dict] = []
 
-    with _stage("load-test-corpus", stages):
+    with _stage("load-test-corpus", stages) as stage:
         test = corpus_mod.load_any(cfg.test_corpus)
+        stage["items"] = len(test)
     ivf = cfg.ivf if cfg.ivf is not None else IvfConfig(dim=cfg.provider.dim, seed=cfg.seed)
     # a store directory is loaded; a corpus is embedded and indexed here
-    with _stage("load-context-corpus", stages):
+    with _stage("load-context-corpus", stages) as stage:
         store = retrieval.open_context_store(cfg.context_corpus, cfg.provider, ivf)
+        stage["items"] = len(store)
     if not cfg.allow_context_overlap:
-        with _stage("leakage-check", stages):
+        with _stage("leakage-check", stages) as stage:
             check_no_leakage(test, store.corpus)
+            stage["items"] = len(test)
 
     matches_by_id: dict[int, list] = {}
     if CONDITION_ONE in cfg.conditions:
-        with _stage("retrieve", stages):
+        with _stage("retrieve", stages) as stage:
             match_lists = retrieval.retrieve_fuzzy_many(store, test.sources(), k=1)
+            stage["items"] = len(match_lists)
             matches_by_id = dict(zip(test.ids(), match_lists))
             retrieval.write_retrieval_dump(
                 out_dir / "retrieval.jsonl", test.ids(), match_lists
@@ -178,12 +185,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
     for condition in CONDITION_ORDER:
         if condition not in cfg.conditions:
             continue
-        with _stage(f"prompts-{condition}", stages):
+        with _stage(f"prompts-{condition}", stages) as stage:
             prompts = _condition_prompts(condition, test, matches_by_id, cfg.langs)
+            stage["items"] = len(prompts)
             write_prompt_dump(
                 out_dir / f"prompts.{condition}.jsonl", test.ids(), prompts, test.targets()
             )
-        with _stage(f"translate-{condition}", stages):
+        with _stage(f"translate-{condition}", stages) as stage:
             batches = llm_client.make_batches(
                 prompts,
                 test.sources(),
@@ -201,16 +209,18 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
                 trace_path=out_dir / f"trace.{condition}.jsonl",
             )
             elapsed = max(time.monotonic() - t0, 1e-9)
+            stage["items"] = len(translations)
             corpus_mod.write_jsonl_records(
                 out_dir / f"generations.{condition}.jsonl",
                 map(llm_client.generation_record, translations),
             )
-        with _stage(f"score-{condition}", stages):
+        with _stage(f"score-{condition}", stages) as stage:
             pairs = [
                 EvalPair(hypothesis=r.text, reference=t)
                 for r, t in zip(translations, test.targets())
             ]
             scores = score_all(pairs)
+            stage["items"] = len(pairs)
         results.append(
             ConditionResult(
                 condition=condition,
@@ -220,11 +230,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
             )
         )
 
-    with _stage("report", stages):
+    with _stage("report", stages) as stage:
         for fmt, suffix in (("markdown", "md"), ("tsv", "tsv"), ("json", "json")):
             (out_dir / f"report.{suffix}").write_text(
                 render_report(results, fmt, model_name=cfg.model_name), encoding="utf-8"
             )
+        stage["items"] = len(results)
     with _stage("run-meta", stages):
         meta = {
             "schema_version": 1,
@@ -238,7 +249,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
             "segments_per_second": {
                 r.condition: r.segments_per_second for r in results
             },
-            # wall time of every stage before this one; timings stay out of report.*
+            # wall time and item count (pairs, texts or report rows) of every
+            # stage before this one; timings stay out of report.*
             "stages": stages,
         }
         (out_dir / "run_meta.json").write_text(

@@ -321,18 +321,8 @@ class _MockHandler(BaseHTTPRequestHandler):
         if isinstance(inputs, str):
             inputs = [inputs]
         state = self.state
-        data = [
-            {
-                "index": i,
-                "embedding": [
-                    float(x)
-                    for x in embedding_mod.deterministic_embed(
-                        text, state.embed_dim, state.embed_seed
-                    )
-                ],
-            }
-            for i, text in enumerate(inputs)
-        ]
+        matrix = embedding_mod._embed_deterministic(inputs, state.embed_dim, state.embed_seed)
+        data = [{"index": i, "embedding": row} for i, row in enumerate(matrix.tolist())]
         self._reply(200, {"data": data})
 
 

@@ -2,12 +2,14 @@
 
 Everything here is deliberately written without any fuzzymt internals:
 brute-force exact nearest-neighbor ranking, a recursive word edit distance,
-an exhaustive block-shift search, and a frozen copy of the scalar greedy
-TER shift search.
+an exhaustive block-shift search, a frozen copy of the scalar greedy
+TER shift search, and a frozen copy of the per-text hashed n-gram
+embedding.
 """
 
 from __future__ import annotations
 
+import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -196,3 +198,29 @@ def greedy_ter_reference(hyp_tokens, ref_tokens) -> int:
         hyp = shifted
         shifts += 1
     return shifts + _ref_edit_distance(hyp, ref_tokens)
+
+
+def deterministic_embed_reference(text: str, dim: int, seed: int = 0) -> np.ndarray:
+    """Frozen per-text hashed n-gram embedding (n = 3..5), one text at a time.
+
+    The lowercased text's n-grams are hashed (keyed by the seed) to buckets
+    in [0, dim) with a +/-1 contribution, then L2-normalized. Texts too
+    short to produce any n-gram, or whose contributions cancel, map to the
+    unit basis vector e_0.
+    """
+    vec = np.zeros(dim, dtype=np.float64)
+    lowered = text.lower()
+    key = seed.to_bytes(8, "little", signed=True)
+    for n in (3, 4, 5):
+        for i in range(len(lowered) - n + 1):
+            gram = lowered[i : i + n]
+            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
+            h = int.from_bytes(digest, "little")
+            bucket = h % dim
+            sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
+            vec[bucket] += sign
+    if not vec.any():
+        vec[0] = 1.0
+        return vec.astype(np.float32)
+    norm = float(np.linalg.norm(vec))
+    return (vec / norm).astype(np.float32)

@@ -26,6 +26,8 @@ GOOD_LINE = (b'{"id": 0, "source": "a", "target": "a", "prompt": "Spanish: a\\nE
 BAD_JSONL = {
     "utf8": (GOOD_LINE + b"\xff\xfe\n", "bad.jsonl:2: not valid UTF-8"),
     "json": (GOOD_LINE + b'\n{"id": 1,\n', "bad.jsonl:3: invalid JSON"),
+    "surrogate": (GOOD_LINE.replace(b'"source": "a"', b'"source": "hola \\ud800 mundo"') * 2,
+                  "bad.jsonl:1: not valid UTF-8: lone surrogate '\\ud800'"),
 }
 # a second record whose value under a key the subcommand reads has the wrong type
 BAD_TYPE = [
@@ -446,6 +448,25 @@ class TestTranslateEvaluateReport:
         assert code == 3
         assert "not JSON" in err
 
+    def test_lone_surrogate_corpus_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"id": 0, "source": "hola mundo", "target": "hello world"}\n'
+                         b'{"id": 1, "source": "hola \\ud800 mundo", "target": "hello world"}\n')
+        code, _, err = run_cli(["index-build", "--in", str(path), "--dim", "8", "--nlist", "1",
+                                "--out", str(tmp_path / "store")], capsys)
+        assert code == 2
+        assert "bad.jsonl:2: not valid UTF-8: lone surrogate" in err
+
+    def test_nan_embedding_exit_3(self, corpus_tsv, tmp_path, capsys):
+        body = json.dumps({"data": [{"embedding": [float("nan"), 1.0]}] * 12}).encode()
+        with local_endpoint(body) as (endpoint, _):
+            code, _, err = run_cli(
+                ["index-build", "--in", corpus_tsv, "--provider", "remote-http", "--endpoint", endpoint,
+                 "--dim", "2", "--nlist", "1", "--out", str(tmp_path / "store")], capsys
+            )
+        assert code == 3
+        assert "vector contains non-finite entries" in err
+
     @pytest.mark.parametrize("sub, content, message", BAD_JSONL_CASES)
     def test_bad_jsonl_input_exit_2(self, sub, content, message, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
@@ -590,6 +611,28 @@ class TestRun:
         code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
         assert code == 2
         assert f"{cfg_path}:1: not valid UTF-8" in err
+
+    @pytest.mark.parametrize("path", ["cli", "config"])
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, "seed must be non-negative, got -1"),  # k-means rng
+            (2**63, "seed must fit a signed 64-bit integer"),  # embedding hash key
+        ],
+    )
+    def test_seed_out_of_range_exit_2(self, path, seed, message, corpus_tsv, tmp_path, capsys):
+        if path == "cli":
+            argv = ["index-build", "--in", corpus_tsv, "--dim", "32", "--nlist", "2",
+                    "--seed", str(seed), "--out", str(tmp_path / "store")]
+        else:
+            config = {"test_corpus": corpus_tsv, "context_corpus": corpus_tsv, "seed": seed,
+                      "provider": {"dim": 32, "seed": seed}, "output_dir": str(tmp_path / "run")}
+            cfg_path = tmp_path / "exp.json"
+            cfg_path.write_text(json.dumps(config), encoding="utf-8")
+            argv = ["run", "--config", str(cfg_path)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert message in err
 
     def test_run_without_config_usage_error(self, capsys):
         code, _, _ = run_cli(["run"], capsys)

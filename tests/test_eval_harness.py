@@ -132,6 +132,8 @@ class TestAdaptiveGainFixture:
             "prompts-one-shot", "translate-one-shot", "score-one-shot", "report",
         ]
         assert all(s["seconds"] >= 0.0 for s in meta["stages"])
+        # 10 test pairs; the context holds them plus 6 extras; 2 report rows
+        assert [s["items"] for s in meta["stages"]] == [10, 16, 10, 10, 10, 10, 10, 10, 10, 2]
 
 
 class TestDictionaryMock:
