@@ -1,9 +1,36 @@
 """IVF-Flat approximate nearest neighbor index built from scratch.
 
 A k-means coarse quantizer (k-means++ seeding, Lloyd iterations) partitions
-the collection into nlist inverted lists; a query exhaustively scores only
-the vectors in its nprobe nearest lists. With nprobe == nlist the search is
-exactly brute force.
+the collection into nlist inverted lists; a query scores only the vectors in
+its nprobe best lists. With nprobe == nlist the search is exact brute force.
+
+The lists are stored as one contiguous float32 (N, d) array, an ids array and
+an offsets array: list c is rows offsets[c]:offsets[c + 1], in insertion order.
+
+``search_many`` works on blocks of queries, sized so that a block's float32
+score matrix stays near _BLOCK_BYTES whatever the query count:
+
+1. One float32 matmul against the centroids picks each query's lists.
+2. One float32 matmul scores the block against the rows of every list that
+   some query of the block probes; rows of lists a query does not probe are
+   masked out for that query.
+3. Each query keeps a shortlist: every row whose float32 score is within twice
+   a proven error bound of its k-th best float32 score. The bound follows from
+   d and the row norms (``_error_bound``), so no row left out could reach the
+   top k once the scores are exact.
+4. Only the shortlist is re-scored in float64 and ordered by score, ties to the
+   lower id.
+
+The lists are picked by the same rule: lists within the error bound of the
+nprobe-th best are decided by their float64 scores, ties to the lower
+centroid index. ``search`` is ``search_many`` for one query.
+
+The float64 score of a row is a row-wise einsum of that row and its query
+alone, so it does not depend on which other rows are scored with it. Two
+identical vectors therefore get bit-equal scores wherever they sit in their
+lists, and the lower id comes first. A matrix-vector product over a whole
+list does not promise that: BLAS sums a row's last bits differently by its
+position in the list.
 """
 
 from __future__ import annotations
@@ -31,6 +58,13 @@ KMEANS_SHIFT_TOL = 1e-6
 # Faiss guideline: nlist should sit between 4*sqrt(N) and 16*sqrt(N).
 CLUSTER_RANGE_LOW = 4.0
 CLUSTER_RANGE_HIGH = 16.0
+
+# float32 score scratch per block of queries, whatever the query count
+_BLOCK_BYTES = 2 << 20
+_UNIT_ROUNDOFF = 2.0**-24  # of float32
+_FLOAT32_TINY = float(np.finfo(np.float32).tiny)
+# (|q| + max |v|)^2 below this keeps every float32 partial sum finite
+_SAFE_REACH = 1e37
 
 
 class ClusterRangeWarning(UserWarning):
@@ -148,30 +182,32 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> 
 
 
 class IvfIndex:
-    """Trained coarse quantizer plus per-centroid inverted lists."""
+    """Trained coarse quantizer plus contiguous inverted lists."""
 
     def __init__(self, config: IvfConfig, centroids: np.ndarray):
         self.config = config
         self.centroids = np.ascontiguousarray(centroids, dtype=np.float32)
+        self._centroid_sq = _row_sq(self.centroids)
+        self._centroid_norm = math.sqrt(float(self._centroid_sq.max()))
         self.sealed = False
-        self._list_ids: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(config.nlist)
-        ]
-        self._list_vecs: list[np.ndarray] = [
-            np.empty((0, config.dim), dtype=np.float32) for _ in range(config.nlist)
-        ]
-        self._known_ids: set[int] = set()
+        # list c holds rows offsets[c]:offsets[c + 1], in insertion order
+        self._vecs = np.empty((0, config.dim), dtype=np.float32)
+        self._ids = np.empty(0, dtype=np.int64)
+        self._offsets = np.zeros(config.nlist + 1, dtype=np.int64)
+        self._vec_sq = np.empty(0, dtype=np.float64)
+        self._row_list = np.empty(0, dtype=np.int64)
+        self._vec_norm = 0.0
 
     @property
     def size(self) -> int:
-        return len(self._known_ids)
+        return len(self._ids)
 
     @property
     def ids(self) -> frozenset[int]:
-        return frozenset(self._known_ids)
+        return frozenset(self._ids.tolist())
 
     def list_lengths(self) -> list[int]:
-        return [len(ids) for ids in self._list_ids]
+        return np.diff(self._offsets).tolist()
 
     def seal(self) -> None:
         self.sealed = True
@@ -185,22 +221,31 @@ class IvfIndex:
         if not items:
             return self
         ids = [int(i) for i, _ in items]
-        seen_batch = set()
+        known = set(self._ids.tolist())
         for i in ids:
-            if i in self._known_ids or i in seen_batch:
+            if i in known:
                 raise ConflictError(f"id {i} already present in index")
-            seen_batch.add(i)
+            known.add(i)
         matrix = _as_matrix([v for _, v in items], self.config.dim)
         labels = self._nearest_centroids(matrix)
-        id_arr = np.asarray(ids, dtype=np.int64)
-        for lst in np.unique(labels):
-            mask = labels == lst
-            self._list_ids[lst] = np.concatenate([self._list_ids[lst], id_arr[mask]])
-            self._list_vecs[lst] = np.concatenate(
-                [self._list_vecs[lst], matrix[mask].astype(np.float32)]
-            )
-        self._known_ids.update(ids)
+        vecs = matrix.astype(np.float32)
+        del matrix  # the float64 copy is not needed past here
+        # a stable sort keeps each list's rows in insertion order
+        order = np.argsort(np.concatenate([self._row_list, labels]), kind="stable")
+        self._set_lists(
+            np.concatenate([self._ids, np.asarray(ids, dtype=np.int64)])[order],
+            np.concatenate([self._vecs, vecs])[order],
+            np.bincount(labels, minlength=self.config.nlist) + np.diff(self._offsets),
+        )
         return self
+
+    def _set_lists(self, ids: np.ndarray, vecs: np.ndarray, lengths: np.ndarray) -> None:
+        self._ids = ids
+        self._vecs = vecs
+        self._offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        self._vec_sq = _row_sq(vecs)
+        self._row_list = np.repeat(np.arange(self.config.nlist), lengths)
+        self._vec_norm = math.sqrt(float(self._vec_sq.max(initial=0.0)))
 
     def _nearest_centroids(self, matrix: np.ndarray) -> np.ndarray:
         cents = self.centroids.astype(np.float64)
@@ -211,43 +256,133 @@ class IvfIndex:
 
     # -- search --------------------------------------------------------------
 
-    def _rank_centroids(self, query: np.ndarray) -> np.ndarray:
-        cents = self.centroids.astype(np.float64)
-        if self.config.metric == METRIC_COSINE:
-            key = -(cents @ query)
-        else:
-            diff = cents - query
-            key = np.einsum("ij,ij->i", diff, diff)
-        return np.lexsort((np.arange(len(cents)), key))
-
-    def _score(self, vecs: np.ndarray, query: np.ndarray) -> np.ndarray:
-        v = vecs.astype(np.float64)
-        if self.config.metric == METRIC_COSINE:
-            return v @ query
-        diff = v - query
-        return -np.einsum("ij,ij->i", diff, diff)
-
     def search(
         self, query: np.ndarray, k: int, nprobe_override: int | None = None
     ) -> list[SearchHit]:
+        """The k best hits for ``query`` (its first row, if a matrix is given)."""
+        return self.search_many(query, k, nprobe_override)[0]
+
+    def search_many(
+        self, queries: np.ndarray, k: int, nprobe: int | None = None
+    ) -> list[list[SearchHit]]:
+        """The k best hits of each query row, in row order: higher score first,
+        ties to the lower id. ``nprobe`` defaults to the config's."""
         if k <= 0:
             raise ArgumentError(f"k must be positive, got {k}")
-        if nprobe_override is not None and nprobe_override <= 0:
-            raise ArgumentError(f"nprobe must be positive, got {nprobe_override}")
+        if nprobe is not None and nprobe <= 0:
+            raise ArgumentError(f"nprobe must be positive, got {nprobe}")
+        q64 = _as_matrix(queries, self.config.dim)
+        nprobe = min(nprobe or self.config.nprobe, self.config.nlist)
+        hits: list[list[SearchHit]] = [[] for _ in range(len(q64))]
         if self.size == 0:
-            return []
-        q = _as_matrix(query, self.config.dim)[0]
-        nprobe = min(nprobe_override or self.config.nprobe, self.config.nlist)
-        probed = self._rank_centroids(q)[:nprobe]
-        id_parts = [self._list_ids[c] for c in probed if len(self._list_ids[c])]
-        if not id_parts:
-            return []
-        ids = np.concatenate(id_parts)
-        scores = np.concatenate(
-            [self._score(self._list_vecs[c], q) for c in probed if len(self._list_ids[c])]
-        )
-        order = np.lexsort((ids, -scores))[:k]
-        return [SearchHit(id=int(ids[i]), score=float(scores[i])) for i in order]
+            return hits
+        step = max(1, _BLOCK_BYTES // (4 * max(len(self._ids), self.config.nlist)))
+        for start in range(0, len(q64), step):
+            block = q64[start : start + step]
+            qi, ids, scores = self._search_block(block, k, nprobe)
+            for q, i, s in zip(qi.tolist(), ids.tolist(), scores.tolist()):
+                hits[start + q].append(SearchHit(id=i, score=s))
+        return hits
+
+    def _search_block(self, q64: np.ndarray, k: int, nprobe: int):
+        """(query row, id, score) of every hit of the block, best first per row."""
+        q32 = q64.astype(np.float32)
+        q_norm = math.sqrt(float(np.einsum("ij,ij->i", q64, q64).max()))
+        rows, vecs, vec_sq = None, self._vecs, self._vec_sq
+        keep = None  # (queries, scored rows): the query probes the row's list
+        if nprobe < self.config.nlist:
+            probed = self._probe(q64, q32, q_norm, nprobe)
+            used = probed.any(axis=0)
+            n_used = np.count_nonzero(used)
+            if n_used < len(used):
+                # score only the rows of the lists that some query of the block probes
+                rows = np.flatnonzero(used[self._row_list])
+                vecs, vec_sq = self._vecs[rows], self._vec_sq[rows]
+            if np.count_nonzero(probed) < len(q64) * n_used:
+                keep = probed[:, self._row_list if rows is None else self._row_list[rows]]
+        if len(vecs) == 0:
+            return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+        if keep is None:
+            keep = np.ones((len(q64), len(vecs)), dtype=bool)
+        # with at most 2k rows the float32 pass would keep nearly all of them
+        if len(vecs) > 2 * k:
+            approx = self._approx_scores(q32, vecs, vec_sq)
+            approx[~keep] = -np.inf
+            keep = keep & _within(approx, k, 2.0 * self._error_bound(q_norm, self._vec_norm))
+        qi, col = np.nonzero(keep)
+        if rows is not None:
+            col = rows[col]
+        scores = self._exact_scores(self._vecs, col, q64, qi)
+        ids = self._ids[col]
+        order, rank = _rank_per_query(qi, ids, scores)
+        best = order[rank < k]
+        return qi[best], ids[best], scores[best]
+
+    def _probe(self, q64, q32, q_norm: float, nprobe: int) -> np.ndarray:
+        """Boolean (queries, nlist): each query's nprobe best lists by exact
+        float64 score, ties to the lower centroid index."""
+        approx = self._approx_scores(q32, self.centroids, self._centroid_sq)
+        margin = 2.0 * self._error_bound(q_norm, self._centroid_norm)
+        kth = _kth_best(approx, nprobe)
+        maybe = ~(approx < kth - margin)
+        # each query has at least nprobe lists that may be among its best;
+        # when it has exactly nprobe, they are
+        if np.count_nonzero(maybe) == nprobe * len(q64):
+            return maybe
+        # only lists within the error bound of the boundary need their exact score
+        probed = approx > kth + margin
+        qi, cent = np.nonzero(maybe & ~probed)
+        scores = self._exact_scores(self.centroids, cent, q64, qi)
+        order, rank = _rank_per_query(qi, cent, scores)
+        best = order[rank < (nprobe - probed.sum(axis=1))[qi]]
+        probed[qi[best], cent[best]] = True
+        return probed
+
+    def _approx_scores(self, q32: np.ndarray, vecs: np.ndarray, vec_sq: np.ndarray) -> np.ndarray:
+        """float32 scores; for l2, 2 q.v - v.v, which ranks as -|v - q|^2 does."""
+        approx = q32 @ vecs.T
+        if self.config.metric == METRIC_L2:
+            approx *= 2.0
+            approx -= vec_sq.astype(np.float32)
+        return approx
+
+    def _error_bound(self, q_norm: float, v_norm: float) -> float:
+        """A bound on |float32 score - float64 score| (up to a per-query
+        constant) for queries of norm at most ``q_norm`` and rows of norm at
+        most ``v_norm``.
+
+        With gamma(n) = n u / (1 - n u) and u = 2^-24: a float32 dot product of
+        length d, in any summation order and with the query rounded to float32
+        first, errs by at most gamma(d+1) |q| |v| (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 3). The l2 score 2 q.v - v.v adds
+        the rounding of v.v and of the difference, within gamma(d+3)
+        (|q| + |v|)^2. The float64 re-score errs by about 2^-29 times less, which
+        the step from gamma(d+1) to gamma(d+3) covers. The second term bounds
+        underflow.
+        """
+        n = self.config.dim + 3
+        gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+        reach = (q_norm + v_norm) ** 2
+        if not reach < _SAFE_REACH:
+            # a float32 partial sum may overflow: every candidate is re-scored
+            return math.inf
+        scale = q_norm * v_norm if self.config.metric == METRIC_COSINE else reach
+        return gamma * scale + n * _FLOAT32_TINY * (1.0 + v_norm)
+
+    def _exact_scores(self, vecs: np.ndarray, rows: np.ndarray, q64: np.ndarray, qi: np.ndarray) -> np.ndarray:
+        """float64 score of vecs[rows[j]] for query q64[qi[j]], one row at a
+        time, so a score does not depend on which other rows are scored."""
+        step = max(1, _BLOCK_BYTES // (16 * self.config.dim))
+        if len(rows) > step:
+            return np.concatenate([
+                self._exact_scores(vecs, rows[a : a + step], q64, qi[a : a + step])
+                for a in range(0, len(rows), step)
+            ])
+        v = vecs[rows].astype(np.float64)
+        if self.config.metric == METRIC_COSINE:
+            return np.einsum("ij,ij->i", v, q64[qi])
+        v -= q64[qi]
+        return -np.einsum("ij,ij->i", v, v)
 
     # -- persistence ----------------------------------------------------------
 
@@ -263,10 +398,10 @@ class IvfIndex:
                 )
             )
             fh.write(self.centroids.astype("<f4").tobytes(order="C"))
-            for ids, vecs in zip(self._list_ids, self._list_vecs):
-                fh.write(struct.pack("<Q", len(ids)))
-                fh.write(ids.astype("<i8").tobytes(order="C"))
-                fh.write(vecs.astype("<f4").tobytes(order="C"))
+            for a, b in zip(self._offsets[:-1].tolist(), self._offsets[1:].tolist()):
+                fh.write(struct.pack("<Q", b - a))
+                fh.write(self._ids[a:b].astype("<i8").tobytes(order="C"))
+                fh.write(self._vecs[a:b].astype("<f4").tobytes(order="C"))
 
     @classmethod
     def load(cls, path: str | Path, nprobe: int | None = None) -> "IvfIndex":
@@ -294,24 +429,52 @@ class IvfIndex:
                     f"{path}: truncated index file ({len(raw)} bytes, "
                     f"{offset + nbytes} needed so far)"
                 )
-            arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).copy()
+            arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
             offset += nbytes
             return arr
 
-        index = cls(cfg, take("<f4", nlist * dim).reshape(nlist, dim))
-        total = 0
-        for lst in range(nlist):
-            length = int(take("<u8", 1)[0])
-            ids = take("<i8", length)
-            index._list_ids[lst] = ids
-            index._list_vecs[lst] = take("<f4", length * dim).reshape(length, dim)
-            index._known_ids.update(int(i) for i in ids)
-            total += length
+        # take() returns views into the file bytes; every array the index keeps is a copy
+        index = cls(cfg, take("<f4", nlist * dim).reshape(nlist, dim).copy())
+        lengths, id_parts, vec_parts = [], [], []
+        for _ in range(nlist):
+            lengths.append(int(take("<u8", 1)[0]))
+            id_parts.append(take("<i8", lengths[-1]))
+            vec_parts.append(take("<f4", lengths[-1] * dim))
         if offset != len(raw):
             raise ArgumentError(f"{path}: {len(raw) - offset} trailing bytes after the last list")
-        if total != size:
-            raise ArgumentError(f"{path}: header size {size} != stored {total}")
+        if sum(lengths) != size:
+            raise ArgumentError(f"{path}: header size {size} != stored {sum(lengths)}")
+        ids = np.concatenate(id_parts).astype(np.int64, copy=False)
+        vecs = np.concatenate(vec_parts).astype(np.float32, copy=False).reshape(-1, dim)
+        index._set_lists(ids, vecs, np.asarray(lengths))
         return index
+
+
+def _row_sq(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise squared norms, accumulated in float64."""
+    return np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
+
+
+def _kth_best(approx: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th largest entry, as a column. Selecting the k-th smallest
+    of the negated scores stays fast when most entries are a masked -inf."""
+    neg = -approx
+    neg.partition(k - 1, axis=1)
+    return -neg[:, k - 1, None]
+
+
+def _within(approx: np.ndarray, k: int, margin: float) -> np.ndarray:
+    """Entries whose float32 score may still be among the row's k best once
+    every score is exact: within ``margin`` of the k-th best. NaN is kept."""
+    return ~(approx < _kth_best(approx, k) - margin)
+
+
+def _rank_per_query(qi: np.ndarray, tie: np.ndarray, scores: np.ndarray):
+    """The entries ordered by query, then best first (higher score, then lower
+    ``tie``), and each one's 0-based rank within its query; ``qi`` ascends,
+    as np.nonzero gives it, so the order keeps each query's entries in place."""
+    order = np.lexsort((tie, -scores, qi))
+    return order, np.arange(len(qi)) - np.searchsorted(qi, qi)
 
 
 def cluster_range_bounds(n_vectors: int) -> tuple[float, float]:

@@ -28,6 +28,7 @@ from pathlib import Path
 
 from . import ann_index, corpus, embedding, eval_harness, finetune_export, llm_client, mt_metrics, prompting, retrieval
 from .errors import (
+    ArgumentError,
     ContractViolationError,
     DataError,
     FuzzyMtError,
@@ -286,6 +287,11 @@ def _cmd_index_build(args) -> int:
 
 def _cmd_index_search(args) -> int:
     if args.query is not None:
+        # argv bytes that are not UTF-8 arrive as lone surrogate escapes
+        try:
+            args.query.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ArgumentError(f"--query is not valid UTF-8: {exc}") from exc
         queries = [args.query]
     elif args.queries is not None:
         queries = corpus.read_lines(args.queries)

@@ -16,6 +16,8 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from . import llm_client, retrieval
 from .ann_index import IvfConfig
@@ -124,6 +126,15 @@ def _stage(label: str, stages: list[dict]):
     stages.append(record)
 
 
+def _retrieval_summary(match_lists: list[list]) -> dict:
+    """Top-1 score quantiles (linear interpolation; None without any match) and
+    the number of queries that got no match."""
+    top = [matches[0].score for matches in match_lists if matches]
+    p10, p50, p90 = np.percentile(top, [10, 50, 90]).tolist() if top else (None, None, None)
+    return {"top1_score_p10": p10, "top1_score_p50": p50, "top1_score_p90": p90,
+            "empty_hits": len(match_lists) - len(top)}
+
+
 def check_no_leakage(test: ParallelCorpus, context: ParallelCorpus) -> None:
     """Error when any exact test pair also appears in the context corpus."""
     overlap = pair_keys(test) & pair_keys(context)
@@ -153,6 +164,8 @@ def _condition_prompts(
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
+    # an invalid default config fails here, before anything is written
+    ivf = cfg.ivf if cfg.ivf is not None else IvfConfig(dim=cfg.provider.dim, seed=cfg.seed)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started_at = datetime.now(timezone.utc).isoformat()
@@ -161,7 +174,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
     with _stage("load-test-corpus", stages) as stage:
         test = corpus_mod.load_any(cfg.test_corpus)
         stage["items"] = len(test)
-    ivf = cfg.ivf if cfg.ivf is not None else IvfConfig(dim=cfg.provider.dim, seed=cfg.seed)
     # a store directory is loaded; a corpus is embedded and indexed here
     with _stage("load-context-corpus", stages) as stage:
         store = retrieval.open_context_store(cfg.context_corpus, cfg.provider, ivf)
@@ -172,11 +184,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
             stage["items"] = len(test)
 
     matches_by_id: dict[int, list] = {}
+    retrieved = None
     if CONDITION_ONE in cfg.conditions:
         with _stage("retrieve", stages) as stage:
             match_lists = retrieval.retrieve_fuzzy_many(store, test.sources(), k=1)
             stage["items"] = len(match_lists)
             matches_by_id = dict(zip(test.ids(), match_lists))
+            retrieved = _retrieval_summary(match_lists)
             retrieval.write_retrieval_dump(
                 out_dir / "retrieval.jsonl", test.ids(), match_lists
             )
@@ -237,6 +251,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
             )
         stage["items"] = len(results)
     with _stage("run-meta", stages):
+        lengths = store.index.list_lengths()
         meta = {
             "schema_version": 1,
             "config_sha256": config_digest(cfg),
@@ -252,6 +267,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
             # wall time and item count (pairs, texts or report rows) of every
             # stage before this one; timings stay out of report.*
             "stages": stages,
+            "retrieval": retrieved,  # null when no condition retrieves
+            # inverted-list balance
+            "index": {"list_size_min": min(lengths), "list_size_max": max(lengths),
+                      "lists_empty": lengths.count(0)},
         }
         (out_dir / "run_meta.json").write_text(
             json.dumps(meta, indent=2) + "\n", encoding="utf-8"

@@ -131,21 +131,16 @@ def open_context_store(spec: str, provider: EmbeddingProviderConfig, ivf: IvfCon
     return build_context_store(load_any(spec), provider, ivf)
 
 
-def retrieve_fuzzy(store: ContextStore, source: str, k: int = 1) -> list[FuzzyMatch]:
-    """Top-k most similar context pairs for one source segment."""
-    return retrieve_fuzzy_many(store, [source], k)[0]
-
-
 def retrieve_fuzzy_many(store: ContextStore, sources: Sequence[str], k: int = 1) -> list[list[FuzzyMatch]]:
-    """Batched retrieve_fuzzy; one result list per query, in query order."""
+    """Top-k most similar context pairs for each source segment, in query order."""
     if k <= 0:
         raise ArgumentError(f"k must be positive, got {k}")
     if len(sources) == 0:
         return []
     queries = embedding.embed_batch(sources, store.provider)
     return [
-        [FuzzyMatch(pair=store.pair(h.id), score=h.score) for h in store.index.search(query, k)]
-        for query in queries
+        [FuzzyMatch(pair=store.pair(h.id), score=h.score) for h in hits]
+        for hits in store.index.search_many(queries, k)
     ]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzymt.ann_index import (
     ClusterRangeWarning,
@@ -101,7 +102,7 @@ class TestAdd:
         index, _ = self._trained(metric="l2")
         centroid = index.centroids[2].copy()
         index.add([(7, centroid)])
-        assert 7 in index._list_ids[2]
+        assert 7 in index._ids[index._offsets[2] : index._offsets[3]]
 
     def test_duplicate_id_conflict(self):
         index, vectors = self._trained()
@@ -187,6 +188,100 @@ class TestSearch:
             index.add(zip(range(n), vectors))
             rankings[metric] = [h.id for h in index.search(query, k=15)]
         assert rankings["cosine"] == rankings["l2"]
+
+
+def nudged(rng, rows):
+    """Copies of float32 ``rows``, each equal or one ulp apart in one coordinate."""
+    out = np.array(rows, dtype=np.float32)
+    where = (np.arange(len(out)), rng.integers(out.shape[1], size=len(out)))
+    toward = out[where] + rng.integers(-1, 2, size=len(out)).astype(np.float32)
+    out[where] = np.nextafter(out[where], toward)
+    return out
+
+
+def exact_top(vectors, ids, rows, query, k, metric):
+    """Row-wise float64 brute force over ``rows``: higher score first, ties to the lower id."""
+    v = np.asarray(vectors, dtype=np.float32)[rows].astype(np.float64)
+    q = np.asarray(query, dtype=np.float64)
+    if metric == "cosine":
+        scores = np.einsum("ij,j->i", v, q)
+    else:
+        diff = v - q
+        scores = -np.einsum("ij,ij->i", diff, diff)
+    row_ids = np.asarray(ids)[rows]
+    return [(int(row_ids[i]), float(scores[i])) for i in np.lexsort((row_ids, -scores))[:k]]
+
+
+def exact_probe_ids(index, query, nprobe):
+    """Ids stored in the query's nprobe best lists, the lists ranked by
+    row-wise float64 centroid score, ties to the lower list."""
+    cents = index.centroids.astype(np.float64)
+    q = np.asarray(query, dtype=np.float64)
+    if index.config.metric == "cosine":
+        scores = np.einsum("ij,j->i", cents, q)
+    else:
+        diff = cents - q
+        scores = -np.einsum("ij,ij->i", diff, diff)
+    lists = np.lexsort((np.arange(len(cents)), -scores))[:nprobe]
+    return np.concatenate([index._ids[index._offsets[c] : index._offsets[c + 1]] for c in lists])
+
+
+@pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
+class TestExactTies:
+    @pytest.mark.parametrize("metric", ["cosine", "l2"])
+    @pytest.mark.parametrize("tail", [1, 2])
+    def test_duplicates_score_bit_equal_in_ascending_id_order(self, metric, tail):
+        dim, copies, nlist = 48, 7, 4
+        originals = unit_rows(5, dim, seed=31)
+        filler = unit_rows(140, dim, seed=32)
+        # each original recurs after filler runs of uneven length, so its copies
+        # sit at varied positions of its list, the last ones near the list's end
+        pieces = [filler[:20]]
+        for c in range(copies):
+            pieces += [filler[20 + 17 * c : 20 + 17 * c + (17 if c < copies - 1 else tail)], originals]
+        rows = np.concatenate(pieces)
+        index = train(rows, IvfConfig(dim=dim, nlist=nlist, nprobe=nlist, metric=metric, kmeans_iters=6, seed=0))
+        for start in range(0, len(rows), 37):  # several adds: each list grows in pieces
+            index.add((i, rows[i]) for i in range(start, min(start + 37, len(rows))))
+        copy_ids = [np.flatnonzero((rows == o).all(axis=1)).tolist() for o in originals]
+        lists = [index._ids[index._offsets[c] : index._offsets[c + 1]] for c in range(nlist)]
+        assert sum(np.isin(ids, sum(copy_ids, [])).any() for ids in lists) >= 2
+        queries = originals + 0.02 * np.random.default_rng(13).normal(size=originals.shape)
+        batched = index.search_many(queries, copies)
+        for q, want, many in zip(queries, copy_ids, batched):
+            for hits in (index.search(q, copies), many):
+                assert [h.id for h in hits] == want
+                assert len({h.score for h in hits}) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        dim=st.integers(1, 24),
+        nlist=st.integers(1, 5),
+        k=st.integers(1, 12),
+        metric=st.sampled_from(["cosine", "l2"]),
+        ties=st.integers(0, 12),
+    )
+    def test_search_many_is_search_and_exact(self, seed, n, dim, nlist, k, metric, ties):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(n, dim)).astype(np.float32)
+        vectors = np.concatenate([base, nudged(rng, base[rng.integers(n, size=ties)])])
+        ids = rng.permutation(len(vectors)) * 3 + 1
+        # centroids at stored rows, some one ulp from the one before: near-tied lists
+        centroids = vectors[rng.integers(len(vectors), size=nlist)]
+        for j in np.flatnonzero(rng.random(nlist) < 0.5)[1:]:
+            centroids[j] = nudged(rng, centroids[j - 1 : j])[0]
+        index = IvfIndex(IvfConfig(dim=dim, nlist=nlist, nprobe=nlist, metric=metric), centroids)
+        index.add(zip(ids.tolist(), vectors))
+        queries = np.concatenate([rng.normal(size=(4, dim)), vectors[rng.integers(len(vectors), size=4)]])
+        row_of = {int(i): r for r, i in enumerate(ids)}
+        for nprobe in range(1, nlist + 1):
+            many = index.search_many(queries, k, nprobe)
+            assert many == [index.search(q, k, nprobe) for q in queries]
+            for q, hits in zip(queries, many):
+                rows = [row_of[i] for i in exact_probe_ids(index, q, nprobe).tolist()]
+                assert [(h.id, h.score) for h in hits] == exact_top(vectors, ids, rows, q, k, metric)
 
 
 class TestPersistence:

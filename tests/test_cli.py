@@ -346,6 +346,16 @@ class TestContextStore:
         assert code == 2
         assert "seed=7" in err
 
+    def test_index_search_query_not_utf8_exit_2(self, store_dir, capsys):
+        # how Python hands over the argv bytes b"hola \xff mundo"
+        query = b"hola \xff mundo".decode("utf-8", "surrogateescape")
+        code, stdout, err = run_cli(
+            ["index-search", "--index", store_dir, "--query", query, "--dim", "32"], capsys
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "--query is not valid UTF-8" in err
+
     @pytest.mark.parametrize(
         "content, code, hits",
         [(b"paciente\xff dosis\n", 2, None), ("el paciente\u2028mejora\r\nla dosis\r\n".encode(), 0, 2)],
@@ -633,6 +643,7 @@ class TestRun:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert message in err
+        assert not (tmp_path / ("store" if path == "cli" else "run")).exists()
 
     def test_run_without_config_usage_error(self, capsys):
         code, _, _ = run_cli(["run"], capsys)

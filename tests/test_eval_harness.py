@@ -3,10 +3,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fuzzymt import ann_index, embedding, retrieval
-from fuzzymt.corpus import ParallelCorpus, SegmentPair, read_jsonl, write_tsv
+from fuzzymt.corpus import ParallelCorpus, SegmentPair, load_any, read_jsonl, write_tsv
 from fuzzymt.errors import DataError, LeakageError, ValidationError
 from fuzzymt.eval_harness import (
     CONDITION_ONE,
@@ -134,6 +135,20 @@ class TestAdaptiveGainFixture:
         assert all(s["seconds"] >= 0.0 for s in meta["stages"])
         # 10 test pairs; the context holds them plus 6 extras; 2 report rows
         assert [s["items"] for s in meta["stages"]] == [10, 16, 10, 10, 10, 10, 10, 10, 10, 2]
+        # the retrieval score distribution and the list balance, never in report.*
+        top = [r["matches"][0]["score"] for r in read_jsonl(out / "retrieval.jsonl")]
+        p10, p50, p90 = np.percentile(top, [10, 50, 90]).tolist()
+        assert meta["retrieval"] == {"top1_score_p10": p10, "top1_score_p50": p50,
+                                     "top1_score_p90": p90, "empty_hits": 0}
+        with pytest.warns(ann_index.ClusterRangeWarning):  # 2 lists for 16 pairs, as in the run
+            store = retrieval.build_context_store(load_any(context_path), cfg.provider, cfg.ivf)
+        lengths = store.index.list_lengths()
+        assert meta["index"] == {"list_size_min": min(lengths),
+                                 "list_size_max": max(lengths), "lists_empty": lengths.count(0)}
+        assert sum(lengths) == 16
+        for suffix in ("md", "tsv", "json"):
+            report = (out / f"report.{suffix}").read_text(encoding="utf-8")
+            assert "top1_score" not in report and "list_size" not in report
 
 
 class TestDictionaryMock:

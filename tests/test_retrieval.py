@@ -11,7 +11,6 @@ from fuzzymt.errors import ArgumentError, SizeError, StoreError
 from fuzzymt.retrieval import (
     ContextStore,
     build_context_store,
-    retrieve_fuzzy,
     retrieve_fuzzy_many,
     write_retrieval_dump,
 )
@@ -27,7 +26,7 @@ def store(small_corpus, det_provider, small_ivf):
 class TestBuildContextStore:
     def test_size_matches_corpus(self, store, small_corpus):
         assert store.index.size == len(small_corpus)
-        assert sorted(store.index._known_ids) == small_corpus.ids()
+        assert sorted(store.index.ids) == small_corpus.ids()
 
     def test_small_corpus_small_nlist(self, det_provider):
         corpus = synth_corpus(10, seed=1)
@@ -87,41 +86,46 @@ class TestSaveLoad:
             ContextStore.load(tmp_path / "store", det_provider, nprobe=1)
 
 
+def retrieve_one(store, source, k):
+    """The matches of one source segment through the batched lookup."""
+    return retrieve_fuzzy_many(store, [source], k=k)[0]
+
+
 class TestRetrieveFuzzy:
     def test_self_retrieval(self, store, small_corpus):
-        for pair in small_corpus.pairs[:5]:
-            matches = retrieve_fuzzy(store, pair.source, k=1)
-            assert matches[0].pair.source == pair.source
+        sources = [pair.source for pair in small_corpus.pairs[:5]]
+        for source, matches in zip(sources, retrieve_fuzzy_many(store, sources, k=1)):
+            assert matches[0].pair.source == source
             assert matches[0].score == pytest.approx(1.0, abs=1e-6)
 
     def test_k_one_returns_one(self, store):
-        assert len(retrieve_fuzzy(store, "texto cualquiera", k=1)) == 1
+        assert len(retrieve_one(store, "texto cualquiera", k=1)) == 1
 
     def test_truncated_not_padded(self, det_provider):
         corpus = synth_corpus(2, seed=5)
         cfg = IvfConfig(dim=64, nlist=1, nprobe=1, kmeans_iters=4, seed=0)
         store = build_context_store(corpus, det_provider, cfg)
-        assert len(retrieve_fuzzy(store, "una consulta", k=3)) == 2
+        assert len(retrieve_one(store, "una consulta", k=3)) == 2
 
     def test_k_zero_rejected(self, store):
         with pytest.raises(ArgumentError):
-            retrieve_fuzzy(store, "texto", k=0)
+            retrieve_fuzzy_many(store, ["texto"], k=0)
 
     def test_scores_non_increasing(self, store):
-        matches = retrieve_fuzzy(store, "paciente dosis hospital", k=5)
+        matches = retrieve_one(store, "paciente dosis hospital", k=5)
         scores = [m.score for m in matches]
         assert scores == sorted(scores, reverse=True)
 
     def test_concurrent_identical_queries_identical(self, store):
-        a = retrieve_fuzzy(store, "fiebre aguda", k=3)
-        b = retrieve_fuzzy(store, "fiebre aguda", k=3)
+        a = retrieve_one(store, "fiebre aguda", k=3)
+        b = retrieve_one(store, "fiebre aguda", k=3)
         assert [(m.pair.id, m.score) for m in a] == [(m.pair.id, m.score) for m in b]
 
     def test_many_matches_single_order(self, store, small_corpus):
         sources = [p.source for p in small_corpus.pairs[:4]]
         many = retrieve_fuzzy_many(store, sources, k=2)
         for src, matches in zip(sources, many):
-            single = retrieve_fuzzy(store, src, k=2)
+            single = retrieve_one(store, src, k=2)
             assert [(m.pair.id, m.score) for m in matches] == [
                 (m.pair.id, m.score) for m in single
             ]
