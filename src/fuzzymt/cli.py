@@ -16,6 +16,11 @@ exit 2) and --nlist, --metric and --kmeans-iters. It does not fix nprobe:
 only the commands that search (index-search, retrieve, prompts,
 export-dataset) take --nprobe. A context corpus smaller than the default
 nlist needs --nlist N with N at most its size.
+
+--seed goes to the commands that draw random numbers: split (the validation
+sample) and the five that take the provider flags (index-build, index-search,
+retrieve, prompts, export-dataset), where it seeds the embedding, k-means and
+the export's mix. index-search prints its hits to stdout and takes no --out.
 """
 
 from __future__ import annotations
@@ -97,6 +102,8 @@ def _add_provider_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=embedding.DEFAULT_DIM, help="embedding dimension")
     p.add_argument("--embed-batch-size", type=int, default=64)
     p.add_argument("--no-normalize", action="store_true", help="skip L2 normalization")
+    p.add_argument("--seed", type=int, default=0, help="seed of the embedding and k-means, "
+                   "fixed by a store (export-dataset: also of the mix)")
 
 
 def _add_ivf_flags(p: argparse.ArgumentParser) -> None:
@@ -135,7 +142,6 @@ _CONTEXT_HELP = (
 def build_parser() -> _Parser:
     parser = _Parser(prog="fuzzymt", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     common.add_argument("--out", "--output", dest="out", default=None, help="output path")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -148,6 +154,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--validation-size", type=int, default=1000)
     p.add_argument("--validation-out", default=None)
+    p.add_argument("--seed", type=int, default=0, help="seed for the validation sample")
 
     p = sub.add_parser("index-build", parents=[common], help="embed and index a context corpus once")
     p.add_argument("--in", dest="inp", required=True,
@@ -158,7 +165,7 @@ def build_parser() -> _Parser:
     # a store does not fix nprobe (save drops it), so any valid value builds the same bytes
     p.set_defaults(nprobe=1)
 
-    p = sub.add_parser("index-search", parents=[common], help="query a context store")
+    p = sub.add_parser("index-search", help="query a context store; hits go to stdout")
     p.add_argument("--index", required=True, help="store directory from index-build; the provider "
                    "flags must match it, --nprobe and -k are the caller's")
     p.add_argument("--query", default=None, help="single query text")
@@ -322,18 +329,13 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_prompts(args) -> int:
     test = _load_corpus_arg(args.inp)
-    langs = _langs_from_args(args)
+    match_lists = None
     if args.condition == eval_harness.CONDITION_ONE:
         if args.context is None:
             raise UsageError("one-shot prompts need --context")
         store = _context_store(args, args.context)
         match_lists = retrieval.retrieve_fuzzy_many(store, test.sources(), k=1)
-        prompts = [
-            prompting.render_few_shot(pair.source, matches, langs)
-            for pair, matches in zip(test.pairs, match_lists)
-        ]
-    else:
-        prompts = [prompting.render_zero_shot(pair.source, langs) for pair in test.pairs]
+    prompts = eval_harness.condition_prompts(args.condition, test.pairs, match_lists, _langs_from_args(args))
     if args.out is not None:
         n = prompting.write_prompt_dump(args.out, test.ids(), prompts, test.targets())
         _print({"prompts": n, "shots": prompts[0].shots if prompts else 0, "out": args.out})

@@ -28,6 +28,11 @@ class SegmentPair:
     target: str
 
 
+def pair_key(pair: SegmentPair) -> tuple[str, str]:
+    """What makes two pairs the same pair: (source, target), trailing whitespace trimmed."""
+    return (pair.source.rstrip(), pair.target.rstrip())
+
+
 @dataclass
 class ParallelCorpus:
     """An ordered collection of segment pairs for one language direction."""
@@ -36,12 +41,6 @@ class ParallelCorpus:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __iter__(self) -> Iterator[SegmentPair]:
-        return iter(self.pairs)
-
-    def __getitem__(self, i: int) -> SegmentPair:
-        return self.pairs[i]
 
     def ids(self) -> list[int]:
         return [p.id for p in self.pairs]
@@ -155,7 +154,11 @@ def read_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]]
     ``path:line`` on a line that is not a JSON object, lacks a required key
     or holds a value of another type under it.
     """
-    records = []
+    return [record for _, record in _iter_jsonl(path, required)]
+
+
+def _iter_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]]) -> Iterator[tuple[int, dict]]:
+    """``read_jsonl``'s records, one at a time, each with its line number."""
     for lineno, line in enumerate(_lines(_read_utf8(path)), 1):
         if not line.strip():
             continue
@@ -179,18 +182,21 @@ def read_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]]
             if isinstance(value, bool) or not isinstance(value, types):
                 raise DataError(f"{path}:{lineno}: key {key!r} must be {_type_names(types)}, "
                                 f"got {json.dumps(value, ensure_ascii=False)[:40]}")
-        records.append(record)
-    return records
+        yield lineno, record
 
 
 def load_corpus_jsonl(path: str | Path) -> ParallelCorpus:
     """Load a corpus from JSON-lines records {id, source, target}; a record
-    without an id (or with a null one) takes its record index."""
-    records = read_jsonl(path, required={"id": (int, type(None)), "source": str, "target": str})
-    pairs = [
-        SegmentPair(id=i if r.get("id") is None else r["id"], source=r["source"], target=r["target"])
-        for i, r in enumerate(records)
-    ]
+    without an id (or with a null one) takes its record index. Raises
+    DataError naming ``path:line`` on an id that an earlier record holds."""
+    records = _iter_jsonl(path, required={"id": (int, type(None)), "source": str, "target": str})
+    pairs = []
+    first_line: dict[int, int] = {}
+    for i, (lineno, r) in enumerate(records):
+        pair = SegmentPair(id=i if r.get("id") is None else r["id"], source=r["source"], target=r["target"])
+        if first_line.setdefault(pair.id, lineno) != lineno:
+            raise DataError(f"{path}:{lineno}: repeated id {pair.id} (first on line {first_line[pair.id]})")
+        pairs.append(pair)
     return ParallelCorpus(pairs)
 
 
@@ -210,7 +216,7 @@ def filter_corpus(corpus: ParallelCorpus, max_words: int = DEFAULT_MAX_WORDS) ->
     seen: set[tuple[str, str]] = set()
     kept = []
     for pair in corpus.pairs:
-        key = (pair.source.rstrip(), pair.target.rstrip())
+        key = pair_key(pair)
         if key in seen:
             continue
         if not pair.source.strip() or not pair.target.strip():
@@ -259,8 +265,8 @@ def write_jsonl_corpus(corpus: ParallelCorpus, path: str | Path) -> int:
 
 
 def pair_keys(corpus: ParallelCorpus) -> set[tuple[str, str]]:
-    """Exact (source, target) keys, trailing whitespace trimmed."""
-    return {(p.source.rstrip(), p.target.rstrip()) for p in corpus.pairs}
+    """The ``pair_key`` of every pair."""
+    return set(map(pair_key, corpus.pairs))
 
 
 def load_any(spec: str) -> ParallelCorpus:

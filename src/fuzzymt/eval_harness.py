@@ -21,7 +21,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import llm_client, retrieval
 from .ann_index import IvfConfig
-from .corpus import ParallelCorpus, pair_keys
+from .corpus import ParallelCorpus, SegmentPair, pair_key, pair_keys
 from .embedding import EmbeddingProviderConfig
 from .errors import DataError, FuzzyMtError, LeakageError, ValidationError
 from .llm_client import DecodingParams, TranslationResult
@@ -97,7 +97,11 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             value = raw.pop(key, None)
             if value is not None:
                 raw[key] = _config_object(path, key, cls, value)
-    return _config_object(path, "config", ExperimentConfig, raw)
+    cfg = _config_object(path, "config", ExperimentConfig, raw)
+    # make_batches sets max_tokens per batch, to token_multiplier times the longest source
+    if cfg.decoding.max_tokens is not None:
+        raise ValidationError(f"{path}: decoding.max_tokens cannot be set; use token_multiplier")
+    return cfg
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
@@ -139,7 +143,7 @@ def check_no_leakage(test: ParallelCorpus, context: ParallelCorpus) -> None:
     """Error when any exact test pair also appears in the context corpus."""
     overlap = pair_keys(test) & pair_keys(context)
     if overlap:
-        offending = [p.id for p in test.pairs if (p.source.rstrip(), p.target.rstrip()) in overlap]
+        offending = [p.id for p in test.pairs if pair_key(p) in overlap]
         raise LeakageError(
             f"{len(offending)} test pairs present in the context corpus (ids {offending[:10]}"
             + ("..." if len(offending) > 10 else "")
@@ -148,19 +152,17 @@ def check_no_leakage(test: ParallelCorpus, context: ParallelCorpus) -> None:
         )
 
 
-def _condition_prompts(
+def condition_prompts(
     condition: str,
-    test: ParallelCorpus,
-    matches_by_id: dict[int, list],
+    pairs: list[SegmentPair],
+    match_lists: list[list] | None,
     langs: LanguageNames,
 ) -> list[RenderedPrompt]:
-    prompts = []
-    for pair in test.pairs:
-        if condition == CONDITION_ZERO:
-            prompts.append(render_zero_shot(pair.source, langs))
-        else:
-            prompts.append(render_few_shot(pair.source, matches_by_id[pair.id], langs))
-    return prompts
+    """One prompt per pair: zero-shot, or one-shot from the match list at the pair's position."""
+    if condition == CONDITION_ZERO:
+        return [render_zero_shot(pair.source, langs) for pair in pairs]
+    return [render_few_shot(pair.source, matches, langs)
+            for pair, matches in zip(pairs, match_lists, strict=True)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
@@ -183,13 +185,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
             check_no_leakage(test, store.corpus)
             stage["items"] = len(test)
 
-    matches_by_id: dict[int, list] = {}
+    match_lists = None
     retrieved = None
     if CONDITION_ONE in cfg.conditions:
         with _stage("retrieve", stages) as stage:
             match_lists = retrieval.retrieve_fuzzy_many(store, test.sources(), k=1)
             stage["items"] = len(match_lists)
-            matches_by_id = dict(zip(test.ids(), match_lists))
             retrieved = _retrieval_summary(match_lists)
             retrieval.write_retrieval_dump(
                 out_dir / "retrieval.jsonl", test.ids(), match_lists
@@ -200,7 +201,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
         if condition not in cfg.conditions:
             continue
         with _stage(f"prompts-{condition}", stages) as stage:
-            prompts = _condition_prompts(condition, test, matches_by_id, cfg.langs)
+            prompts = condition_prompts(condition, test.pairs, match_lists, cfg.langs)
             stage["items"] = len(prompts)
             write_prompt_dump(
                 out_dir / f"prompts.{condition}.jsonl", test.ids(), prompts, test.targets()

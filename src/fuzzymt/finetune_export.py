@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import ParallelCorpus, write_jsonl_records
+from .corpus import ParallelCorpus, pair_key, write_jsonl_records
 from .errors import ArgumentError, SizeError, StateError, ValidationError
 from .prompting import LanguageNames, normalize_segment, render_few_shot, render_zero_shot
 from .retrieval import ContextStore, retrieve_fuzzy_many
@@ -126,7 +126,7 @@ def build_finetune_dataset(
     """Draw mix.total pairs, render the shot mix, split train/validation.
 
     round(total * one_shot_ratio) examples get the store's best fuzzy match
-    that is not the example's own (source, target) pair; the remainder are
+    that is not the example's own pair (by ``pair_key``); the remainder are
     zero-shot. Fully deterministic for a fixed (corpus, store, mix).
     """
     if len(corpus) < mix.total:
@@ -146,8 +146,8 @@ def build_finetune_dataset(
         # two hits, so a store that holds the training pair itself still yields another match
         match_lists = retrieve_fuzzy_many(store, [p.source for p in one_shot_pairs], k=2)
         for pair, matches in zip(one_shot_pairs, match_lists):
-            shot = next((m for m in matches
-                         if (m.pair.source, m.pair.target) != (pair.source, pair.target)), None)
+            own = pair_key(pair)
+            shot = next((m for m in matches if pair_key(m.pair) != own), None)
             if shot is None:
                 raise StateError(f"pair {pair.id}: the context store has no match other than the pair itself")
             prompt = render_few_shot(pair.source, [shot], langs)

@@ -41,15 +41,11 @@ TER_MAX_SHIFT_ITERS = 50
 TER_MAX_SHIFT_SIZE = 10
 TER_MAX_SHIFT_DIST = 50
 
-HIGHER_BETTER = "higher-better"
-LOWER_BETTER = "lower-better"
-
 
 @dataclass(frozen=True)
 class MetricScore:
     name: str
     value: float
-    direction: str
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ def bleu(pairs: Sequence[EvalPair]) -> MetricScore:
             correct[n - 1] += matches
 
     if any(t == 0 for t in total):
-        return MetricScore("BLEU", 0.0, HIGHER_BETTER)
+        return MetricScore("BLEU", 0.0)
 
     smooth = 1.0
     log_sum = 0.0
@@ -139,10 +135,10 @@ def bleu(pairs: Sequence[EvalPair]) -> MetricScore:
         log_sum += math.log(precision)
 
     if hyp_len == 0:
-        return MetricScore("BLEU", 0.0, HIGHER_BETTER)
+        return MetricScore("BLEU", 0.0)
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     score = 100.0 * brevity * math.exp(log_sum / BLEU_ORDER)
-    return MetricScore("BLEU", score, HIGHER_BETTER)
+    return MetricScore("BLEU", score)
 
 
 # -- chrF++ ---------------------------------------------------------------------
@@ -183,8 +179,8 @@ def chrf_pp(pairs: Sequence[EvalPair]) -> MetricScore:
         f_sum += ((1 + beta_sq) * precision * recall / denom) if denom > 0 else eps
         present += 1
     if present == 0:
-        return MetricScore("chrF++", 0.0, HIGHER_BETTER)
-    return MetricScore("chrF++", 100.0 * f_sum / present, HIGHER_BETTER)
+        return MetricScore("chrF++", 0.0)
+    return MetricScore("chrF++", 100.0 * f_sum / present)
 
 
 # -- TER ------------------------------------------------------------------------
@@ -334,7 +330,7 @@ def ter(pairs: Sequence[EvalPair]) -> MetricScore:
         value = 0.0 if total_edits == 0 else float(total_edits) * 100.0
     else:
         value = 100.0 * total_edits / total_ref_words
-    return MetricScore("TER", value, LOWER_BETTER)
+    return MetricScore("TER", value)
 
 
 def score_all(pairs: Sequence[EvalPair]) -> list[MetricScore]:

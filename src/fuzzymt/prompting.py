@@ -1,4 +1,4 @@
-"""Prompt rendering for decoder-only LLMs and encoder-decoder models.
+"""Prompt rendering for decoder-only LLMs: zero-shot, or with fuzzy-match examples.
 
 Completion-style translation prompts use labelled lines::
 
@@ -29,16 +29,9 @@ _NEWLINE_RUN = re.compile(r"[\r\n]+")
 class LanguageNames:
     source_name: str = "Spanish"
     target_name: str = "English"
-    source_code: str = "spa_Latn"
-    target_code: str = "eng_Latn"
 
     def __post_init__(self):
-        for label, value in (
-            ("source_name", self.source_name),
-            ("target_name", self.target_name),
-            ("source_code", self.source_code),
-            ("target_code", self.target_code),
-        ):
+        for label, value in (("source_name", self.source_name), ("target_name", self.target_name)):
             if not value:
                 raise ArgumentError(f"{label} must be non-empty")
 
@@ -47,12 +40,6 @@ class LanguageNames:
 class RenderedPrompt:
     text: str
     shots: int = 0
-
-
-@dataclass(frozen=True)
-class Seq2SeqInput:
-    encoder_text: str
-    decoder_prefix: str
 
 
 def normalize_segment(text: str) -> str:
@@ -86,29 +73,6 @@ def render_few_shot(
     lines.append(f"{langs.source_name}: {normalize_segment(source)}")
     text = "\n".join(lines) + f"\n{langs.target_name}:"
     return RenderedPrompt(text=text, shots=len(ordered))
-
-
-def render_seq2seq_fuzzy(
-    source: str,
-    match: FuzzyMatch,
-    langs: LanguageNames = LanguageNames(),
-    separator_token: str = "•",
-) -> Seq2SeqInput:
-    """Fuzzy-augmented encoder input plus a teacher-forced target prefix.
-
-    The fuzzy source precedes the new source, joined by the source language
-    code and an extra sentence-initial token; the fuzzy target plus the
-    target language code and the same token form the forced decoder prefix.
-    """
-    if match is None:
-        raise ArgumentError("a fuzzy match is required")
-    if not separator_token:
-        raise ArgumentError("separator_token must be non-empty")
-    fuzzy_source = normalize_segment(match.pair.source)
-    fuzzy_target = normalize_segment(match.pair.target)
-    encoder_text = f"{fuzzy_source} {langs.source_code} {separator_token} {normalize_segment(source)}"
-    decoder_prefix = f"{fuzzy_target} {langs.target_code} {separator_token}"
-    return Seq2SeqInput(encoder_text=encoder_text, decoder_prefix=decoder_prefix)
 
 
 def parse_prompt(text: str, langs: LanguageNames = LanguageNames()) -> tuple[list[tuple[str, str]], str]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -29,12 +30,13 @@ BAD_JSONL = {
     "surrogate": (GOOD_LINE.replace(b'"source": "a"', b'"source": "hola \\ud800 mundo"') * 2,
                   "bad.jsonl:1: not valid UTF-8: lone surrogate '\\ud800'"),
 }
-# a second record whose value under a key the subcommand reads has the wrong type
-BAD_TYPE = [
+# a second record that the subcommand rejects: a wrong value type under a key it reads, or a repeated id
+BAD_RECORD = [
     ("filter", "str-id", b'{"id": "x", "source": "a", "target": "b"}', "key 'id' must be int or null, got \"x\""),
     ("filter", "bool-id", b'{"id": true, "source": "a", "target": "b"}', "key 'id' must be int or null, got true"),
     ("filter", "float-id", b'{"id": 1.7, "source": "a", "target": "b"}', "key 'id' must be int or null, got 1.7"),
     ("filter", "int-source", b'{"id": 1, "source": 5, "target": "b"}', "key 'source' must be str, got 5"),
+    ("filter", "repeated-id", b'{"id": 0, "source": "b", "target": "c"}', "repeated id 0 (first on line 1)"),
     ("evaluate", "int-hypothesis", b'{"hypothesis": 5, "reference": "a"}', "key 'hypothesis' must be str"),
     ("translate", "int-prompt", b'{"id": 1, "prompt": 5}', "key 'prompt' must be str"),
 ]
@@ -44,19 +46,19 @@ BAD_JSONL_CASES = [
     for case, (content, message) in BAD_JSONL.items()
 ] + [
     pytest.param(sub, GOOD_LINE + line + b"\n", "bad.jsonl:2: " + message, id=f"{sub}-{case}")
-    for sub, case, line, message in BAD_TYPE
+    for sub, case, line, message in BAD_RECORD
 ]
 
 # every option string of every subcommand; a flag added or removed shows up here
-COMMON = "--seed --out --output"
-PROVIDER = "--provider --endpoint --model --dim --embed-batch-size --no-normalize"
+COMMON = "--out --output"
+PROVIDER = "--provider --endpoint --model --dim --embed-batch-size --no-normalize --seed"
 IVF_BUILD = "--nlist --metric --kmeans-iters"
 LANGS = "--source-name --target-name"
 CLI_SURFACE = {
     "filter": f"{COMMON} --in --max-words",
-    "split": f"{COMMON} --in --validation-size --validation-out",
+    "split": f"{COMMON} --in --validation-size --validation-out --seed",
     "index-build": f"{COMMON} --in {PROVIDER} {IVF_BUILD}",
-    "index-search": f"{COMMON} --index --query --queries -k --nprobe {PROVIDER}",
+    "index-search": f"--index --query --queries -k --nprobe {PROVIDER}",
     "retrieve": f"{COMMON} --in --context -k {PROVIDER} {IVF_BUILD} --nprobe",
     "prompts": f"{COMMON} --in --condition --context {PROVIDER} {IVF_BUILD} --nprobe {LANGS}",
     "export-dataset": f"{COMMON} --in --context --total --ratio --validation-size {PROVIDER} {IVF_BUILD} "
@@ -107,7 +109,10 @@ class TestHelpAndUsage:
 
     def test_unknown_flag_usage_error(self, capsys):
         for argv in (["filter", "--in", "x.tsv", "--bogus"],
-                     ["index-build", "--in", "x.tsv", "--out", "store", "--nprobe", "2"]):
+                     ["index-build", "--in", "x.tsv", "--out", "store", "--nprobe", "2"],
+                     ["run", "--config", "c.json", "--seed", "1"],
+                     ["evaluate", "--hyp", "h.txt", "--ref", "r.txt", "--seed", "1"],
+                     ["index-search", "--index", "store", "--query", "q", "--out", "x"]):
             code, _, err = run_cli(argv, capsys)
             assert code == 1
             assert "unrecognized arguments" in err
@@ -120,6 +125,36 @@ class TestHelpAndUsage:
             for name, parser in subparsers.choices.items()
         }
         assert surface == {name: sorted(opts.split()) for name, opts in CLI_SURFACE.items()}
+
+    def test_every_option_is_read(self):
+        """Each option a subcommand declares is read as ``args.<dest>`` by its
+        command function or by a module function that is passed ``args``."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+        def reads(name, seen):
+            seen.add(name)
+            found = set()
+            for node in ast.walk(functions[name]):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "args" and isinstance(node.ctx, ast.Load)):
+                    found.add(node.attr)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in functions and node.func.id not in seen
+                      and any(isinstance(a, ast.Name) and a.id == "args"
+                              for a in [*node.args, *(k.value for k in node.keywords)])):
+                    found |= reads(node.func.id, seen)
+            return found
+
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        unread = {}
+        for name, parser in subparsers.choices.items():
+            declared = {action.dest for action in parser._actions
+                        if action.option_strings and not isinstance(action, argparse._HelpAction)}
+            missing = declared - reads(cli._COMMANDS[name].__name__, set())
+            if missing:
+                unread[name] = sorted(missing)
+        assert unread == {}
 
 
 class TestFilter:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from fuzzymt.corpus import (
     write_jsonl_corpus,
     write_tsv,
 )
-from fuzzymt.errors import AlignmentError, CorpusEncodingError, SizeError
+from fuzzymt.errors import AlignmentError, CorpusEncodingError, DataError, SizeError
 
 
 def _pairs(rows):
@@ -76,6 +77,23 @@ class TestLoadCorpus:
         write_jsonl_corpus(corpus, path)
         loaded = load_corpus_jsonl(path)
         assert loaded.pairs == corpus.pairs
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # a record without an id takes its record index (an explicit repeat is a BAD_RECORD case in test_cli)
+            (['{"source": "a", "target": "b"}', "", '{"id": 0, "source": "c", "target": "d"}'],
+             "c.jsonl:3: repeated id 0 (first on line 1)"),
+            (['{"id": 1, "source": "a", "target": "b"}', '{"id": null, "source": "c", "target": "d"}'],
+             "c.jsonl:2: repeated id 1 (first on line 1)"),
+        ],
+        ids=["implicit-first", "implicit-second"],
+    )
+    def test_jsonl_repeated_id_rejected(self, lines, message, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_corpus_jsonl(path)
 
     def test_load_any_dispatch(self, tmp_path):
         src = tmp_path / "es.txt"

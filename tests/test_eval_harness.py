@@ -229,9 +229,9 @@ def _fake_results():
             condition=CONDITION_ZERO,
             translations=[],
             scores=[
-                MetricScore("BLEU", 42.881, "higher-better"),
-                MetricScore("chrF++", 66.034, "higher-better"),
-                MetricScore("TER", 46.542, "lower-better"),
+                MetricScore("BLEU", 42.881),
+                MetricScore("chrF++", 66.034),
+                MetricScore("TER", 46.542),
             ],
             segments_per_second=80.0,
         ),
@@ -239,9 +239,9 @@ def _fake_results():
             condition=CONDITION_ONE,
             translations=[],
             scores=[
-                MetricScore("BLEU", 47.351, "higher-better"),
-                MetricScore("chrF++", 69.253, "higher-better"),
-                MetricScore("TER", 42.531, "lower-better"),
+                MetricScore("BLEU", 47.351),
+                MetricScore("chrF++", 69.253),
+                MetricScore("TER", 42.531),
             ],
             segments_per_second=40.0,
         ),
@@ -319,6 +319,12 @@ class TestConfigLoading:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"test_corpus": "a", "context_corpus": "b", key: value}))
         with pytest.raises(ValidationError, match=key):
+            load_experiment_config(path)
+
+    def test_decoding_max_tokens_rejected(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"test_corpus": "a", "context_corpus": "b", "decoding": {"max_tokens": -7}}))
+        with pytest.raises(ValidationError, match="decoding.max_tokens cannot be set; use token_multiplier"):
             load_experiment_config(path)
 
     def test_missing_required_field_rejected(self, tmp_path):

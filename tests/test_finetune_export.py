@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -86,6 +87,18 @@ class TestBuildDataset:
         for example in train + validation:
             [shot], query = parse_prompt(example.prompt, LANGS)
             assert shot != (query, example.completion.strip())
+
+    def test_trailing_whitespace_variant_is_not_a_shot(self, det_provider):
+        # the store holds each training pair with a trailing space on its source:
+        # the same pair by corpus.pair_key, so never its own one-shot example
+        corpus = synth_corpus(12, seed=2)
+        variants = replace(corpus, pairs=[replace(p, source=p.source + " ") for p in corpus.pairs])
+        store = build_context_store(variants, det_provider, IvfConfig(dim=64, nlist=2, nprobe=2, seed=0))
+        mix = MixSpec(total=12, one_shot_ratio=1.0, validation_size=0, seed=0)
+        train, _ = build_finetune_dataset(corpus, store, mix, LANGS)
+        for example in train:
+            [(shot_source, _)], query = parse_prompt(example.prompt, LANGS)
+            assert shot_source.rstrip() != query
 
     def test_store_holding_only_the_training_pair(self, det_provider):
         corpus = synth_corpus(1, seed=2)

@@ -10,7 +10,6 @@ from fuzzymt.prompting import (
     normalize_segment,
     parse_prompt,
     render_few_shot,
-    render_seq2seq_fuzzy,
     render_zero_shot,
     write_prompt_dump,
 )
@@ -88,25 +87,6 @@ class TestFewShot:
         assert render_few_shot("q", matches, LANGS).text == render_few_shot("q", matches, LANGS).text
 
 
-class TestSeq2Seq:
-    def test_field_order(self):
-        result = render_seq2seq_fuzzy("s", _match("s'", "t'"), LANGS, "•")
-        assert result.encoder_text == "s' spa_Latn • s"
-        assert result.decoder_prefix == "t' eng_Latn •"
-
-    def test_custom_separator(self):
-        result = render_seq2seq_fuzzy("s", _match("s'", "t'"), LANGS, "‣")
-        assert "‣" in result.encoder_text and "‣" in result.decoder_prefix
-
-    def test_missing_match_rejected(self):
-        with pytest.raises(ArgumentError):
-            render_seq2seq_fuzzy("s", None, LANGS)
-
-    def test_empty_separator_rejected(self):
-        with pytest.raises(ArgumentError):
-            render_seq2seq_fuzzy("s", _match("a", "b"), LANGS, "")
-
-
 class TestRoundTripParse:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -146,7 +126,6 @@ class TestRoundTripParse:
 class TestLanguageNames:
     def test_defaults(self):
         assert (LANGS.source_name, LANGS.target_name) == ("Spanish", "English")
-        assert (LANGS.source_code, LANGS.target_code) == ("spa_Latn", "eng_Latn")
 
     def test_empty_name_rejected(self):
         with pytest.raises(ArgumentError):
