@@ -2,7 +2,9 @@
 
 A k-means coarse quantizer (k-means++ seeding, Lloyd iterations) partitions
 the collection into nlist inverted lists; a query scores only the vectors in
-its nprobe best lists. With nprobe == nlist the search is exact brute force.
+its nprobe best lists. With nprobe == nlist the search is exact brute force;
+with nlist 1 (one centroid, the mean, and no k-means) the index is the exact
+flat index.
 
 The lists are stored as one contiguous float32 (N, d) array, an ids array and
 an offsets array: list c is rows offsets[c]:offsets[c + 1], in insertion order.
@@ -101,8 +103,8 @@ class SearchHit:
     score: float
 
 
-def _as_matrix(vectors, dim: int) -> np.ndarray:
-    matrix = np.asarray(vectors, dtype=np.float64)
+def _as_matrix(vectors, dim: int, dtype=np.float64) -> np.ndarray:
+    matrix = np.asarray(vectors, dtype=dtype)
     if matrix.ndim == 1:
         matrix = matrix[None, :]
     if matrix.ndim != 2 or matrix.shape[1] != dim:
@@ -485,13 +487,19 @@ def cluster_range_bounds(n_vectors: int) -> tuple[float, float]:
 def train(vectors, cfg: IvfConfig) -> IvfIndex:
     """Run seeded k-means over the training vectors; returns an empty index.
 
+    With nlist 1 the index is the exact flat index: its one centroid is the
+    mean of the vectors, with no k-means, no range warning and no float64
+    copy of the vectors.
+
     Raises TrainingError when there are fewer vectors than nlist; warns (but
     proceeds) when nlist is outside the recommended cluster-count band.
     """
-    matrix = _as_matrix(vectors, cfg.dim)
+    matrix = _as_matrix(vectors, cfg.dim, dtype=None if cfg.nlist == 1 else np.float64)
     n = matrix.shape[0]
     if n < cfg.nlist:
         raise TrainingError(f"need at least nlist={cfg.nlist} training vectors, got {n}")
+    if cfg.nlist == 1:
+        return IvfIndex(cfg, matrix.mean(axis=0, dtype=np.float64)[None, :])
     low, high = cluster_range_bounds(n)
     if not (low <= cfg.nlist <= high):
         warnings.warn(

@@ -14,8 +14,10 @@ a corpus that is embedded and indexed on the spot. A store fixes --provider,
 --model, --dim, --no-normalize and --seed (the caller's must match, else
 exit 2) and --nlist, --metric and --kmeans-iters. It does not fix nprobe:
 only the commands that search (index-search, retrieve, prompts,
-export-dataset) take --nprobe. A context corpus smaller than the default
-nlist needs --nlist N with N at most its size.
+export-dataset) take --nprobe. A context corpus of fewer than
+retrieval.FLAT_MAX_ROWS pairs gets the exact flat index (nlist 1, no k-means),
+whatever --nlist and --kmeans-iters say; a larger one needs --nlist at most
+its size.
 
 --seed goes to the commands that draw random numbers: split (the validation
 sample) and the five that take the provider flags (index-build, index-search,
@@ -107,10 +109,12 @@ def _add_provider_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_ivf_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nlist", type=int, default=4096, help="number of coarse clusters")
+    p.add_argument("--nlist", type=int, default=4096, help="number of coarse clusters; a context "
+                   f"under {retrieval.FLAT_MAX_ROWS} pairs gets 1 (the exact flat index)")
     p.add_argument("--metric", default=ann_index.METRIC_COSINE,
                    choices=[ann_index.METRIC_COSINE, ann_index.METRIC_L2])
-    p.add_argument("--kmeans-iters", type=int, default=25)
+    p.add_argument("--kmeans-iters", type=int, default=25, help="Lloyd iterations; "
+                   f"unused under {retrieval.FLAT_MAX_ROWS} pairs (no k-means)")
 
 
 def _add_nprobe_flag(p: argparse.ArgumentParser) -> None:

@@ -269,9 +269,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
             # stage before this one; timings stay out of report.*
             "stages": stages,
             "retrieval": retrieved,  # null when no condition retrieves
-            # inverted-list balance
-            "index": {"list_size_min": min(lengths), "list_size_max": max(lengths),
-                      "lists_empty": lengths.count(0)},
+            # the list count (1: the flat index) and the lists' balance
+            "index": {"nlist": store.index.config.nlist, "list_size_min": min(lengths),
+                      "list_size_max": max(lengths), "lists_empty": lengths.count(0)},
         }
         (out_dir / "run_meta.json").write_text(
             json.dumps(meta, indent=2) + "\n", encoding="utf-8"

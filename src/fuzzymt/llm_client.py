@@ -207,7 +207,12 @@ def translate_all(
     backoff_seconds: float = 1.0,
     trace_path: str | Path | None = None,
 ) -> list[TranslationResult]:
-    """Run batches (up to max_concurrent_batches in flight), results in input order."""
+    """Run batches (up to max_concurrent_batches in flight), results in input order.
+
+    ``trace_path`` starts empty and gets one line per batch.
+    """
+    if trace_path is not None:
+        open(trace_path, "w").close()
     if not batches:
         return []
     run = lambda b: translate_batch(

@@ -1,4 +1,9 @@
-"""Fuzzy-match lookup over an embedded, indexed context dataset."""
+"""Fuzzy-match lookup over an embedded, indexed context dataset.
+
+A context corpus of fewer than FLAT_MAX_ROWS pairs is indexed flat: an IVF
+index with nlist 1, searched exactly, whatever nlist the caller asks for.
+Its store.json then reads ``ivf.nlist: 1``.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +23,10 @@ from .errors import ArgumentError, SizeError, StoreError
 STORE_CORPUS, STORE_INDEX, STORE_META = "corpus.jsonl", "index.ivf", "store.json"
 # the provider fields that decide the vectors; the others only say how to fetch them
 FINGERPRINT_FIELDS = ("kind", "model_name", "dim", "normalize", "seed")
+# The smallest context size measured at which IVF (nlist 4*sqrt(N), nprobe 32)
+# answered one query at a time faster than the flat index; at 5,000 pairs it
+# did not (BENCH_9.json)
+FLAT_MAX_ROWS = 20_000
 
 
 def _sha256(path: Path) -> str:
@@ -108,11 +117,14 @@ def build_context_store(
 ) -> ContextStore:
     """Embed every source side, train the index on those vectors, add all pairs.
 
+    Below FLAT_MAX_ROWS pairs the index is flat (nlist 1), whatever ``ivf.nlist``.
     The returned store is sealed: retrieval never mutates it.
     """
     if len(corpus) == 0:
         raise SizeError("context corpus is empty")
-    if len(corpus) < ivf.nlist:
+    if len(corpus) < FLAT_MAX_ROWS:
+        ivf = replace(ivf, nlist=1, nprobe=1)
+    elif len(corpus) < ivf.nlist:
         raise SizeError(
             f"context corpus ({len(corpus)} pairs) smaller than nlist={ivf.nlist}"
         )

@@ -43,6 +43,23 @@ class TestTrain:
         index = train(vectors, cfg)
         assert np.allclose(index.centroids[0], vectors.mean(axis=0), atol=1e-5)
 
+    def test_single_centroid_never_warns(self, recwarn):
+        # nlist 1 lies below the band for any N above 1/16
+        for n in (1, 40, 400):
+            index = train(unit_rows(n, 8, seed=4), IvfConfig(dim=8, nlist=1, nprobe=1))
+            assert index.centroids.shape == (1, 8)
+        assert not [w for w in recwarn if issubclass(w.category, ClusterRangeWarning)]
+
+    def test_single_centroid_checks_input(self):
+        with pytest.raises(TrainingError):
+            train(np.empty((0, 8), dtype=np.float32), IvfConfig(dim=8, nlist=1, nprobe=1))
+        with pytest.raises(ArgumentError):
+            train(unit_rows(4, 6, seed=0), IvfConfig(dim=8, nlist=1, nprobe=1))
+        rows = unit_rows(4, 8, seed=0)
+        rows[2, 3] = np.nan
+        with pytest.raises(ArgumentError):
+            train(rows, IvfConfig(dim=8, nlist=1, nprobe=1))
+
     def test_two_separated_clouds(self):
         rng = np.random.default_rng(0)
         cloud_a = rng.normal(loc=0.0, scale=0.01, size=(20, 8))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fuzzymt import cli
+from fuzzymt import cli, retrieval
 from fuzzymt.corpus import write_tsv
 from fuzzymt.llm_client import run_mock_server
 
@@ -228,7 +228,8 @@ class TestSplit:
 
 
 class TestIndexPipeline:
-    def test_embed_build_search(self, corpus_tsv, tmp_path, capsys):
+    def test_embed_build_search(self, corpus_tsv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(retrieval, "FLAT_MAX_ROWS", 0)  # the IVF path, on a tiny corpus
         store_dir = str(tmp_path / "store")
         code, stdout, err = run_cli(
             ["index-build", "--in", corpus_tsv, "--dim", "32", "--nlist", "2", "--out", store_dir], capsys
@@ -255,14 +256,31 @@ class TestIndexPipeline:
     def test_cluster_range_warning_on_stderr(self, corpus_tsv, tmp_path):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # the IVF path, on a tiny corpus
+        ivf_cli = "import sys; from fuzzymt import cli, retrieval; retrieval.FLAT_MAX_ROWS = 0; sys.exit(cli.main())"
         proc = subprocess.run(
-            [sys.executable, "-m", "fuzzymt.cli", "index-build", "--in", corpus_tsv,
+            [sys.executable, "-c", ivf_cli, "index-build", "--in", corpus_tsv,
              "--dim", "16", "--nlist", "2", "--out", str(tmp_path / "store")],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "outside recommended range" in proc.stderr
         assert json.loads(proc.stdout)["size"] == 12
+
+    def test_small_corpus_needs_no_nlist(self, corpus_tsv, tmp_path, capsys):
+        store_dir = str(tmp_path / "store")
+        code, stdout, err = run_cli(["index-build", "--in", corpus_tsv, "--dim", "32", "--out", store_dir], capsys)
+        assert code == 0
+        assert json.loads(stdout) == {"size": 12, "nlist": 1, "dim": 32, "out": store_dir}
+        assert err == ""
+        meta = json.loads((tmp_path / "store" / "store.json").read_text(encoding="utf-8"))
+        assert meta["ivf"]["nlist"] == 1
+        code, stdout, _ = run_cli(
+            ["index-search", "--index", store_dir, "--query", "paciente dosis", "-k", "3",
+             "--nprobe", "32", "--dim", "32"], capsys
+        )
+        assert code == 0
+        assert len(json.loads(stdout)["hits"]) == 3
 
 
 BUILD_FLAGS = ["--dim", "32", "--nlist", "2"]

@@ -97,7 +97,8 @@ class TestAdaptiveGainFixture:
         assert one["chrF++"] > zero["chrF++"]
         assert one["TER"] < zero["TER"]
 
-    def test_artifacts_and_structure(self, leaky_setup, tmp_path):
+    def test_artifacts_and_structure(self, leaky_setup, tmp_path, monkeypatch):
+        monkeypatch.setattr(retrieval, "FLAT_MAX_ROWS", 0)  # the IVF path, on a tiny context
         _, test_path, context_path = leaky_setup
         with run_mock_server("echo-fuzzy") as server:
             cfg = _config(
@@ -143,12 +144,28 @@ class TestAdaptiveGainFixture:
         with pytest.warns(ann_index.ClusterRangeWarning):  # 2 lists for 16 pairs, as in the run
             store = retrieval.build_context_store(load_any(context_path), cfg.provider, cfg.ivf)
         lengths = store.index.list_lengths()
-        assert meta["index"] == {"list_size_min": min(lengths),
+        assert meta["index"] == {"nlist": 2, "list_size_min": min(lengths),
                                  "list_size_max": max(lengths), "lists_empty": lengths.count(0)}
         assert sum(lengths) == 16
         for suffix in ("md", "tsv", "json"):
             report = (out / f"report.{suffix}").read_text(encoding="utf-8")
             assert "top1_score" not in report and "list_size" not in report
+
+    def test_rerun_into_same_directory(self, leaky_setup, tmp_path):
+        _, test_path, context_path = leaky_setup
+        out = tmp_path / "run"
+        with run_mock_server("echo-fuzzy") as server:
+            cfg = _config(
+                tmp_path, server.endpoint, test_path, context_path, allow_context_overlap=True
+            )
+            for _ in range(2):
+                run_experiment(cfg)
+                # one line per batch of this run: 10 segments in batches of 4
+                for condition in (CONDITION_ZERO, CONDITION_ONE):
+                    assert len(read_jsonl(out / f"trace.{condition}.jsonl")) == 3
+        # a 16-pair context is indexed flat: one list holding every pair
+        meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
+        assert meta["index"] == {"nlist": 1, "list_size_min": 16, "list_size_max": 16, "lists_empty": 0}
 
 
 class TestDictionaryMock:

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fuzzymt import retrieval
 from fuzzymt.ann_index import IvfConfig
 from fuzzymt.corpus import ParallelCorpus, read_jsonl
+from fuzzymt.embedding import EmbeddingProviderConfig
 from fuzzymt.errors import ArgumentError, SizeError, StoreError
 from fuzzymt.retrieval import (
     ContextStore,
@@ -23,6 +27,21 @@ def store(small_corpus, det_provider, small_ivf):
     return build_context_store(small_corpus, det_provider, small_ivf)
 
 
+@pytest.fixture
+def ivf_path(monkeypatch):
+    """Every store built in the test takes the IVF path, however small its corpus."""
+    monkeypatch.setattr(retrieval, "FLAT_MAX_ROWS", 0)
+
+
+@pytest.fixture
+def ivf_store(ivf_path, small_corpus, det_provider, small_ivf):
+    return build_context_store(small_corpus, det_provider, small_ivf)
+
+
+def ranked(store, sources, k):
+    return [[(m.pair.id, m.score) for m in ms] for ms in retrieve_fuzzy_many(store, sources, k=k)]
+
+
 class TestBuildContextStore:
     def test_size_matches_corpus(self, store, small_corpus):
         assert store.index.size == len(small_corpus)
@@ -37,7 +56,7 @@ class TestBuildContextStore:
         with pytest.raises(SizeError):
             build_context_store(ParallelCorpus([]), det_provider, small_ivf)
 
-    def test_corpus_smaller_than_nlist(self, det_provider):
+    def test_corpus_smaller_than_nlist(self, det_provider, ivf_path):
         corpus = synth_corpus(3, seed=1)
         cfg = IvfConfig(dim=64, nlist=8, nprobe=1, kmeans_iters=4, seed=0)
         with pytest.raises(SizeError):
@@ -47,19 +66,54 @@ class TestBuildContextStore:
         assert store.index.sealed
 
 
+@pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
+class TestFlatBelowCrossover:
+    def test_small_corpus_is_flat_whatever_nlist(self, store, small_corpus):
+        assert (store.index.config.nlist, store.index.config.nprobe) == (1, 1)
+        assert store.index.list_lengths() == [len(small_corpus)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        nlist=st.integers(2, 6),
+        metric=st.sampled_from(["cosine", "l2"]),
+        k=st.integers(1, 5),
+        seed=st.integers(0, 1000),
+    )
+    def test_same_hits_as_ivf_at_full_nprobe(self, n, nlist, metric, k, seed):
+        provider = EmbeddingProviderConfig(kind="deterministic-test", dim=32, seed=seed)
+        corpus = synth_corpus(n, seed=seed)
+        nlist = min(nlist, n)
+        cfg = IvfConfig(dim=32, nlist=nlist, nprobe=nlist, metric=metric, kmeans_iters=4, seed=seed)
+        queries = corpus.sources()[:5] + synth_corpus(5, seed=seed + 1).sources()
+        flat = build_context_store(corpus, provider, cfg)
+        with mock.patch.object(retrieval, "FLAT_MAX_ROWS", 0):
+            ivf = build_context_store(corpus, provider, cfg)
+        assert (flat.index.config.nlist, ivf.index.config.nlist) == (1, nlist)
+        # the same ids and bit-equal scores
+        assert ranked(flat, queries, k) == ranked(ivf, queries, k)
+
+
 class TestSaveLoad:
-    def test_round_trip_keeps_build_config_and_matches(self, tmp_path, store, small_corpus, det_provider):
+    def test_round_trip_keeps_build_config_and_matches(self, tmp_path, ivf_store, small_corpus, det_provider):
+        store = ivf_store
         store.save(tmp_path / "store")
         loaded = ContextStore.load(tmp_path / "store", det_provider, nprobe=store.index.config.nprobe)
         assert loaded.index.sealed
         assert loaded.corpus.pairs == small_corpus.pairs
         assert loaded.index.config == store.index.config
-
-        def ranked(s):
-            return [[(m.pair.id, m.score) for m in ms] for ms in retrieve_fuzzy_many(s, small_corpus.sources(), k=3)]
-
-        assert ranked(loaded) == ranked(store)
+        assert ranked(loaded, small_corpus.sources(), 3) == ranked(store, small_corpus.sources(), 3)
         assert ContextStore.load(tmp_path / "store", det_provider, nprobe=99).index.config.nprobe == 2
+
+    def test_flat_round_trip_clamps_nprobe_to_one(self, tmp_path, store, small_corpus, det_provider):
+        store.save(tmp_path / "store")
+        meta = json.loads((tmp_path / "store" / "store.json").read_text(encoding="utf-8"))
+        assert meta["ivf"]["nlist"] == 1
+        loaded = ContextStore.load(tmp_path / "store", det_provider, nprobe=32)
+        assert loaded.index.config == store.index.config
+        assert loaded.index.config.nprobe == 1
+        assert loaded.index.list_lengths() == [len(small_corpus)]
+        assert ranked(loaded, small_corpus.sources(), 3) == ranked(store, small_corpus.sources(), 3)
 
     def test_first_differing_provider_field_named(self, tmp_path, store, det_provider):
         store.save(tmp_path / "store")
