@@ -6,8 +6,11 @@ its nprobe best lists. With nprobe == nlist the search is exact brute force;
 with nlist 1 (one centroid, the mean, and no k-means) the index is the exact
 flat index.
 
-The lists are stored as one contiguous float32 (N, d) array, an ids array and
+An index is filled once: ``train`` returns it empty, and one ``add`` stores
+every row, as float32, in one contiguous (N, d) array beside an ids array and
 an offsets array: list c is rows offsets[c]:offsets[c + 1], in insertion order.
+A row's list is its nearest centroid by ``_assign``, the same float64 scoring
+that Lloyd's k-means uses; with nlist 1 the rows are stored as given.
 
 ``search_many`` works on blocks of queries, sized so that a block's float32
 score matrix stays near _BLOCK_BYTES whatever the query count:
@@ -104,7 +107,9 @@ class SearchHit:
 
 
 def _as_matrix(vectors, dim: int, dtype=np.float64) -> np.ndarray:
-    matrix = np.asarray(vectors, dtype=dtype)
+    # a value beyond the dtype's range becomes inf, which the check below rejects
+    with np.errstate(over="ignore"):
+        matrix = np.asarray(vectors, dtype=dtype)
     if matrix.ndim == 1:
         matrix = matrix[None, :]
     if matrix.ndim != 2 or matrix.shape[1] != dim:
@@ -114,18 +119,20 @@ def _as_matrix(vectors, dim: int, dtype=np.float64) -> np.ndarray:
     return matrix
 
 
-def _assign_nearest_l2(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Argmin squared L2 over centroids, chunked to bound memory."""
-    n = points.shape[0]
-    k = centroids.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    block = max(1, 4_000_000 // max(k, 1))
-    for start in range(0, n, block):
-        chunk = points[start : start + block]
-        # x.x is constant per row, so argmin of (c.c - 2 x.c) suffices
-        d = c_sq[None, :] - 2.0 * (chunk @ centroids.T)
-        labels[start : start + block] = np.argmin(d, axis=1)
+def _assign(points: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
+    """Each point's nearest centroid: the highest dot product for cosine, the
+    least squared distance for l2. Scored in float64, a block of rows at a time."""
+    cents = centroids.astype(np.float64, copy=False)
+    c_sq = np.einsum("ij,ij->i", cents, cents)
+    labels = np.empty(len(points), dtype=np.int64)
+    block = max(1, 4_000_000 // len(cents))
+    for start in range(0, len(points), block):
+        dots = points[start : start + block].astype(np.float64, copy=False) @ cents.T
+        if metric == METRIC_COSINE:
+            labels[start : start + block] = np.argmax(dots, axis=1)
+        else:
+            # x.x is constant per row, so argmin of (c.c - 2 x.c) suffices
+            labels[start : start + block] = np.argmin(c_sq - 2.0 * dots, axis=1)
     return labels
 
 
@@ -153,7 +160,7 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> 
     centroids = _kmeans_pp_seed(points, k, rng)
     n, dim = points.shape
     for _ in range(iters):
-        labels = _assign_nearest_l2(points, centroids)
+        labels = _assign(points, centroids, METRIC_L2)
         counts = np.bincount(labels, minlength=k).astype(np.int64)
         sums = np.zeros((k, dim), dtype=np.float64)
         np.add.at(sums, labels, points)
@@ -191,14 +198,8 @@ class IvfIndex:
         self.centroids = np.ascontiguousarray(centroids, dtype=np.float32)
         self._centroid_sq = _row_sq(self.centroids)
         self._centroid_norm = math.sqrt(float(self._centroid_sq.max()))
-        self.sealed = False
-        # list c holds rows offsets[c]:offsets[c + 1], in insertion order
-        self._vecs = np.empty((0, config.dim), dtype=np.float32)
-        self._ids = np.empty(0, dtype=np.int64)
-        self._offsets = np.zeros(config.nlist + 1, dtype=np.int64)
-        self._vec_sq = np.empty(0, dtype=np.float64)
-        self._row_list = np.empty(0, dtype=np.int64)
-        self._vec_norm = 0.0
+        self._set_lists(np.empty(0, np.int64), np.empty((0, config.dim), np.float32), np.zeros(config.nlist, np.int64))
+        self._filled = False  # until add or load sets the lists
 
     @property
     def size(self) -> int:
@@ -211,50 +212,38 @@ class IvfIndex:
     def list_lengths(self) -> list[int]:
         return np.diff(self._offsets).tolist()
 
-    def seal(self) -> None:
-        self.sealed = True
-
     # -- build ---------------------------------------------------------------
 
     def add(self, items: Iterable[tuple[int, np.ndarray]]) -> "IvfIndex":
-        if self.sealed:
-            raise StateError("index is sealed; no further additions allowed")
+        """Fill the empty index with (id, vector) items; an index is filled once."""
+        if self._filled:
+            raise StateError("index is already filled; an index takes one add")
         items = list(items)
-        if not items:
+        ids = np.array([int(i) for i, _ in items], dtype=np.int64)
+        unique, counts = np.unique(ids, return_counts=True)
+        if (counts > 1).any():
+            raise ConflictError(f"id {unique[counts > 1][0]} given more than once")
+        rows = [v for _, v in items]
+        dim = self.config.dim
+        vecs = _as_matrix(rows, dim, np.float32) if rows else np.empty((0, dim), np.float32)
+        if self.config.nlist == 1:
+            self._set_lists(ids, vecs, [len(ids)])
             return self
-        ids = [int(i) for i, _ in items]
-        known = set(self._ids.tolist())
-        for i in ids:
-            if i in known:
-                raise ConflictError(f"id {i} already present in index")
-            known.add(i)
-        matrix = _as_matrix([v for _, v in items], self.config.dim)
-        labels = self._nearest_centroids(matrix)
-        vecs = matrix.astype(np.float32)
-        del matrix  # the float64 copy is not needed past here
+        labels = _assign(vecs, self.centroids, self.config.metric)
         # a stable sort keeps each list's rows in insertion order
-        order = np.argsort(np.concatenate([self._row_list, labels]), kind="stable")
-        self._set_lists(
-            np.concatenate([self._ids, np.asarray(ids, dtype=np.int64)])[order],
-            np.concatenate([self._vecs, vecs])[order],
-            np.bincount(labels, minlength=self.config.nlist) + np.diff(self._offsets),
-        )
+        order = np.argsort(labels, kind="stable")
+        self._set_lists(ids[order], vecs[order], np.bincount(labels, minlength=self.config.nlist))
         return self
 
-    def _set_lists(self, ids: np.ndarray, vecs: np.ndarray, lengths: np.ndarray) -> None:
+    def _set_lists(self, ids: np.ndarray, vecs: np.ndarray, lengths) -> None:
+        """List c holds rows offsets[c]:offsets[c + 1] of ids and vecs."""
+        self._filled = True
         self._ids = ids
         self._vecs = vecs
         self._offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
         self._vec_sq = _row_sq(vecs)
         self._row_list = np.repeat(np.arange(self.config.nlist), lengths)
         self._vec_norm = math.sqrt(float(self._vec_sq.max(initial=0.0)))
-
-    def _nearest_centroids(self, matrix: np.ndarray) -> np.ndarray:
-        cents = self.centroids.astype(np.float64)
-        if self.config.metric == METRIC_COSINE:
-            sims = matrix @ cents.T
-            return np.argmax(sims, axis=1)
-        return _assign_nearest_l2(matrix, cents)
 
     # -- search --------------------------------------------------------------
 

@@ -43,7 +43,7 @@ class FuzzyMatch:
 
 @dataclass
 class ContextStore:
-    """Sealed, read-only bundle of a context corpus and its vector index."""
+    """Read-only bundle of a context corpus and its filled vector index."""
 
     corpus: ParallelCorpus
     index: IvfIndex
@@ -106,7 +106,6 @@ class ContextStore:
             diff = sorted(index.ids ^ set(context.ids()))[:10]
             raise StoreError(f"{src}: ids in only one of {STORE_INDEX} and {STORE_CORPUS}: {diff}")
         index.config = built
-        index.seal()
         return cls(corpus=context, index=index, provider=provider)
 
 
@@ -118,7 +117,6 @@ def build_context_store(
     """Embed every source side, train the index on those vectors, add all pairs.
 
     Below FLAT_MAX_ROWS pairs the index is flat (nlist 1), whatever ``ivf.nlist``.
-    The returned store is sealed: retrieval never mutates it.
     """
     if len(corpus) == 0:
         raise SizeError("context corpus is empty")
@@ -131,7 +129,6 @@ def build_context_store(
     vectors = embedding.embed_batch(corpus.sources(), provider)
     index = ann_index.train(vectors, ivf)
     index.add(zip(corpus.ids(), vectors))
-    index.seal()
     return ContextStore(corpus=corpus, index=index, provider=provider)
 
 

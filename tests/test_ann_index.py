@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,7 @@ class TestConfig:
         assert (cfg.nlist, cfg.nprobe) == (4096, 32)
 
 
+@pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
 class TestTrain:
     def test_single_centroid_is_mean(self):
         vectors = unit_rows(40, 8, seed=1)
@@ -103,6 +106,7 @@ class TestTrain:
         assert a.centroids.tobytes() == b.centroids.tobytes()
 
 
+@pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
 class TestAdd:
     def _trained(self, n=64, dim=8, nlist=4, metric="cosine"):
         vectors = unit_rows(n, dim, seed=3)
@@ -123,17 +127,34 @@ class TestAdd:
 
     def test_duplicate_id_conflict(self):
         index, vectors = self._trained()
-        index.add([(0, vectors[0])])
-        with pytest.raises(ConflictError):
-            index.add([(0, vectors[1])])
+        with pytest.raises(ConflictError, match="id 0 given more than once"):
+            index.add([(0, vectors[0]), (1, vectors[1]), (0, vectors[2])])
 
-    def test_sealed_add_rejected(self):
+    def test_second_add_rejected(self):
         index, vectors = self._trained()
-        index.seal()
+        index.add([(0, vectors[0])])
         with pytest.raises(StateError):
-            index.add([(1, vectors[0])])
+            index.add([(1, vectors[1])])
+
+    @pytest.mark.parametrize("nlist", [1, 4])
+    def test_value_beyond_float32_rejected(self, nlist):
+        index, _ = self._trained(dim=4, nlist=nlist)
+        with pytest.raises(ArgumentError, match="non-finite"):
+            index.add([(0, [1e39, 0, 0, 0]), (1, [0, 1, 0, 0])])
+
+    def test_flat_add_peak_memory(self):
+        index, vectors = self._trained(n=2000, dim=384, nlist=1)
+        tracemalloc.start()
+        try:
+            index.add(zip(range(2000), vectors))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float32 rows once, plus bounded scratch: no float64 copy, no reordered copy
+        assert peak <= 2 * vectors.nbytes
 
 
+@pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
 class TestSearch:
     def _built(self, n=200, dim=16, nlist=8, metric="cosine", seed=0):
         vectors = unit_rows(n, dim, seed=seed)
@@ -251,15 +272,14 @@ class TestExactTies:
         dim, copies, nlist = 48, 7, 4
         originals = unit_rows(5, dim, seed=31)
         filler = unit_rows(140, dim, seed=32)
-        # each original recurs after filler runs of uneven length, so its copies
-        # sit at varied positions of its list, the last ones near the list's end
+        # each original recurs after filler runs of uneven length
         pieces = [filler[:20]]
         for c in range(copies):
             pieces += [filler[20 + 17 * c : 20 + 17 * c + (17 if c < copies - 1 else tail)], originals]
         rows = np.concatenate(pieces)
         index = train(rows, IvfConfig(dim=dim, nlist=nlist, nprobe=nlist, metric=metric, kmeans_iters=6, seed=0))
-        for start in range(0, len(rows), 37):  # several adds: each list grows in pieces
-            index.add((i, rows[i]) for i in range(start, min(start + 37, len(rows))))
+        # inserted in a shuffled order, so the copies sit at varied positions of their lists
+        index.add((i, rows[i]) for i in np.random.default_rng(tail).permutation(len(rows)).tolist())
         copy_ids = [np.flatnonzero((rows == o).all(axis=1)).tolist() for o in originals]
         lists = [index._ids[index._offsets[c] : index._offsets[c + 1]] for c in range(nlist)]
         assert sum(np.isin(ids, sum(copy_ids, [])).any() for ids in lists) >= 2
@@ -301,6 +321,7 @@ class TestExactTies:
                 assert [(h.id, h.score) for h in hits] == exact_top(vectors, ids, rows, q, k, metric)
 
 
+@pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
 class TestPersistence:
     def test_round_trip_bit_identical_search(self, tmp_path):
         vectors = unit_rows(120, 16, seed=6)

@@ -228,6 +228,7 @@ class TestSplit:
 
 
 class TestIndexPipeline:
+    @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
     def test_embed_build_search(self, corpus_tsv, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(retrieval, "FLAT_MAX_ROWS", 0)  # the IVF path, on a tiny corpus
         store_dir = str(tmp_path / "store")

@@ -97,6 +97,7 @@ class TestAdaptiveGainFixture:
         assert one["chrF++"] > zero["chrF++"]
         assert one["TER"] < zero["TER"]
 
+    @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
     def test_artifacts_and_structure(self, leaky_setup, tmp_path, monkeypatch):
         monkeypatch.setattr(retrieval, "FLAT_MAX_ROWS", 0)  # the IVF path, on a tiny context
         _, test_path, context_path = leaky_setup

@@ -11,7 +11,7 @@ from fuzzymt import retrieval
 from fuzzymt.ann_index import IvfConfig
 from fuzzymt.corpus import ParallelCorpus, read_jsonl
 from fuzzymt.embedding import EmbeddingProviderConfig
-from fuzzymt.errors import ArgumentError, SizeError, StoreError
+from fuzzymt.errors import ArgumentError, SizeError, StateError, StoreError
 from fuzzymt.retrieval import (
     ContextStore,
     build_context_store,
@@ -62,8 +62,9 @@ class TestBuildContextStore:
         with pytest.raises(SizeError):
             build_context_store(corpus, det_provider, cfg)
 
-    def test_store_is_sealed(self, store):
-        assert store.index.sealed
+    def test_store_index_rejects_add(self, store):
+        with pytest.raises(StateError):
+            store.index.add([(-1, store.index.centroids[0])])
 
 
 @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
@@ -95,11 +96,13 @@ class TestFlatBelowCrossover:
 
 
 class TestSaveLoad:
+    @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
     def test_round_trip_keeps_build_config_and_matches(self, tmp_path, ivf_store, small_corpus, det_provider):
         store = ivf_store
         store.save(tmp_path / "store")
         loaded = ContextStore.load(tmp_path / "store", det_provider, nprobe=store.index.config.nprobe)
-        assert loaded.index.sealed
+        with pytest.raises(StateError):
+            loaded.index.add([(-1, loaded.index.centroids[0])])
         assert loaded.corpus.pairs == small_corpus.pairs
         assert loaded.index.config == store.index.config
         assert ranked(loaded, small_corpus.sources(), 3) == ranked(store, small_corpus.sources(), 3)
