@@ -109,7 +109,10 @@ class SearchHit:
 def _as_matrix(vectors, dim: int, dtype=np.float64) -> np.ndarray:
     # a value beyond the dtype's range becomes inf, which the check below rejects
     with np.errstate(over="ignore"):
-        matrix = np.asarray(vectors, dtype=dtype)
+        try:
+            matrix = np.asarray(vectors, dtype=dtype)
+        except ValueError as exc:  # ragged rows
+            raise ArgumentError(f"expected vectors of dim {dim}: {exc}") from exc
     if matrix.ndim == 1:
         matrix = matrix[None, :]
     if matrix.ndim != 2 or matrix.shape[1] != dim:

@@ -451,8 +451,7 @@ def _cmd_evaluate(args) -> int:
         pairs = [mt_metrics.EvalPair(h, r) for h, r in zip(hyp_lines, ref_lines)]
     else:
         raise UsageError("evaluate needs --in JSONL or --hyp and --ref")
-    scores = mt_metrics.score_all(pairs)
-    payload = {"bleu": scores[0].value, "chrf_pp": scores[1].value, "ter": scores[2].value}
+    payload = eval_harness.score_record(mt_metrics.score_all(pairs))
     if args.out is not None:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     _print(payload)

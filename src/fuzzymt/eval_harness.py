@@ -38,7 +38,8 @@ CONTEXT_LABELS = {
 }
 
 REPORT_COLUMNS = ("Model", "Context", "BLEU ↑", "chrF++ ↑", "TER ↓")
-_SCORE_KEYS = ("bleu", "chrf_pp", "ter")
+# record key -> MetricScore name, in report column order
+_SCORE_KEYS = {"bleu": "BLEU", "chrf_pp": "chrF++", "ter": "TER"}
 
 
 @dataclass
@@ -299,16 +300,16 @@ def rescore_condition(output_dir: str | Path, condition: str) -> list[MetricScor
 # -- report rendering ------------------------------------------------------------
 
 
+def score_record(scores: list[MetricScore]) -> dict:
+    """A ``score_all`` result as {bleu, chrf_pp, ter}: the scores of a report
+    row and of ``fuzzymt evaluate``."""
+    by_name = {s.name: s.value for s in scores}
+    return {key: by_name[name] for key, name in _SCORE_KEYS.items()}
+
+
 def _result_row(result: ConditionResult, model_name: str) -> dict:
     # throughput stays out of the report rows so reruns are byte-identical
-    by_name = {s.name: s.value for s in result.scores}
-    return {
-        "model": model_name,
-        "context": CONTEXT_LABELS[result.condition],
-        "bleu": by_name["BLEU"],
-        "chrf_pp": by_name["chrF++"],
-        "ter": by_name["TER"],
-    }
+    return {"model": model_name, "context": CONTEXT_LABELS[result.condition], **score_record(result.scores)}
 
 
 def _table(rows: list[dict], format: str) -> str:

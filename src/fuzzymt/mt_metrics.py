@@ -1,10 +1,16 @@
 """Corpus-level BLEU, chrF++, and TER.
 
-Fixed scorer settings, chosen to match dominant community defaults:
+Each metric reduces every pair to integer statistics, sums them over the
+corpus, and applies one float formula to the sums (the sacreBLEU design,
+arXiv:1804.08771). BLEU and chrF++ share one n-gram counter: per order, the
+hypothesis n-grams, the reference n-grams, and the clipped matches. An
+``EvalPair`` tokenizes its two sides once; BLEU, TER and the check that
+every reference holds a token all read those tokens. Fixed settings, chosen
+to match dominant community defaults:
 
 * BLEU: n-gram orders 1..4 pooled over the corpus, geometric mean, brevity
-  penalty exp(1 - r/c) for c < r, 13a-style punctuation-splitting
-  tokenization, exponential smoothing of zero n-gram precisions.
+  penalty exp(1 - r/c) for c < r with c, r the pooled unigram counts,
+  13a-style tokenization, exponential smoothing of zero n-gram precisions.
 * chrF++: character n-grams 1..6 (whitespace removed), word n-grams 1..2
   (whitespace tokens), beta = 2, F-scores averaged over the orders present
   in either side of the pooled corpus.
@@ -27,7 +33,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,13 +60,18 @@ class EvalPair:
     hypothesis: str
     reference: str
 
+    @cached_property
+    def tokens(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The 13a tokens of the hypothesis and of the reference."""
+        return tuple(tokenize_13a(self.hypothesis)), tuple(tokenize_13a(self.reference))
+
 
 def _require_pairs(pairs: Sequence[EvalPair]) -> None:
     if not pairs:
         raise ArgumentError("metric requires a non-empty corpus")
     for i, pair in enumerate(pairs):
-        if not pair.reference:
-            raise ArgumentError(f"pair {i}: reference must be non-empty")
+        if not pair.tokens[1]:
+            raise ArgumentError(f"pair {i}: reference must hold at least one token")
 
 
 # -- tokenization ---------------------------------------------------------------
@@ -89,15 +101,18 @@ def tokenize_13a(line: str) -> list[str]:
     return norm.split()
 
 
-def _ngram_counts(tokens: Sequence, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
-def _ngram_stats(hyp: Sequence, ref: Sequence, n: int) -> tuple[int, int, int]:
-    """(hypothesis n-grams, reference n-grams, hypothesis n-grams clipped to their reference count)."""
-    ref_ngrams = _ngram_counts(ref, n)
-    matches = sum(min(count, ref_ngrams[gram]) for gram, count in _ngram_counts(hyp, n).items())
-    return max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0), matches
+def _pooled_ngram_stats(sides: Iterable[tuple[Sequence, Sequence]], orders: range) -> list[list[int]]:
+    """[hypothesis n-grams, reference n-grams, clipped matches] for each n in
+    ``orders``, summed over the (hypothesis, reference) sides."""
+    stats = [[0, 0, 0] for _ in orders]
+    for hyp, ref in sides:
+        for pooled, n in zip(stats, orders):
+            hyp_grams = Counter(hyp[i : i + n] for i in range(len(hyp) - n + 1))
+            ref_grams = Counter(ref[i : i + n] for i in range(len(ref) - n + 1))
+            pooled[0] += max(len(hyp) - n + 1, 0)
+            pooled[1] += max(len(ref) - n + 1, 0)
+            pooled[2] += (hyp_grams & ref_grams).total()
+    return stats
 
 
 # -- BLEU -----------------------------------------------------------------------
@@ -106,36 +121,22 @@ def _ngram_stats(hyp: Sequence, ref: Sequence, n: int) -> tuple[int, int, int]:
 def bleu(pairs: Sequence[EvalPair]) -> MetricScore:
     """Corpus BLEU in [0, 100]."""
     _require_pairs(pairs)
-    correct = [0] * BLEU_ORDER
-    total = [0] * BLEU_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for pair in pairs:
-        hyp_toks = tokenize_13a(pair.hypothesis)
-        ref_toks = tokenize_13a(pair.reference)
-        hyp_len += len(hyp_toks)
-        ref_len += len(ref_toks)
-        for n in range(1, BLEU_ORDER + 1):
-            hyp_total, _, matches = _ngram_stats(hyp_toks, ref_toks, n)
-            total[n - 1] += hyp_total
-            correct[n - 1] += matches
-
-    if any(t == 0 for t in total):
+    stats = _pooled_ngram_stats((pair.tokens for pair in pairs), range(1, BLEU_ORDER + 1))
+    if any(total == 0 for total, _, _ in stats):
         return MetricScore("BLEU", 0.0)
 
     smooth = 1.0
     log_sum = 0.0
-    for n in range(BLEU_ORDER):
-        if correct[n] == 0:
+    for total, _, correct in stats:
+        if correct == 0:
             # exponential smoothing: halve the floor at each empty order
             smooth *= 2.0
-            precision = 1.0 / (smooth * total[n])
+            precision = 1.0 / (smooth * total)
         else:
-            precision = correct[n] / total[n]
+            precision = correct / total
         log_sum += math.log(precision)
 
-    if hyp_len == 0:
-        return MetricScore("BLEU", 0.0)
+    hyp_len, ref_len, _ = stats[0]
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     score = 100.0 * brevity * math.exp(log_sum / BLEU_ORDER)
     return MetricScore("BLEU", score)
@@ -144,27 +145,13 @@ def bleu(pairs: Sequence[EvalPair]) -> MetricScore:
 # -- chrF++ ---------------------------------------------------------------------
 
 
-def _chrf_streams(text: str) -> tuple[str, list[str]]:
-    return "".join(text.split()), text.split()
-
-
-# (stream, n) per chrF++ order: stream 0 is characters without whitespace, 1 is words
-_CHRF_ORDERS = [
-    *((0, n) for n in range(1, CHRF_CHAR_ORDER + 1)),
-    *((1, n) for n in range(1, CHRF_WORD_ORDER + 1)),
-]
-
-
 def chrf_pp(pairs: Sequence[EvalPair]) -> MetricScore:
     """Corpus chrF++ in [0, 100]."""
     _require_pairs(pairs)
-    # [hypothesis n-grams, reference n-grams, matches] per order, pooled over the corpus
-    stats = [[0, 0, 0] for _ in _CHRF_ORDERS]
-    for pair in pairs:
-        hyp, ref = _chrf_streams(pair.hypothesis), _chrf_streams(pair.reference)
-        for pooled, (stream, n) in zip(stats, _CHRF_ORDERS):
-            for i, count in enumerate(_ngram_stats(hyp[stream], ref[stream], n)):
-                pooled[i] += count
+    words = [(tuple(pair.hypothesis.split()), tuple(pair.reference.split())) for pair in pairs]
+    stats = _pooled_ngram_stats(
+        (("".join(hyp), "".join(ref)) for hyp, ref in words), range(1, CHRF_CHAR_ORDER + 1)
+    ) + _pooled_ngram_stats(words, range(1, CHRF_WORD_ORDER + 1))
 
     eps = 1e-16
     beta_sq = CHRF_BETA * CHRF_BETA
@@ -319,18 +306,9 @@ def ter_segment_edits(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> i
 def ter(pairs: Sequence[EvalPair]) -> MetricScore:
     """Corpus TER: 100 * total edits / total reference words."""
     _require_pairs(pairs)
-    total_edits = 0
-    total_ref_words = 0
-    for pair in pairs:
-        hyp_toks = tokenize_13a(pair.hypothesis)
-        ref_toks = tokenize_13a(pair.reference)
-        total_edits += ter_segment_edits(hyp_toks, ref_toks)
-        total_ref_words += len(ref_toks)
-    if total_ref_words == 0:
-        value = 0.0 if total_edits == 0 else float(total_edits) * 100.0
-    else:
-        value = 100.0 * total_edits / total_ref_words
-    return MetricScore("TER", value)
+    total_edits = sum(ter_segment_edits(*pair.tokens) for pair in pairs)
+    total_ref_words = sum(len(pair.tokens[1]) for pair in pairs)
+    return MetricScore("TER", 100.0 * total_edits / total_ref_words)
 
 
 def score_all(pairs: Sequence[EvalPair]) -> list[MetricScore]:

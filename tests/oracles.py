@@ -3,13 +3,16 @@
 Everything here is deliberately written without any fuzzymt internals:
 brute-force exact nearest-neighbor ranking, a recursive word edit distance,
 an exhaustive block-shift search, a frozen copy of the scalar greedy
-TER shift search, and a frozen copy of the per-text hashed n-gram
-embedding.
+TER shift search, a frozen copy of the per-text hashed n-gram
+embedding, and frozen copies of the per-pair BLEU and chrF++ scorers.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import re
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -224,3 +227,91 @@ def deterministic_embed_reference(text: str, dim: int, seed: int = 0) -> np.ndar
         return vec.astype(np.float32)
     norm = float(np.linalg.norm(vec))
     return (vec / norm).astype(np.float32)
+
+
+# -- frozen per-pair BLEU and chrF++ ----------------------------------------------
+
+_REF_13A_RULES = [
+    (re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])"), r" \1 "),
+    (re.compile(r"([^0-9])([\.,])"), r"\1 \2 "),
+    (re.compile(r"([\.,])([^0-9])"), r" \1 \2"),
+    (re.compile(r"([0-9])(-)"), r"\1 \2 "),
+]
+
+
+def _ref_tokenize_13a(line: str) -> list[str]:
+    norm = line.replace("<skipped>", "")
+    norm = norm.replace("-\n", "").replace("\n", " ")
+    norm = norm.replace("&quot;", '"').replace("&amp;", "&").replace("&lt;", "<").replace("&gt;", ">")
+    norm = f" {norm} "
+    for pattern, repl in _REF_13A_RULES:
+        norm = pattern.sub(repl, norm)
+    return norm.split()
+
+
+def _ref_ngram_stats(hyp, ref, n: int) -> tuple[int, int, int]:
+    """(hypothesis n-grams, reference n-grams, clipped matches), n-grams as tuples."""
+    ref_ngrams = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+    hyp_ngrams = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
+    matches = sum(min(count, ref_ngrams[gram]) for gram, count in hyp_ngrams.items())
+    return max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0), matches
+
+
+def bleu_reference(pairs) -> float:
+    """Corpus BLEU of (hypothesis, reference) strings: orders 1..4 pooled,
+    13a tokens, exponential smoothing, brevity penalty."""
+    correct = [0] * 4
+    total = [0] * 4
+    hyp_len = 0
+    ref_len = 0
+    for hyp, ref in pairs:
+        hyp_toks = _ref_tokenize_13a(hyp)
+        ref_toks = _ref_tokenize_13a(ref)
+        hyp_len += len(hyp_toks)
+        ref_len += len(ref_toks)
+        for n in range(1, 5):
+            hyp_total, _, matches = _ref_ngram_stats(hyp_toks, ref_toks, n)
+            total[n - 1] += hyp_total
+            correct[n - 1] += matches
+    if any(t == 0 for t in total):
+        return 0.0
+    smooth = 1.0
+    log_sum = 0.0
+    for n in range(4):
+        if correct[n] == 0:
+            smooth *= 2.0
+            precision = 1.0 / (smooth * total[n])
+        else:
+            precision = correct[n] / total[n]
+        log_sum += math.log(precision)
+    if hyp_len == 0:
+        return 0.0
+    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * brevity * math.exp(log_sum / 4)
+
+
+def chrf_pp_reference(pairs) -> float:
+    """Corpus chrF++ of (hypothesis, reference) strings: character orders 1..6
+    without whitespace, word orders 1..2, beta 2, pooled statistics."""
+    orders = [(0, n) for n in range(1, 7)] + [(1, n) for n in range(1, 3)]
+    stats = [[0, 0, 0] for _ in orders]
+    for hyp, ref in pairs:
+        hyp_streams = ("".join(hyp.split()), hyp.split())
+        ref_streams = ("".join(ref.split()), ref.split())
+        for pooled, (stream, n) in zip(stats, orders):
+            for i, count in enumerate(_ref_ngram_stats(hyp_streams[stream], ref_streams[stream], n)):
+                pooled[i] += count
+    beta_sq = 4.0
+    f_sum = 0.0
+    present = 0
+    for hyp_total, ref_total, matches in stats:
+        if hyp_total == 0 and ref_total == 0:
+            continue
+        precision = matches / hyp_total if hyp_total > 0 else 1e-16
+        recall = matches / ref_total if ref_total > 0 else 1e-16
+        denom = beta_sq * precision + recall
+        f_sum += ((1 + beta_sq) * precision * recall / denom) if denom > 0 else 1e-16
+        present += 1
+    if present == 0:
+        return 0.0
+    return 100.0 * f_sum / present

@@ -142,6 +142,12 @@ class TestAdd:
         with pytest.raises(ArgumentError, match="non-finite"):
             index.add([(0, [1e39, 0, 0, 0]), (1, [0, 1, 0, 0])])
 
+    @pytest.mark.parametrize("nlist", [1, 4])
+    def test_ragged_rows_rejected(self, nlist):
+        index, _ = self._trained(dim=4, nlist=nlist)
+        with pytest.raises(ArgumentError, match="expected vectors of dim 4"):
+            index.add([(0, [1, 2, 3, 4]), (1, [1, 2])])
+
     def test_flat_add_peak_memory(self):
         index, vectors = self._trained(n=2000, dim=384, nlist=1)
         tracemalloc.start()
@@ -181,6 +187,11 @@ class TestSearch:
         index, _ = self._built()
         with pytest.raises(ArgumentError):
             index.search(np.zeros(16, dtype=np.float32), k=0)
+
+    def test_ragged_queries_rejected(self):
+        index, _ = self._built(dim=4, nlist=2)
+        with pytest.raises(ArgumentError, match="expected vectors of dim 4"):
+            index.search_many([[1, 2, 3, 4], [1, 2]], 1)
 
     def test_empty_index_returns_empty(self):
         vectors = unit_rows(32, 8, seed=1)

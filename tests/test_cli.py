@@ -550,7 +550,8 @@ class TestTranslateEvaluateReport:
         code, stdout, _ = run_cli(["evaluate", "--hyp", str(hyp), "--ref", str(ref)], capsys)
         assert code == 0
         scores = json.loads(stdout)
-        assert scores["bleu"] == 100.0 and scores["ter"] == 0.0
+        assert list(scores) == ["bleu", "chrf_pp", "ter"]
+        assert scores["bleu"] == 100.0 and scores["chrf_pp"] == 100.0 and scores["ter"] == 0.0
 
     @pytest.mark.parametrize(
         "hyp, code, message",
@@ -572,6 +573,16 @@ class TestTranslateEvaluateReport:
             assert message in err
         else:
             assert json.loads(stdout)["ter"] == 0.0
+
+    @pytest.mark.parametrize("reference", [" ", "\t", "<skipped>"], ids=["space", "tab", "skipped"])
+    def test_evaluate_reference_without_tokens_exit_2(self, reference, tmp_path, capsys):
+        hyp_path = tmp_path / "hyp.txt"
+        ref_path = tmp_path / "ref.txt"
+        hyp_path.write_text("a b\na b\n", encoding="utf-8")
+        ref_path.write_text(f"a b\n{reference}\n", encoding="utf-8")
+        code, _, err = run_cli(["evaluate", "--hyp", str(hyp_path), "--ref", str(ref_path)], capsys)
+        assert code == 2
+        assert "pair 1: reference must hold at least one token" in err
 
     def test_evaluate_jsonl(self, tmp_path, capsys):
         path = tmp_path / "pairs.jsonl"

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzymt import mt_metrics
 from fuzzymt.errors import ArgumentError
 from fuzzymt.mt_metrics import (
     EvalPair,
@@ -33,7 +36,7 @@ def frozen_values():
     return json.loads((DATA / "metrics_expected.json").read_text(encoding="utf-8"))
 
 
-from oracles import exhaustive_shift_edits, greedy_ter_reference, lev_oracle
+from oracles import bleu_reference, chrf_pp_reference, exhaustive_shift_edits, greedy_ter_reference, lev_oracle
 
 # -- tokenizer --------------------------------------------------------------------
 
@@ -254,3 +257,60 @@ class TestMonotoneDegradation:
 def test_score_all_names_and_directions():
     scores = score_all([EvalPair("a b c d", "a b c d")])
     assert [s.name for s in scores] == ["BLEU", "chrF++", "TER"]
+
+
+@pytest.mark.parametrize("reference", ["", " ", "\t", "<skipped>"], ids=["empty", "space", "tab", "skipped"])
+@pytest.mark.parametrize("metric", [bleu, chrf_pp, ter, score_all], ids=lambda f: f.__name__)
+def test_reference_without_tokens_rejected(metric, reference):
+    with pytest.raises(ArgumentError, match="pair 1: reference"):
+        metric([EvalPair("a b", "a b"), EvalPair("a b", reference)])
+
+
+def test_score_all_tokenizes_each_side_once(monkeypatch):
+    calls = []
+    real = mt_metrics.tokenize_13a
+    monkeypatch.setattr(mt_metrics, "tokenize_13a", lambda line: calls.append(line) or real(line))
+    pairs = load_fixture()
+    score_all(pairs)
+    assert len(calls) == 2 * len(pairs)
+
+
+# -- frozen per-pair scorers and the independent reference script -------------------
+
+_WORDS = st.one_of(
+    st.text("aeiouáéñüİıßxyz𝔘😀0123456789,.-!?'\"&<>()", min_size=1, max_size=8),
+    st.sampled_from(["1,200", "3.5", "5-mg", "-", "&amp;", "<skipped>", "İstanbul", "naïve"]),
+)
+
+
+@st.composite
+def _sentence(draw, min_words):
+    words = draw(st.lists(_WORDS, min_size=min_words, max_size=12))
+    return "".join(w + draw(st.sampled_from([" ", "  ", "\t"])) for w in words).strip()
+
+
+@st.composite
+def _corpora(draw):
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        ref = draw(_sentence(1).filter(tokenize_13a))
+        hyp = draw(st.one_of(st.just(""), _sentence(0), st.just(ref)))
+        pairs.append((hyp, ref))
+    return pairs
+
+
+class TestFrozenScorers:
+    @settings(max_examples=200, deadline=None)
+    @given(_corpora())
+    def test_bleu_and_chrf_pp_equal_frozen_per_pair_scorers(self, corpus):
+        pairs = [EvalPair(hyp, ref) for hyp, ref in corpus]
+        assert bleu(pairs).value == bleu_reference(corpus)
+        assert chrf_pp(pairs).value == chrf_pp_reference(corpus)
+
+    def test_independent_reference_script_reproduces_frozen_values(self):
+        script = Path(__file__).parents[1] / "scripts" / "metric_reference.py"
+        done = subprocess.run(
+            [sys.executable, str(script), str(DATA / "metrics_fixture.tsv")],
+            capture_output=True, text=True, encoding="utf-8", check=True,
+        )
+        assert done.stdout == (DATA / "metrics_expected.json").read_text(encoding="utf-8")
