@@ -1,22 +1,28 @@
-"""JSON POST with retries, shared by the embedding and completion clients.
+"""The remote boundary of the embedding and completion clients.
 
-A connection error or a non-200 reply is retried with exponential backoff:
-the sleep before attempt n (n >= 1) is ``backoff_seconds * 2**(n - 1)``. A
-200 reply ends the loop; its body is decoded once and never retried, so a
-malformed body comes back as a failure with status 200. Each caller maps a
-failed reply to its own typed error.
+``post_json`` holds the one retry rule: up to ATTEMPTS attempts of
+TIMEOUT_SECONDS each, where only a connection error, a timeout, a 429 or a
+5xx is retried, after ``BACKOFF_SECONDS * 2**(n - 2)`` before attempt n
+(1, 2 and 4 s). Any other reply is final: a 4xx would fail again, and a
+200 body is decoded once, so one that is not JSON is a failure with status
+200. Each caller maps a failed ``Reply`` to its own typed error.
+``map_ordered`` runs a client's requests and keeps their results in order.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from time import sleep
-from typing import Any
+from time import monotonic, sleep
+from typing import Any, Callable, Sequence
 
 import requests
 
 API_KEY_ENV = "FUZZYMT_API_KEY"
+ATTEMPTS = 4
+BACKOFF_SECONDS = 1.0
+TIMEOUT_SECONDS = 120.0
 
 
 @dataclass(frozen=True)
@@ -26,11 +32,14 @@ class Reply:
     ``body`` is the decoded JSON of a 200 reply and ``status`` the status of
     the last response (None when no attempt got one). ``error`` says why the
     last attempt failed; it is None exactly when a body was received.
+    ``latency_ms`` is the wall time of the last of ``attempts`` requests.
     """
 
-    body: Any = None
-    status: int | None = None
-    error: str | None = "no attempt made"
+    body: Any
+    status: int | None
+    error: str | None
+    attempts: int
+    latency_ms: int
 
     @property
     def malformed(self) -> bool:
@@ -38,26 +47,45 @@ class Reply:
         return self.status == 200 and self.error is not None
 
 
-def post_json(url: str, payload: dict, attempts: int, backoff_seconds: float, timeout: float) -> Reply:
-    """POST ``payload`` up to ``attempts`` times; returns the first 200 reply or the last failure."""
+def post_json(url: str, payload: dict) -> Reply:
+    """POST ``payload`` under the retry rule; returns the first final reply or the last failure."""
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(API_KEY_ENV)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    reply = Reply()
-    for attempt in range(attempts):
-        if attempt > 0:
-            sleep(backoff_seconds * (2 ** (attempt - 1)))
+    status = None
+    for attempt in range(1, ATTEMPTS + 1):
+        if attempt > 1:
+            sleep(BACKOFF_SECONDS * 2 ** (attempt - 2))
+        start = monotonic()
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
+            resp = requests.post(url, json=payload, headers=headers, timeout=TIMEOUT_SECONDS)
         except requests.RequestException as exc:
-            reply = Reply(status=reply.status, error=repr(exc))
-            continue
-        if resp.status_code != 200:
-            reply = Reply(status=resp.status_code, error=f"HTTP {resp.status_code}: {resp.text[:200]}")
-            continue
-        try:
-            return Reply(body=resp.json(), status=200, error=None)
-        except ValueError as exc:
-            return Reply(status=200, error=f"HTTP 200 with a body that is not JSON: {exc}")
-    return reply
+            error = repr(exc)
+            if isinstance(exc, (requests.ConnectionError, requests.Timeout)):
+                continue
+            break
+        finally:
+            latency_ms = int((monotonic() - start) * 1000)
+        status = resp.status_code
+        if status == 200:
+            try:
+                return Reply(resp.json(), 200, None, attempt, latency_ms)
+            except ValueError as exc:
+                return Reply(None, 200, f"HTTP 200 with a body that is not JSON: {exc}", attempt, latency_ms)
+        error = f"HTTP {status}: {resp.text[:200]}"
+        if status != 429 and status < 500:
+            break
+    return Reply(None, status, error, attempt, latency_ms)
+
+
+def map_ordered(call: Callable, items: Sequence, workers: int) -> list:
+    """``call`` on every item, up to ``workers`` calls at once; results in item order.
+
+    The first failure in item order is raised once the calls before it are
+    done, and the items not yet started are dropped.
+    """
+    if workers == 1 or len(items) < 2:
+        return [call(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(call, items))

@@ -402,11 +402,15 @@ def _cmd_manifest(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    records = corpus.read_jsonl(args.inp, required={"id": int, "prompt": str})
     langs = _langs_from_args(args)
-    prompts = [prompting.RenderedPrompt(text=r["prompt"]) for r in records]
-    sources = [prompting.parse_prompt(r["prompt"], langs)[1] for r in records]
-    ids = [r["id"] for r in records]
+    prompts, sources, ids = [], [], []
+    for lineno, record in corpus._iter_jsonl(args.inp, required={"id": int, "prompt": str}):
+        try:
+            sources.append(prompting.parse_prompt(record["prompt"], langs)[1])
+        except ArgumentError as exc:
+            raise ArgumentError(f"{args.inp}:{lineno}: {exc}") from exc
+        prompts.append(prompting.RenderedPrompt(text=record["prompt"]))
+        ids.append(record["id"])
     params = llm_client.DecodingParams(
         mode=args.mode, temperature=args.temperature, top_p=args.top_p
     )

@@ -1,11 +1,13 @@
 """Sentence embeddings from one of two providers.
 
-A remote HTTP encoder speaks the OpenAI-embedding JSON shape; its requests
-go through the shared retrying POST in ``_http`` (``max_attempts`` attempts
-per chunk) and a failure surfaces as ``ProviderError`` with the last HTTP
-status. A fully offline deterministic provider builds vectors from signed
-hashed character n-grams and is used wherever tests need stable vectors
-with meaningful cosine structure.
+A remote HTTP encoder speaks the OpenAI-embedding JSON shape, one request
+per ``batch_size`` texts and ``max_in_flight`` at once, under the one retry
+rule of ``_http``: 4 attempts, 1, 2 and 4 s apart, for a connection error,
+a timeout, a 429 or a 5xx, and one for any other reply. A failure surfaces
+as ``ProviderError`` with the last HTTP status. A fully offline
+deterministic provider builds vectors from signed hashed character n-grams
+and is used wherever tests need stable vectors with meaningful cosine
+structure.
 
 The deterministic vectors are built CHUNK texts at a time. For each gram
 size n in 3..5, a step slices every n-gram of the chunk's lowercased
@@ -53,8 +55,6 @@ class EmbeddingProviderConfig:
     batch_size: int = 64
     normalize: bool = True
     seed: int = 0
-    max_attempts: int = 3
-    backoff_seconds: float = 1.0
     max_in_flight: int = 4
 
     def __post_init__(self):
@@ -66,6 +66,10 @@ class EmbeddingProviderConfig:
             raise ArgumentError(f"unknown provider kind: {self.kind!r}")
         if not -(2**63) <= self.seed < 2**63:
             raise ArgumentError(f"seed must fit a signed 64-bit integer, got {self.seed}")
+        if self.max_in_flight < 1:
+            raise ArgumentError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
+        if self.kind == "remote-http" and not self.endpoint.startswith(("http://", "https://")):
+            raise ArgumentError(f"remote-http needs an http:// or https:// endpoint, got {self.endpoint!r}")
 
 
 def check_vectors(matrix: np.ndarray, dim: int, normalized: bool) -> None:
@@ -130,12 +134,12 @@ def _gram_hashes(keyed, lowered: list[str], n: int) -> np.ndarray:
 
 def _post_embeddings(texts: Sequence[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
     payload = {"model": cfg.model_name, "input": list(texts)}
-    reply = _http.post_json(cfg.endpoint, payload, cfg.max_attempts, cfg.backoff_seconds, timeout=120)
+    reply = _http.post_json(cfg.endpoint, payload)
     if reply.malformed:
         raise ContractViolationError(f"malformed embedding response: {reply.error}")
     if reply.error is not None:
         raise ProviderError(
-            f"embedding endpoint {cfg.endpoint} failed after {cfg.max_attempts} attempts ({reply.error})",
+            f"embedding endpoint {cfg.endpoint} failed ({reply.error}; attempts: {reply.attempts})",
             status=reply.status,
         )
     try:
@@ -155,14 +159,8 @@ def _post_embeddings(texts: Sequence[str], cfg: EmbeddingProviderConfig) -> np.n
 
 
 def _embed_batch_remote(texts: Sequence[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = [list(texts[i : i + cfg.batch_size]) for i in range(0, len(texts), cfg.batch_size)]
-    if len(chunks) == 1:
-        parts = [_post_embeddings(chunks[0], cfg)]
-    else:
-        with ThreadPoolExecutor(max_workers=max(1, cfg.max_in_flight)) as pool:
-            parts = list(pool.map(lambda chunk: _post_embeddings(chunk, cfg), chunks))
+    chunks = [texts[i : i + cfg.batch_size] for i in range(0, len(texts), cfg.batch_size)]
+    parts = _http.map_ordered(lambda chunk: _post_embeddings(chunk, cfg), chunks, cfg.max_in_flight)
     return np.concatenate(parts, axis=0)
 
 

@@ -68,7 +68,7 @@ class ContractViolationError(FuzzyMtError):
 
 
 class ProviderError(FuzzyMtError):
-    """A remote provider failed after retries."""
+    """An embedding endpoint sent no 200 reply, after the retries ``_http`` allows."""
 
     def __init__(self, message: str, status: int | None = None):
         super().__init__(message)
@@ -76,7 +76,7 @@ class ProviderError(FuzzyMtError):
 
 
 class TransportError(FuzzyMtError):
-    """HTTP transport failed after retries."""
+    """A completion endpoint sent no 200 reply for a batch, after the retries ``_http`` allows."""
 
     def __init__(self, message: str, prompt_ids: list[int] | None = None):
         super().__init__(message)

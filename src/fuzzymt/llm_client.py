@@ -3,20 +3,20 @@
 The wire protocol is the OpenAI-compatible completions shape:
 POST {endpoint}/v1/completions with {"model", "prompt" (array), "temperature",
 "top_p", "max_tokens", "stop"} returning {"choices": [{"index", "text"}]}.
-Each batch is one request through the shared retrying POST in ``_http``
-(``1 + max_retries`` attempts): a batch that never gets a reply raises
+Each batch is one request under the one retry rule of ``_http``: 4
+attempts, 1, 2 and 4 s apart, for a connection error, a timeout, a 429 or a
+5xx, and one for any other reply. A batch without a 200 reply raises
 ``TransportError`` naming its prompt ids, and a reply that is not JSON or
-does not match the shape raises ``ContractViolationError``. The bundled
-mock server speaks the same protocol (and the embeddings shape) fully
-deterministically for offline end-to-end runs.
+does not match the shape raises ``ContractViolationError``. The trace has
+one line per batch sent, in batch order, with its status, attempts and
+latency. The bundled mock server speaks the same protocol (and the
+embeddings shape) fully deterministically for offline end-to-end runs.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import _http
 from . import embedding as embedding_mod
-from .corpus import encode_jsonl
+from .corpus import write_jsonl_records
 from .errors import ArgumentError, ContractViolationError, StateError, TransportError
 from .prompting import RenderedPrompt
 
@@ -33,9 +33,6 @@ MODE_SAMPLED = "sampled"
 
 DEFAULT_BATCH_SIZE = 20
 DEFAULT_TOKEN_MULTIPLIER = 4
-DEFAULT_TIMEOUT_SECONDS = 120.0
-
-_trace_lock = threading.Lock()
 
 
 @dataclass
@@ -73,7 +70,6 @@ class TranslationRequestBatch:
 class TranslationResult:
     id: int
     text: str
-    latency_ms: int
 
 
 def max_source_words(sources: Sequence[str]) -> int:
@@ -128,27 +124,19 @@ def truncate_at_stop(text: str, stop_sequences: Sequence[str]) -> str:
     return text[:cut].strip()
 
 
-def _write_trace(trace_path: str | Path, record: dict) -> None:
-    with _trace_lock:
-        with open(trace_path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(encode_jsonl(record))
-
-
 def generation_record(result: TranslationResult) -> dict:
     """The JSONL record of one generation, as written to files and stdout."""
-    return {"id": result.id, "text": result.text, "latency_ms": result.latency_ms}
+    return {"id": result.id, "text": result.text}
 
 
 def translate_batch(
     batch: TranslationRequestBatch,
     endpoint: str,
     model: str = "default",
-    timeout: float = DEFAULT_TIMEOUT_SECONDS,
-    max_retries: int = 3,
-    backoff_seconds: float = 1.0,
-    trace_path: str | Path | None = None,
+    trace: list[dict] | None = None,
 ) -> list[TranslationResult]:
-    """Send one batch; returns one result per prompt in prompt order."""
+    """Send one batch; returns one result per prompt in prompt order. The
+    request's record is appended to ``trace`` before any error is raised."""
     payload = {
         "model": model,
         "prompt": [p.text for p in batch.prompts],
@@ -158,15 +146,10 @@ def translate_batch(
         "stop": list(batch.params.stop_sequences),
     }
     url = endpoint.rstrip("/") + "/v1/completions"
-
-    start = time.monotonic()
-    reply = _http.post_json(url, payload, 1 + max_retries, backoff_seconds, timeout)
-    latency_ms = int((time.monotonic() - start) * 1000)
-    if trace_path is not None:
-        _write_trace(
-            trace_path,
-            {"url": url, "request": payload, "response": reply.body, "error": reply.error},
-        )
+    reply = _http.post_json(url, payload)
+    if trace is not None:
+        trace.append({"url": url, "request": payload, "response": reply.body, "error": reply.error,
+                      "status": reply.status, "attempts": reply.attempts, "latency_ms": reply.latency_ms})
     if reply.malformed:
         raise ContractViolationError(f"{url} for prompt ids {batch.ids}: {reply.error}")
     if reply.error is not None:
@@ -174,25 +157,20 @@ def translate_batch(
             f"{url} failed for prompt ids {batch.ids} ({reply.error})", prompt_ids=batch.ids
         )
 
+    n = len(batch.prompts)
     choices = reply.body.get("choices") if isinstance(reply.body, dict) else None
-    if not isinstance(choices, list) or len(choices) != len(batch.prompts):
-        raise ContractViolationError(
-            f"expected {len(batch.prompts)} choices, got {choices if choices is None else len(choices)}"
-        )
-    texts = [None] * len(batch.prompts)
+    if not isinstance(choices, list) or len(choices) != n:
+        raise ContractViolationError(f"expected {n} choices, got {choices if choices is None else len(choices)}")
+    texts = [None] * n
     for choice in choices:
-        try:
-            texts[int(choice["index"])] = str(choice["text"])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ContractViolationError(f"malformed choice {choice!r}") from exc
-    if any(t is None for t in texts):
-        raise ContractViolationError("response choices do not cover all prompt indexes")
+        index = choice.get("index") if isinstance(choice, dict) else None
+        # each index an int (not a bool) in [0, n), once; with n choices they cover every prompt
+        if type(index) is not int or not 0 <= index < n or texts[index] is not None or "text" not in choice:
+            raise ContractViolationError(f"malformed choice {choice!r}: needs a text and a distinct int index "
+                                         f"in [0, {n})")
+        texts[index] = str(choice["text"])
     return [
-        TranslationResult(
-            id=pid,
-            text=truncate_at_stop(text, batch.params.stop_sequences),
-            latency_ms=latency_ms,
-        )
+        TranslationResult(id=pid, text=truncate_at_stop(text, batch.params.stop_sequences))
         for pid, text in zip(batch.ids, texts)
     ]
 
@@ -202,33 +180,22 @@ def translate_all(
     endpoint: str,
     model: str = "default",
     max_concurrent_batches: int = 2,
-    timeout: float = DEFAULT_TIMEOUT_SECONDS,
-    max_retries: int = 3,
-    backoff_seconds: float = 1.0,
     trace_path: str | Path | None = None,
 ) -> list[TranslationResult]:
     """Run batches (up to max_concurrent_batches in flight), results in input order.
 
-    ``trace_path`` starts empty and gets one line per batch.
+    ``trace_path`` is written once, when the batches are done or one has
+    failed: one line per batch sent, in batch order.
     """
-    if trace_path is not None:
-        open(trace_path, "w").close()
-    if not batches:
-        return []
-    run = lambda b: translate_batch(
-        b,
-        endpoint,
-        model=model,
-        timeout=timeout,
-        max_retries=max_retries,
-        backoff_seconds=backoff_seconds,
-        trace_path=trace_path,
-    )
-    if max_concurrent_batches <= 1 or len(batches) == 1:
-        parts = [run(b) for b in batches]
-    else:
-        with ThreadPoolExecutor(max_workers=max_concurrent_batches) as pool:
-            parts = list(pool.map(run, batches))
+    if max_concurrent_batches < 1:
+        raise ArgumentError(f"max_concurrent_batches must be >= 1, got {max_concurrent_batches}")
+    traces: list[list[dict]] = [[] for _ in batches]
+    try:
+        parts = _http.map_ordered(lambda i: translate_batch(batches[i], endpoint, model, traces[i]),
+                                  range(len(batches)), max_concurrent_batches)
+    finally:
+        if trace_path is not None:
+            write_jsonl_records(trace_path, (record for trace in traces for record in trace))
     return [result for part in parts for result in part]
 
 

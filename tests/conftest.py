@@ -53,18 +53,20 @@ def small_ivf() -> IvfConfig:
     return IvfConfig(dim=64, nlist=2, nprobe=2, kmeans_iters=8, seed=0)
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def sleeps(monkeypatch) -> list[float]:
-    """Backoff sleeps of the shared HTTP helper, recorded instead of slept."""
+    """Backoff sleeps of the shared HTTP helper, recorded instead of slept, in every test."""
     recorded: list[float] = []
     monkeypatch.setattr(_http, "sleep", recorded.append)
     return recorded
 
 
 @contextmanager
-def local_endpoint(body: bytes, status: int = 200):
-    """Answer every POST with one fixed reply; yields (endpoint, request paths)."""
+def local_endpoint(replies):
+    """Answer the n-th POST with ``replies[n]``, a (status, body) pair, and every
+    later one with the last reply; yields (endpoint, request paths)."""
     paths: list[str] = []
+    lock = threading.Lock()
 
     class FixedHandler(BaseHTTPRequestHandler):
         def log_message(self, *a):
@@ -72,14 +74,16 @@ def local_endpoint(body: bytes, status: int = 200):
 
         def do_POST(self):
             self.rfile.read(int(self.headers.get("Content-Length", "0")))
-            paths.append(self.path)
+            with lock:
+                paths.append(self.path)
+                status, body = replies[min(len(paths), len(replies)) - 1]
             self.send_response(status)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), FixedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}", paths

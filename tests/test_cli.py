@@ -30,7 +30,8 @@ BAD_JSONL = {
     "surrogate": (GOOD_LINE.replace(b'"source": "a"', b'"source": "hola \\ud800 mundo"') * 2,
                   "bad.jsonl:1: not valid UTF-8: lone surrogate '\\ud800'"),
 }
-# a second record that the subcommand rejects: a wrong value type under a key it reads, or a repeated id
+# a second record that the subcommand rejects: a wrong value type under a key it reads, a repeated id,
+# or a prompt that does not parse
 BAD_RECORD = [
     ("filter", "str-id", b'{"id": "x", "source": "a", "target": "b"}', "key 'id' must be int or null, got \"x\""),
     ("filter", "bool-id", b'{"id": true, "source": "a", "target": "b"}', "key 'id' must be int or null, got true"),
@@ -39,6 +40,8 @@ BAD_RECORD = [
     ("filter", "repeated-id", b'{"id": 0, "source": "b", "target": "c"}', "repeated id 0 (first on line 1)"),
     ("evaluate", "int-hypothesis", b'{"hypothesis": 5, "reference": "a"}', "key 'hypothesis' must be str"),
     ("translate", "int-prompt", b'{"id": 1, "prompt": 5}', "key 'prompt' must be str"),
+    ("translate", "no-stub-prompt", b'{"id": 1, "prompt": "Spanish: a"}',
+     "prompt must end with the bare target stub line"),
 ]
 BAD_JSONL_CASES = [
     pytest.param(sub, content, message, id=f"{sub}-{case}")
@@ -507,7 +510,7 @@ class TestTranslateEvaluateReport:
     def test_non_json_body_exit_3(self, corpus_tsv, tmp_path, capsys):
         prompts_path = str(tmp_path / "prompts.jsonl")
         run_cli(["prompts", "--in", corpus_tsv, "--out", prompts_path], capsys)
-        with local_endpoint(b"<html>busy</html>") as (endpoint, _):
+        with local_endpoint([(200, b"<html>busy</html>")]) as (endpoint, _):
             code, _, err = run_cli(["translate", "--in", prompts_path, "--endpoint", endpoint], capsys)
         assert code == 3
         assert "not JSON" in err
@@ -523,7 +526,7 @@ class TestTranslateEvaluateReport:
 
     def test_nan_embedding_exit_3(self, corpus_tsv, tmp_path, capsys):
         body = json.dumps({"data": [{"embedding": [float("nan"), 1.0]}] * 12}).encode()
-        with local_endpoint(body) as (endpoint, _):
+        with local_endpoint([(200, body)]) as (endpoint, _):
             code, _, err = run_cli(
                 ["index-build", "--in", corpus_tsv, "--provider", "remote-http", "--endpoint", endpoint,
                  "--dim", "2", "--nlist", "1", "--out", str(tmp_path / "store")], capsys
@@ -709,6 +712,38 @@ class TestRun:
         assert code == 2
         assert message in err
         assert not (tmp_path / ("store" if path == "cli" else "run")).exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["index-build", "--in", "{corpus}", "--provider", "remote-http", "--out", "{out}"], None,
+             "needs an http:// or https:// endpoint"),
+            (["translate", "--in", "{prompts}", "--endpoint", "http://127.0.0.1:9", "--max-concurrent-batches", "0"],
+             None, "max_concurrent_batches must be >= 1"),
+            (None, {"provider": {"kind": "remote-http"}}, "needs an http:// or https:// endpoint"),
+            (None, {"provider": {"max_in_flight": 0}}, "max_in_flight must be >= 1"),
+            (None, {"max_concurrent_batches": 0}, "max_concurrent_batches must be >= 1"),
+            (None, {"provider": {"max_attempts": 5}}, "unknown provider keys ['max_attempts']"),
+            (None, {"provider": {"backoff_seconds": 0.5}}, "unknown provider keys ['backoff_seconds']"),
+        ],
+        ids=["cli-no-endpoint", "cli-no-concurrency", "config-no-endpoint", "config-no-in-flight",
+             "config-no-concurrency", "config-max-attempts", "config-backoff-seconds"],
+    )
+    def test_bad_remote_setting_exit_2(self, argv, config, message, corpus_tsv, tmp_path, capsys, sleeps):
+        if argv is not None:
+            prompts = tmp_path / "prompts.jsonl"
+            run_cli(["prompts", "--in", corpus_tsv, "--out", str(prompts)], capsys)
+            argv = [arg.format(corpus=corpus_tsv, prompts=prompts, out=tmp_path / "out") for arg in argv]
+        else:
+            config = {"test_corpus": corpus_tsv, "context_corpus": corpus_tsv, "allow_context_overlap": True,
+                      "output_dir": str(tmp_path / "run"), **config}
+            cfg_path = tmp_path / "exp.json"
+            cfg_path.write_text(json.dumps(config), encoding="utf-8")
+            argv = ["run", "--config", str(cfg_path)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert message in err
+        assert sleeps == []
 
     def test_run_without_config_usage_error(self, capsys):
         code, _, _ = run_cli(["run"], capsys)

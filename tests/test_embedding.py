@@ -132,7 +132,6 @@ class TestRemoteProvider:
                 dim=48,
                 seed=2,
                 batch_size=2,
-                backoff_seconds=0.0,
             )
             texts = ["hola mundo cruel", "otra frase distinta", "tercera frase"]
             remote = embed_batch(texts, cfg)
@@ -145,7 +144,6 @@ class TestRemoteProvider:
                 kind="remote-http",
                 endpoint=server.endpoint + "/v1/embeddings",
                 dim=32,
-                backoff_seconds=0.0,
             )
             with pytest.raises(ContractViolationError):
                 embed_batch(["texto"], cfg)
@@ -153,17 +151,17 @@ class TestRemoteProvider:
     @pytest.mark.parametrize("normalize", [True, False])
     def test_nan_component_is_contract_violation(self, normalize):
         body = b'{"data": [{"embedding": [0.6, 0.8]}, {"embedding": [NaN, 1.0]}]}'
-        with local_endpoint(body) as (endpoint, _):
+        with local_endpoint([(200, body)]) as (endpoint, _):
             cfg = EmbeddingProviderConfig(
-                kind="remote-http", endpoint=endpoint, dim=2, normalize=normalize, backoff_seconds=0.0
+                kind="remote-http", endpoint=endpoint, dim=2, normalize=normalize
             )
             with pytest.raises(ContractViolationError, match="non-finite"):
                 embed_batch(["uno", "dos"], cfg)
 
     def test_zero_row_fails_norm_contract(self):
         body = b'{"data": [{"embedding": [3.0, 4.0]}, {"embedding": [0.0, 0.0]}]}'
-        with local_endpoint(body) as (endpoint, _):
-            cfg = EmbeddingProviderConfig(kind="remote-http", endpoint=endpoint, dim=2, backoff_seconds=0.0)
+        with local_endpoint([(200, body)]) as (endpoint, _):
+            cfg = EmbeddingProviderConfig(kind="remote-http", endpoint=endpoint, dim=2)
             with pytest.raises(ContractViolationError, match=r"vector norm 0\.0 outside"):
                 embed_batch(["uno", "dos"], cfg)
             # without normalization a zero row is a valid vector
@@ -176,31 +174,29 @@ class TestRemoteProvider:
                 kind="remote-http",
                 endpoint=server.endpoint + "/wrong/path",
                 dim=16,
-                backoff_seconds=0.0,
             )
             with pytest.raises(ProviderError) as err:
                 embed_batch(["texto"], cfg)
             assert err.value.status == 404
 
     def test_retry_schedule(self, sleeps):
+        # a 404 would fail again: it is sent once, with no backoff
         with run_mock_server("echo-fuzzy") as server:
             cfg = EmbeddingProviderConfig(
                 kind="remote-http",
                 endpoint=server.endpoint + "/wrong/path",
                 dim=16,
-                backoff_seconds=0.5,
             )
-            with pytest.raises(ProviderError):
+            with pytest.raises(ProviderError, match="attempts: 1"):
                 embed_batch(["texto"], cfg)
-            assert len(server.state.request_log) == cfg.max_attempts == 3
-        assert sleeps == [0.5, 1.0]
+            assert len(server.state.request_log) == 1
+        assert sleeps == []
 
     def test_connection_failure(self):
         cfg = EmbeddingProviderConfig(
             kind="remote-http",
             endpoint="http://127.0.0.1:9/v1/embeddings",
             dim=16,
-            backoff_seconds=0.0,
         )
         with pytest.raises(ProviderError):
             embed_batch(["texto"], cfg)
@@ -217,3 +213,9 @@ def test_config_validation():
         EmbeddingProviderConfig(batch_size=0)
     with pytest.raises(ArgumentError):
         EmbeddingProviderConfig(kind="nonsense")
+    with pytest.raises(ArgumentError, match="max_in_flight"):
+        EmbeddingProviderConfig(max_in_flight=0)
+    for endpoint in ("", "127.0.0.1:8000", "ftp://host/v1/embeddings"):
+        with pytest.raises(ArgumentError, match="http:// or https://"):
+            EmbeddingProviderConfig(kind="remote-http", endpoint=endpoint)
+    EmbeddingProviderConfig(kind="remote-http", endpoint="https://host/v1/embeddings")

@@ -193,25 +193,28 @@ class TestDictionaryMock:
 class TestReproducibilityAndRescoring:
     def test_two_runs_byte_identical_reports(self, leaky_setup, tmp_path):
         _, test_path, context_path = leaky_setup
+        # 10 test pairs in batches of 4: 3 batches per condition, 2 in flight
         with run_mock_server("echo-fuzzy") as server:
-            cfg_a = _config(tmp_path, server.endpoint, test_path, context_path,
-                            allow_context_overlap=True, output_dir=str(tmp_path / "run_a"))
-            cfg_b = _config(tmp_path, server.endpoint, test_path, context_path,
-                            allow_context_overlap=True, output_dir=str(tmp_path / "run_b"))
-            run_experiment(cfg_a)
-            run_experiment(cfg_b)
+            for run in ("run_a", "run_b"):
+                run_experiment(_config(tmp_path, server.endpoint, test_path, context_path,
+                                       allow_context_overlap=True, max_concurrent_batches=2,
+                                       output_dir=str(tmp_path / run)))
         for name in ("report.md", "report.tsv", "report.json", "retrieval.jsonl",
-                     "prompts.one-shot.jsonl", "prompts.zero-shot.jsonl"):
+                     "prompts.one-shot.jsonl", "prompts.zero-shot.jsonl",
+                     "generations.zero-shot.jsonl", "generations.one-shot.jsonl"):
             a = (tmp_path / "run_a" / name).read_bytes()
             b = (tmp_path / "run_b" / name).read_bytes()
             assert a == b, name
-        # generated text is deterministic too; only latency fields may differ
-        for name in ("generations.zero-shot.jsonl", "generations.one-shot.jsonl"):
-            rows_a = [json.loads(l) for l in (tmp_path / "run_a" / name).read_text().splitlines()]
-            rows_b = [json.loads(l) for l in (tmp_path / "run_b" / name).read_text().splitlines()]
-            assert [(r["id"], r["text"]) for r in rows_a] == [
-                (r["id"], r["text"]) for r in rows_b
-            ]
+        # the traces differ only in latency: one line per batch, in batch order
+        for condition in (CONDITION_ZERO, CONDITION_ONE):
+            traces = [read_jsonl(tmp_path / run / f"trace.{condition}.jsonl") for run in ("run_a", "run_b")]
+            for trace in traces:
+                assert len(trace) == 3
+                for record in trace:
+                    del record["latency_ms"]
+            assert traces[0] == traces[1]
+            prompts = [r["prompt"] for r in read_jsonl(tmp_path / "run_a" / f"prompts.{condition}.jsonl")]
+            assert [p for r in traces[0] for p in r["request"]["prompt"]] == prompts
 
     def test_rescore_from_artifacts_matches(self, leaky_setup, tmp_path):
         _, test_path, context_path = leaky_setup

@@ -18,7 +18,7 @@ from fuzzymt.llm_client import (
 )
 from fuzzymt.prompting import LanguageNames, render_few_shot, render_zero_shot
 from fuzzymt.retrieval import FuzzyMatch
-from fuzzymt.corpus import SegmentPair
+from fuzzymt.corpus import SegmentPair, read_jsonl
 
 from conftest import local_endpoint
 
@@ -91,20 +91,20 @@ class TestMockServerModes:
         prompt = render_few_shot("consulta", [match], LANGS)
         with run_mock_server("echo-fuzzy") as server:
             batches = make_batches([prompt], ["consulta"])
-            results = translate_batch(batches[0], server.endpoint, backoff_seconds=0.0)
+            results = translate_batch(batches[0], server.endpoint)
         assert results[0].text == "translated text"
 
     def test_echo_fuzzy_zero_shot_empty(self):
         prompt = render_zero_shot("consulta", LANGS)
         with run_mock_server("echo-fuzzy") as server:
             batches = make_batches([prompt], ["consulta"])
-            results = translate_batch(batches[0], server.endpoint, backoff_seconds=0.0)
+            results = translate_batch(batches[0], server.endpoint)
         assert results[0].text == ""
 
     def test_dictionary_lookup(self):
         with run_mock_server("dictionary", fixtures={"Hola.": "Hello."}) as server:
             batches = make_batches([render_zero_shot("Hola.", LANGS)], ["Hola."])
-            results = translate_batch(batches[0], server.endpoint, backoff_seconds=0.0)
+            results = translate_batch(batches[0], server.endpoint)
         assert results[0].text == "Hello."
 
     def test_canned_replay_and_exhaustion(self):
@@ -119,14 +119,14 @@ class TestMockServerModes:
     def test_canned_stop_truncation(self):
         with run_mock_server("canned", fixtures=["hello world\nextra"]) as server:
             batches = make_batches([render_zero_shot("x", LANGS)], ["x"])
-            results = translate_batch(batches[0], server.endpoint, backoff_seconds=0.0)
+            results = translate_batch(batches[0], server.endpoint)
         assert results[0].text == "hello world"
 
     def test_greedy_temperature_on_wire(self):
         with run_mock_server("canned", fixtures=["ok"]) as server:
             params = DecodingParams(mode="greedy", temperature=0.9)
             batches = make_batches([render_zero_shot("x", LANGS)], ["x"], params=params)
-            translate_batch(batches[0], server.endpoint, backoff_seconds=0.0)
+            translate_batch(batches[0], server.endpoint)
             sent = server.state.request_log[-1]["payload"]
         assert sent["temperature"] == 0.0
         assert sent["stop"] == ["\n"]
@@ -138,53 +138,84 @@ class TestTransport:
         sources = ["a", "b"]
         batches = make_batches(_prompts(sources), sources, ids=[4, 5])
         with pytest.raises(TransportError) as err:
-            translate_batch(batches[0], "http://127.0.0.1:9", max_retries=1, backoff_seconds=0.0)
+            translate_batch(batches[0], "http://127.0.0.1:9")
         assert err.value.prompt_ids == [4, 5]
 
     def test_malformed_response_contract_violation(self):
         raw = json.dumps({"choices": [{"index": 0, "text": "only one"}]}).encode()
-        with local_endpoint(raw) as (endpoint, _):
+        with local_endpoint([(200, raw)]) as (endpoint, _):
             sources = ["a", "b"]
             batches = make_batches(_prompts(sources), sources)
             with pytest.raises(ContractViolationError):
-                translate_batch(batches[0], endpoint, backoff_seconds=0.0)
+                translate_batch(batches[0], endpoint)
 
     @pytest.mark.parametrize("client", ["translate_batch", "embed_batch"])
-    def test_non_json_body_contract_violation(self, client, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        with local_endpoint(b"<html>busy</html>") as (endpoint, paths):
+    def test_non_json_body_contract_violation(self, client):
+        trace = []
+        with local_endpoint([(200, b"<html>busy</html>")]) as (endpoint, paths):
             with pytest.raises(ContractViolationError):
                 if client == "translate_batch":
                     batches = make_batches(_prompts(["a"]), ["a"])
-                    translate_batch(batches[0], endpoint, backoff_seconds=0.0, trace_path=trace)
+                    translate_batch(batches[0], endpoint, trace=trace)
                 else:
                     cfg = EmbeddingProviderConfig(
-                        kind="remote-http", endpoint=endpoint, dim=4, backoff_seconds=0.0
+                        kind="remote-http", endpoint=endpoint, dim=4
                     )
                     embed_batch(["texto"], cfg)
         # a 200 reply ends the retry loop even when its body is unusable
         assert len(paths) == 1
         if client == "translate_batch":
-            record = json.loads(trace.read_text(encoding="utf-8"))
+            [record] = trace
             assert record["response"] is None
             assert "not JSON" in record["error"]
 
-    def test_falsy_body_traced_as_received(self, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        with local_endpoint(b"{}") as (endpoint, _):
+    def test_falsy_body_traced_as_received(self):
+        trace = []
+        with local_endpoint([(200, b"{}")]) as (endpoint, _):
             batches = make_batches(_prompts(["a"]), ["a"])
             with pytest.raises(ContractViolationError):
-                translate_batch(batches[0], endpoint, backoff_seconds=0.0, trace_path=trace)
-        record = json.loads(trace.read_text(encoding="utf-8"))
+                translate_batch(batches[0], endpoint, trace=trace)
+        [record] = trace
         assert record["response"] == {} and record["error"] is None
 
+    @pytest.mark.parametrize(
+        "choices",
+        [
+            [{"index": 0, "text": "a"}, {"index": -1, "text": "b"}],
+            [{"index": True, "text": "a"}, {"index": 0, "text": "b"}],
+            [{"index": "0", "text": "a"}, {"index": 1, "text": "b"}],
+            [{"index": 1.7, "text": "a"}, {"index": 0, "text": "b"}],
+            [{"index": 0, "text": "a"}, {"index": 2, "text": "b"}],
+            [{"index": 1, "text": "a"}, {"index": 1, "text": "b"}],
+            [{"index": 0, "text": "a"}, {"text": "b"}],
+            [{"index": 0, "text": "a"}, {"index": 1}],
+            [{"index": 0, "text": "a"}, "b"],
+        ],
+        ids=["negative", "bool", "str", "float", "out-of-range", "repeated", "no-index", "no-text",
+             "not-object"],
+    )
+    def test_bad_choice_contract_violation(self, choices):
+        body = json.dumps({"choices": choices}).encode()
+        with local_endpoint([(200, body)]) as (endpoint, _):
+            batches = make_batches(_prompts(["a", "b"]), ["a", "b"])
+            with pytest.raises(ContractViolationError, match="choice"):
+                translate_batch(batches[0], endpoint)
+
+    def test_choices_placed_by_index(self):
+        body = json.dumps({"choices": [{"index": 1, "text": "b"}, {"index": 0, "text": "a"}]}).encode()
+        with local_endpoint([(200, body)]) as (endpoint, _):
+            batches = make_batches(_prompts(["x", "y"]), ["x", "y"], ids=[7, 8])
+            results = translate_batch(batches[0], endpoint)
+        assert [(r.id, r.text) for r in results] == [(7, "a"), (8, "b")]
+
     def test_retry_schedule(self, sleeps):
+        # the exhausted canned mock's 400 would fail again: it is sent once, with no backoff
         with run_mock_server("canned", fixtures=[]) as server:
             batches = make_batches(_prompts(["a"]), ["a"], ids=[3])
             with pytest.raises(TransportError) as err:
-                translate_batch(batches[0], server.endpoint, max_retries=3, backoff_seconds=0.5)
-            assert len(server.state.request_log) == 4
-        assert sleeps == [0.5, 1.0, 2.0]
+                translate_batch(batches[0], server.endpoint)
+            assert len(server.state.request_log) == 1
+        assert sleeps == []
         assert "HTTP 400" in str(err.value) and err.value.prompt_ids == [3]
 
 
@@ -195,9 +226,7 @@ class TestTranslateAll:
         prompts = _prompts(sources)
         batches = make_batches(prompts, sources, batch_size=3)
         with run_mock_server("canned", fixtures=fixtures) as server:
-            results = translate_all(
-                batches, server.endpoint, max_concurrent_batches=1, backoff_seconds=0.0
-            )
+            results = translate_all(batches, server.endpoint, max_concurrent_batches=1)
         assert [r.id for r in results] == list(range(10))
         assert [r.text for r in results] == fixtures
 
@@ -206,10 +235,8 @@ class TestTranslateAll:
         prompts = _prompts(sources)
         with run_mock_server("echo-fuzzy") as server:
             batches = make_batches(prompts, sources, batch_size=2)
-            first = translate_all(batches, server.endpoint, max_concurrent_batches=2,
-                                  backoff_seconds=0.0)
-            second = translate_all(batches, server.endpoint, max_concurrent_batches=2,
-                                   backoff_seconds=0.0)
+            first = translate_all(batches, server.endpoint, max_concurrent_batches=2)
+            second = translate_all(batches, server.endpoint, max_concurrent_batches=2)
         assert [(r.id, r.text) for r in first] == [(r.id, r.text) for r in second]
 
     def test_stop_token_law(self):
@@ -218,7 +245,7 @@ class TestTranslateAll:
         prompts = _prompts(sources)
         batches = make_batches(prompts, sources, batch_size=2)
         with run_mock_server("canned", fixtures=fixtures) as server:
-            results = translate_all(batches, server.endpoint, backoff_seconds=0.0)
+            results = translate_all(batches, server.endpoint)
         assert all("\n" not in r.text for r in results)
 
     def test_trace_file_written(self, tmp_path):
@@ -226,10 +253,39 @@ class TestTranslateAll:
         sources = ["a"]
         batches = make_batches(_prompts(sources), sources)
         with run_mock_server("canned", fixtures=["ok"]) as server:
-            translate_batch(batches[0], server.endpoint, backoff_seconds=0.0, trace_path=trace)
-        record = json.loads(trace.read_text(encoding="utf-8").splitlines()[0])
+            translate_all(batches, server.endpoint, trace_path=trace)
+        [record] = read_jsonl(trace)
         assert record["request"]["prompt"] == [batches[0].prompts[0].text]
         assert record["response"]["choices"][0]["text"] == "ok"
+        assert (record["status"], record["attempts"], record["error"]) == (200, 1, None)
+        assert isinstance(record["latency_ms"], int) and record["latency_ms"] >= 0
+
+    @pytest.mark.parametrize("max_concurrent_batches", [1, 2])
+    def test_failed_batch_traced_in_batch_order(self, max_concurrent_batches, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        sources = [f"s{i}" for i in range(8)]
+        batches = make_batches(_prompts(sources), sources, batch_size=2)
+        # the canned mock answers the first two requests, then 400
+        with run_mock_server("canned", fixtures=["t"] * 4) as server:
+            with pytest.raises(TransportError) as err:
+                translate_all(batches, server.endpoint, max_concurrent_batches=max_concurrent_batches,
+                              trace_path=trace)
+        assert err.value.prompt_ids == [4, 5]
+        records = read_jsonl(trace)
+        # every batch sent has its line, in batch order; an unsent batch has none
+        sent = [[p.text for p in b.prompts] for b in batches][: len(records)]
+        assert [r["request"]["prompt"] for r in records] == sent
+        # one at a time, the batch after the failed one is never sent; two at a time it may be
+        assert len(records) == 3 if max_concurrent_batches == 1 else len(records) in (3, 4)
+        assert [r["status"] for r in records[:3]] == [200, 200, 400]
+        assert records[2]["attempts"] == 1 and "HTTP 400" in records[2]["error"]
+
+    def test_max_concurrent_batches_below_one_rejected(self, tmp_path):
+        batches = make_batches(_prompts(["a"]), ["a"])
+        with pytest.raises(ArgumentError, match="max_concurrent_batches"):
+            translate_all(batches, "http://127.0.0.1:9", max_concurrent_batches=0,
+                          trace_path=tmp_path / "trace.jsonl")
+        assert not (tmp_path / "trace.jsonl").exists()
 
 
 def test_mock_server_rejects_unknown_mode():
