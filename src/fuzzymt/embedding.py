@@ -9,19 +9,27 @@ deterministic provider builds vectors from signed hashed character n-grams
 and is used wherever tests need stable vectors with meaningful cosine
 structure.
 
-The deterministic vectors are built CHUNK texts at a time. For each gram
-size n in 3..5, a step slices every n-gram of the chunk's lowercased
-texts, hashes each distinct gram once with the seed-keyed 8-byte BLAKE2b,
-and adds each gram's +/-1 to bucket ``hash % dim`` of its text's row with
-one ``np.bincount`` over ``row * dim + bucket``. A row whose sum is zero
-(no gram, or grams that cancel) becomes the unit basis vector e_0; every
-other row is divided by the float64 square root of its sum of squares and
-cast to float32. The result does not depend on the chunking, the gram
-order or the batch a text arrives in: every bucket sum is a sum of +/-1
-and every sum of squares a sum of integer squares, both exact in float64
-in any order, so each row is bit for bit the vector of the same text
-embedded on its own (``tests/oracles.py`` keeps that per-text loop as the
-reference).
+The deterministic vectors are built CHUNK texts at a time. A step encodes
+its lowercased texts as UTF-32, which also rejects a lone surrogate with
+CorpusEncodingError, and gives every gram of size n in 3..5 an integer key
+in numpy: a 3-gram's key is its three code points in base 0x110000, and a
+longer gram's key is the id of its (n-1)-gram prefix in base 0x110000 and
+its last code point, so no key can overflow a uint64. One table per gram
+size lives for the whole call: its distinct keys in ascending order, a
+stable id for each, and the seed-keyed 8-byte BLAKE2b digest of each id.
+The step looks up its distinct keys there, hashes only the grams the table
+lacks, so each distinct gram of a call is hashed once, and gathers the
+digests by id. It then adds each gram's +/-1 to bucket ``hash % dim`` of
+its text's row with one ``np.bincount`` over ``row * dim + bucket``. Only
+the tables, O(distinct grams), outlive a step; the per-gram arrays are a
+step's own. A row whose sum is zero (no gram, or grams that cancel)
+becomes the unit basis vector e_0; every other row is divided by the
+float64 square root of its sum of squares and cast to float32. The result
+does not depend on the chunking, the gram order or the batch a text
+arrives in: every bucket sum is a sum of +/-1 and every sum of squares a
+sum of integer squares, both exact in float64 in any order, so each row is
+bit for bit the vector of the same text embedded on its own
+(``tests/oracles.py`` keeps that per-text loop as the reference).
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _http
-from .errors import ArgumentError, ContractViolationError, ProviderError
+from .errors import ArgumentError, ContractViolationError, CorpusEncodingError, ProviderError
 
 DEFAULT_DIM = 384
 NGRAM_SIZES = (3, 4, 5)
@@ -42,6 +50,9 @@ NGRAM_SIZES = (3, 4, 5)
 # of 64 texts a step keeps peak RSS within about 1 MB of a per-text loop;
 # all three sizes in one step added 11 MB.
 CHUNK = 64
+# Code points are below this, so a 3-gram key c0*A^2 + c1*A + c2 and an
+# n-gram key id(prefix)*A + c fit a uint64.
+_ALPHABET = 0x110000
 
 
 @dataclass
@@ -92,19 +103,34 @@ def _embed_deterministic(texts: Sequence[str], dim: int, seed: int) -> np.ndarra
     Each gram is hashed (keyed by the seed) to a bucket in [0, dim) with a
     +/-1 contribution; a text whose contributions all cancel, or that is too
     short to produce any n-gram, maps to the unit basis vector e_0. Returns
-    a (len(texts), dim) float32 matrix.
+    a (len(texts), dim) float32 matrix. A text holding a lone surrogate
+    raises CorpusEncodingError.
     """
     keyed = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=True))
+    tables = [_GramTable(n, keyed) for n in NGRAM_SIZES]
     out = np.empty((len(texts), dim), dtype=np.float32)
     for start in range(0, len(texts), CHUNK):
         lowered = [text.lower() for text in texts[start : start + CHUNK]]
         rows = len(lowered)
         lengths = np.fromiter(map(len, lowered), dtype=np.intp, count=rows)
+        ends = np.cumsum(lengths)
+        joined = "".join(lowered)
+        try:
+            points = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.uint64)
+        except UnicodeEncodeError as exc:
+            index = start + int(np.searchsorted(ends, exc.start, side="right"))
+            raise CorpusEncodingError(f"text {index} holds a lone surrogate {joined[exc.start]!r}") from None
+        row_of = np.repeat(np.arange(rows), lengths)
+        # the start of every 2-gram and its key, the prefix of the 3-gram keys
+        starts = np.flatnonzero(np.arange(len(points)) + 1 < ends[row_of])
+        ids = points[starts] * _ALPHABET + points[starts + 1]
         sums = np.zeros(rows * dim)
-        for n in NGRAM_SIZES:
-            hashes = _gram_hashes(keyed, lowered, n)
-            flat = np.repeat(np.arange(rows) * dim, np.maximum(lengths - (n - 1), 0))
-            flat += (hashes % dim).astype(np.intp)
+        for table in tables:
+            longer = starts + (table.n - 1) < ends[row_of[starts]]
+            starts = starts[longer]
+            ids = table.ids_of(ids[longer] * _ALPHABET + points[starts + (table.n - 1)], starts, joined)
+            hashes = table.digests[ids]
+            flat = row_of[starts] * dim + (hashes % dim).astype(np.intp)
             sums += np.bincount(flat, weights=1.0 - 2.0 * (hashes >> 63), minlength=rows * dim)
         sums = sums.reshape(rows, dim)
         squares = np.einsum("ij,ij->i", sums, sums)
@@ -115,21 +141,47 @@ def _embed_deterministic(texts: Sequence[str], dim: int, seed: int) -> np.ndarra
     return out
 
 
-def _gram_hashes(keyed, lowered: list[str], n: int) -> np.ndarray:
-    """The keyed hash of every n-gram of the texts, text by text, as uint64;
-    each distinct gram is hashed once."""
-    grams = [t[i : i + n] for t in lowered for i in range(len(t) - n + 1)]
-    digests = {}
-    for gram in set(grams):
+class _GramTable:
+    """The distinct n-grams met so far in one call: their uint64 keys in
+    ascending order with the id of each, and the keyed digest of each id."""
+
+    def __init__(self, n: int, keyed):
+        self.n = n
+        self.keyed = keyed
+        # a last key above every gram key, so a search always lands on an entry
+        self.keys = np.array([2**64 - 1], dtype=np.uint64)
+        self.ids = np.zeros(1, dtype=np.uint64)
+        self.digests = np.empty(0, dtype="<u8")
+
+    def ids_of(self, keys: np.ndarray, starts: np.ndarray, joined: str) -> np.ndarray:
+        """The id of each key, where the gram of ``keys[i]`` is
+        ``joined[starts[i]:][:n]``; each key not yet in the table is hashed
+        once and added."""
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        at = np.searchsorted(self.keys, distinct)
+        fresh = self.keys[at] != distinct
+        start_of = np.empty(len(distinct), dtype=np.intp)
+        start_of[inverse] = starts
+        grams = [joined[s : s + self.n] for s in start_of[fresh].tolist()]
+        new_ids = np.arange(len(self.digests), len(self.digests) + len(grams), dtype=np.uint64)
+        ids = self.ids[at]
+        ids[fresh] = new_ids
+        # One array of known size: b"".join(...) would first grow a list,
+        # whose small freed blocks stay in glibc's per-thread cache and split
+        # the heap's free space (tm-build peak RSS 4 MB higher in 10 of 10
+        # benchmark runs with the join, in 4 of 10 without).
+        digests = np.fromiter(_digests(self.keyed, grams), dtype="S8", count=len(grams))
+        self.digests = np.concatenate([self.digests, digests.view("<u8")])
+        self.keys = np.insert(self.keys, at[fresh], distinct[fresh])
+        self.ids = np.insert(self.ids, at[fresh], new_ids)
+        return ids[inverse]
+
+
+def _digests(keyed, grams: list[str]):
+    for gram in grams:
         h = keyed.copy()
         h.update(gram.encode("utf-8"))
-        digests[gram] = h.digest()
-    # One array of known size: b"".join(map(...)) would first grow a list,
-    # whose small freed blocks stay in glibc's per-thread cache and split
-    # the heap's free space (tm-build peak RSS 4 MB higher in 10 of 10
-    # benchmark runs with the join, in 4 of 10 without).
-    digest_array = np.fromiter(map(digests.__getitem__, grams), dtype="S8", count=len(grams))
-    return digest_array.view("<u8")
+        yield h.digest()
 
 
 def _post_embeddings(texts: Sequence[str], cfg: EmbeddingProviderConfig) -> np.ndarray:

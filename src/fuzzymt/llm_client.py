@@ -25,7 +25,7 @@ from typing import Sequence
 from . import _http
 from . import embedding as embedding_mod
 from .corpus import write_jsonl_records
-from .errors import ArgumentError, ContractViolationError, StateError, TransportError
+from .errors import ArgumentError, ContractViolationError, CorpusEncodingError, StateError, TransportError
 from .prompting import RenderedPrompt
 
 MODE_GREEDY = "greedy"
@@ -165,10 +165,11 @@ def translate_batch(
     for choice in choices:
         index = choice.get("index") if isinstance(choice, dict) else None
         # each index an int (not a bool) in [0, n), once; with n choices they cover every prompt
-        if type(index) is not int or not 0 <= index < n or texts[index] is not None or "text" not in choice:
-            raise ContractViolationError(f"malformed choice {choice!r}: needs a text and a distinct int index "
-                                         f"in [0, {n})")
-        texts[index] = str(choice["text"])
+        if (type(index) is not int or not 0 <= index < n or texts[index] is not None
+                or not isinstance(choice.get("text"), str)):
+            raise ContractViolationError(f"malformed choice {choice!r}: needs a string text and a distinct int "
+                                         f"index in [0, {n})")
+        texts[index] = choice["text"]
     return [
         TranslationResult(id=pid, text=truncate_at_stop(text, batch.params.stop_sequences))
         for pid, text in zip(batch.ids, texts)
@@ -293,7 +294,11 @@ class _MockHandler(BaseHTTPRequestHandler):
         if isinstance(inputs, str):
             inputs = [inputs]
         state = self.state
-        matrix = embedding_mod._embed_deterministic(inputs, state.embed_dim, state.embed_seed)
+        try:
+            matrix = embedding_mod._embed_deterministic(inputs, state.embed_dim, state.embed_seed)
+        except CorpusEncodingError as exc:
+            self._reply(400, {"error": str(exc)})
+            return
         data = [{"index": i, "embedding": row} for i, row in enumerate(matrix.tolist())]
         self._reply(200, {"data": data})
 
@@ -304,7 +309,8 @@ class MockServerHandle:
     def __init__(self, server: ThreadingHTTPServer, state: _MockState):
         self._server = server
         self.state = state
-        self._thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # a short poll, so close() returns within about 0.05 s
+        self._thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
         self._thread.start()
 
     @property

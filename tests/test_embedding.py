@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzymt.embedding import CHUNK, EmbeddingProviderConfig, embed_batch
-from fuzzymt.errors import ArgumentError, ContractViolationError, ProviderError
+from fuzzymt import embedding
+from fuzzymt.embedding import CHUNK, NGRAM_SIZES, EmbeddingProviderConfig, embed_batch
+from fuzzymt.errors import ArgumentError, ContractViolationError, CorpusEncodingError, ProviderError
 from fuzzymt.llm_client import run_mock_server
 
 from conftest import local_endpoint
@@ -96,6 +100,96 @@ class TestOracle:
         texts = [f"segmento número {i} del lote" for i in range(2 * CHUNK + 1)]
         expected = np.stack([deterministic_embed_reference(t, det_provider.dim, det_provider.seed) for t in texts])
         assert embed_batch(texts, det_provider).tobytes() == expected.tobytes()
+
+
+class _CountingBlake2b:
+    """Stands in for ``hashlib``: its keyed hashers count their copies."""
+
+    def __init__(self, real):
+        self.real = real
+        self.copies = 0
+
+    def blake2b(self, **kwargs):
+        counter, real = self, self.real.blake2b(**kwargs)
+
+        class Keyed:
+            def copy(self):
+                counter.copies += 1
+                return real.copy()
+
+        return Keyed()
+
+
+_SENTENCES = [
+    "El paciente presenta una mejoría notable tras el tratamiento.",
+    "La dosis recomendada es de dos comprimidos al día.",
+    "Consulte a su médico antes de interrumpir la medicación.",
+    "No se han descrito interacciones con otros fármacos.",
+    "Conservar en lugar fresco y seco, lejos de la luz.",
+    "Los efectos adversos más frecuentes son leves y pasajeros.",
+    "Este medicamento no requiere condiciones especiales de conservación.",
+    "Mantener fuera de la vista y del alcance de los niños.",
+]
+
+
+class TestCallWideTable:
+    def test_wide_alphabet_several_chunks(self):
+        # more than 2**16 distinct code points: four or five of them would
+        # not fit a uint64 packed side by side
+        pool = [chr(c) for c in [*range(0x4E00, 0xA000), *range(0x20000, 0x30000)]]
+        random.Random(0).shuffle(pool)
+        texts = ["".join(pool[i : i + 260]) for i in range(0, 4 * CHUNK * 260, 260)]
+        texts += texts[:CHUNK]  # a fifth chunk of grams already in the table
+        # two 3-grams, four chunks apart, with one key if code points had 16 bits each
+        texts[0] += "\u4e00\U00020005\u4e10"
+        texts[-1] += "\u4e01\U00010005\u4e10"
+        assert len(set("".join(texts))) > 2**16
+        cfg = EmbeddingProviderConfig(kind="deterministic-test", dim=384, seed=9)
+        expected = np.stack([deterministic_embed_reference(t, 384, 9) for t in texts])
+        assert embed_batch(texts, cfg).tobytes() == expected.tobytes()
+
+    def test_each_distinct_gram_hashed_once_per_call(self, monkeypatch):
+        counting = _CountingBlake2b(embedding.hashlib)
+        monkeypatch.setattr(embedding, "hashlib", counting)
+        texts = _SENTENCES[:3] * 200
+        embed_batch(texts, EmbeddingProviderConfig(kind="deterministic-test"))
+        distinct = {t.lower()[i : i + n] for t in texts for n in NGRAM_SIZES for i in range(len(t) - n + 1)}
+        assert counting.copies == len(distinct)
+
+    def test_memory_beyond_output_follows_distinct_grams(self):
+        def peak_beyond_output(count):
+            texts = [_SENTENCES[i % len(_SENTENCES)] for i in range(count)]
+            cfg = EmbeddingProviderConfig(kind="deterministic-test")
+            tracemalloc.start()
+            try:
+                matrix = embed_batch(texts, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - matrix.nbytes
+
+        assert peak_beyond_output(64 * CHUNK) <= 2 * peak_beyond_output(CHUNK)
+
+
+class TestLoneSurrogate:
+    @pytest.mark.parametrize(
+        "texts, index",
+        [(["ab\ud800cd"], 0), (["\ud800"], 0), (["uno", "dos\udfff"], 1),
+         (["texto limpio"] * (CHUNK + 3) + ["x\udc00"], CHUNK + 3)],
+        ids=["inside", "alone", "second", "later-chunk"],
+    )
+    def test_typed_error_names_index(self, det_provider, texts, index):
+        with pytest.raises(CorpusEncodingError, match=f"text {index} holds a lone surrogate"):
+            embed_batch(texts, det_provider)
+
+    def test_mock_answers_400_once(self, sleeps):
+        with run_mock_server("echo-fuzzy", embed_dim=16) as server:
+            cfg = EmbeddingProviderConfig(kind="remote-http", endpoint=server.endpoint + "/v1/embeddings", dim=16)
+            with pytest.raises(ProviderError, match="attempts: 1") as err:
+                embed_batch(["bien", "mal\ud800"], cfg)
+            assert err.value.status == 400
+            assert len(server.state.request_log) == 1
+        assert sleeps == []
 
 
 class TestEmbedBatch:

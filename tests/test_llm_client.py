@@ -201,6 +201,23 @@ class TestTransport:
             with pytest.raises(ContractViolationError, match="choice"):
                 translate_batch(batches[0], endpoint)
 
+    @pytest.mark.parametrize(
+        "choices",
+        [
+            [{"index": 0, "text": None}, {"index": 1, "text": 5}],
+            [{"index": 0, "text": "a"}, {"index": 1, "text": None}],
+            [{"index": 0, "text": 5}, {"index": 1, "text": "b"}],
+        ],
+        ids=["null-and-number", "null", "number"],
+    )
+    def test_non_string_text_contract_violation(self, choices):
+        # a null or numeric text is not a translation, not the words "None" or "5"
+        body = json.dumps({"choices": choices}).encode()
+        with local_endpoint([(200, body)]) as (endpoint, _):
+            batches = make_batches(_prompts(["a", "b"]), ["a", "b"])
+            with pytest.raises(ContractViolationError, match="string text"):
+                translate_batch(batches[0], endpoint)
+
     def test_choices_placed_by_index(self):
         body = json.dumps({"choices": [{"index": 1, "text": "b"}, {"index": 0, "text": "a"}]}).encode()
         with local_endpoint([(200, body)]) as (endpoint, _):
