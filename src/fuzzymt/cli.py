@@ -3,8 +3,9 @@
 Machine-readable output goes to stdout, logs and warnings to stderr.
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 transport
 error. Defaults mirror the reference experiment configuration (max-words 70,
-dim 384, nlist 4096, nprobe 32, batch 20, token multiplier 4, temperature
-0.3, top_p 1, mix 20000 at ratio 0.5, validation 1000).
+dim 384, nlist 4096, nprobe 32, batch 20, token multiplier 4, greedy decoding
+at temperature 0 with top_p 1, mix 20000 at ratio 0.5, validation 1000); each
+is read from the dataclass or constant that owns it.
 
 Context store: ``index-build --in CORPUS --out DIR`` writes DIR/corpus.jsonl,
 DIR/index.ivf and DIR/store.json (provider fingerprint, IVF build config,
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import ann_index, corpus, embedding, eval_harness, finetune_export, llm_client, mt_metrics, prompting, retrieval
@@ -97,33 +97,34 @@ def _langs_from_args(args) -> prompting.LanguageNames:
 
 
 def _add_provider_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--provider", default="deterministic-test",
+    defaults = embedding.EmbeddingProviderConfig
+    p.add_argument("--provider", default=defaults.kind,
                    choices=["deterministic-test", "remote-http"], help="embedding provider kind")
-    p.add_argument("--endpoint", default="", help="embedding endpoint URL (remote provider)")
-    p.add_argument("--model", default="deterministic-ngram", help="embedding model name")
-    p.add_argument("--dim", type=int, default=embedding.DEFAULT_DIM, help="embedding dimension")
-    p.add_argument("--embed-batch-size", type=int, default=64)
+    p.add_argument("--endpoint", default=defaults.endpoint, help="embedding endpoint URL (remote provider)")
+    p.add_argument("--model", default=defaults.model_name, help="embedding model name")
+    p.add_argument("--dim", type=int, default=defaults.dim, help="embedding dimension")
+    p.add_argument("--embed-batch-size", type=int, default=defaults.batch_size)
     p.add_argument("--no-normalize", action="store_true", help="skip L2 normalization")
-    p.add_argument("--seed", type=int, default=0, help="seed of the embedding and k-means, "
+    p.add_argument("--seed", type=int, default=defaults.seed, help="seed of the embedding and k-means, "
                    "fixed by a store (export-dataset: also of the mix)")
 
 
 def _add_ivf_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nlist", type=int, default=4096, help="number of coarse clusters; a context "
+    defaults = ann_index.IvfConfig
+    p.add_argument("--nlist", type=int, default=defaults.nlist, help="number of coarse clusters; a context "
                    f"under {retrieval.FLAT_MAX_ROWS} pairs gets 1 (the exact flat index)")
-    p.add_argument("--metric", default=ann_index.METRIC_COSINE,
-                   choices=[ann_index.METRIC_COSINE, ann_index.METRIC_L2])
-    p.add_argument("--kmeans-iters", type=int, default=25, help="Lloyd iterations; "
+    p.add_argument("--metric", default=defaults.metric, choices=[ann_index.METRIC_COSINE, ann_index.METRIC_L2])
+    p.add_argument("--kmeans-iters", type=int, default=defaults.kmeans_iters, help="Lloyd iterations; "
                    f"unused under {retrieval.FLAT_MAX_ROWS} pairs (no k-means)")
 
 
 def _add_nprobe_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nprobe", type=int, default=32, help="clusters searched per query")
+    p.add_argument("--nprobe", type=int, default=ann_index.IvfConfig.nprobe, help="clusters searched per query")
 
 
 def _add_lang_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--source-name", default="Spanish")
-    p.add_argument("--target-name", default="English")
+    p.add_argument("--source-name", default=prompting.LanguageNames.source_name)
+    p.add_argument("--target-name", default=prompting.LanguageNames.target_name)
 
 
 def _ivf_from_args(args) -> ann_index.IvfConfig:
@@ -200,33 +201,35 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="inp", required=True, help="training corpus")
     p.add_argument("--context", default=None, help=_CONTEXT_HELP + " (one-shot)")
     p.add_argument("--total", type=int, default=20000)
-    p.add_argument("--ratio", type=float, default=0.5, help="one-shot fraction")
-    p.add_argument("--validation-size", type=int, default=1000)
+    p.add_argument("--ratio", type=float, default=finetune_export.MixSpec.one_shot_ratio,
+                   help="one-shot fraction")
+    p.add_argument("--validation-size", type=int, default=finetune_export.MixSpec.validation_size)
     _add_provider_flags(p)
     _add_ivf_flags(p)
     _add_nprobe_flag(p)
     _add_lang_flags(p)
 
     p = sub.add_parser("manifest", parents=[common], help="emit the training manifest JSON")
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--train-batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=2e-3)
-    p.add_argument("--warmup-ratio", type=float, default=0.03)
-    p.add_argument("--lora-r", type=int, default=64)
-    p.add_argument("--lora-alpha", type=int, default=16)
-    p.add_argument("--lora-dropout", type=float, default=0.1)
+    training, lora = finetune_export.TrainingArgs, finetune_export.LoraConfig
+    p.add_argument("--epochs", type=int, default=training.epochs)
+    p.add_argument("--train-batch-size", type=int, default=training.batch_size)
+    p.add_argument("--learning-rate", type=float, default=training.learning_rate)
+    p.add_argument("--warmup-ratio", type=float, default=training.warmup_ratio)
+    p.add_argument("--lora-r", type=int, default=lora.r)
+    p.add_argument("--lora-alpha", type=int, default=lora.alpha)
+    p.add_argument("--lora-dropout", type=float, default=lora.dropout)
 
     p = sub.add_parser("translate", parents=[common], help="drive a completion endpoint over a prompt dump")
     p.add_argument("--in", dest="inp", required=True, help="prompt dump JSONL")
     p.add_argument("--endpoint", required=True)
-    p.add_argument("--model", default="default")
+    p.add_argument("--model", default=eval_harness.ExperimentConfig.model_name)
     p.add_argument("--batch-size", type=int, default=llm_client.DEFAULT_BATCH_SIZE)
     p.add_argument("--token-multiplier", type=int, default=llm_client.DEFAULT_TOKEN_MULTIPLIER)
-    p.add_argument("--mode", default=llm_client.MODE_GREEDY,
-                   choices=[llm_client.MODE_GREEDY, llm_client.MODE_SAMPLED])
-    p.add_argument("--temperature", type=float, default=0.3)
-    p.add_argument("--top-p", type=float, default=1.0)
-    p.add_argument("--max-concurrent-batches", type=int, default=2)
+    p.add_argument("--temperature", type=float, default=llm_client.DecodingParams.temperature,
+                   help="0 is greedy decoding")
+    p.add_argument("--top-p", type=float, default=llm_client.DecodingParams.top_p)
+    p.add_argument("--max-concurrent-batches", type=int,
+                   default=eval_harness.ExperimentConfig.max_concurrent_batches)
     p.add_argument("--trace", default=None, help="JSONL request/response trace file")
     _add_lang_flags(p)
 
@@ -384,17 +387,13 @@ def _cmd_export_dataset(args) -> int:
 
 
 def _cmd_manifest(args) -> int:
-    manifest = finetune_export.TrainingManifest()
-    manifest.training.epochs = args.epochs
-    manifest.training.batch_size = args.train_batch_size
-    manifest.training.learning_rate = args.learning_rate
-    manifest.training.warmup_ratio = args.warmup_ratio
-    manifest.lora.r = args.lora_r
-    manifest.lora.alpha = args.lora_alpha
-    manifest.lora.dropout = args.lora_dropout
+    manifest = finetune_export.TrainingManifest(
+        lora=finetune_export.LoraConfig(r=args.lora_r, alpha=args.lora_alpha, dropout=args.lora_dropout),
+        training=finetune_export.TrainingArgs(epochs=args.epochs, batch_size=args.train_batch_size,
+                                              learning_rate=args.learning_rate, warmup_ratio=args.warmup_ratio),
+    )
     if args.out is None:
-        manifest.validate()
-        _print({"schema_version": finetune_export.SCHEMA_VERSION, **asdict(manifest)})
+        _print(finetune_export.manifest_payload(manifest))
     else:
         finetune_export.emit_training_manifest(manifest, args.out)
         _print({"out": args.out})
@@ -411,9 +410,7 @@ def _cmd_translate(args) -> int:
             raise ArgumentError(f"{args.inp}:{lineno}: {exc}") from exc
         prompts.append(prompting.RenderedPrompt(text=record["prompt"]))
         ids.append(record["id"])
-    params = llm_client.DecodingParams(
-        mode=args.mode, temperature=args.temperature, top_p=args.top_p
-    )
+    params = llm_client.DecodingParams(temperature=args.temperature, top_p=args.top_p)
     batches = llm_client.make_batches(
         prompts,
         sources,

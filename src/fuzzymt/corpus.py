@@ -78,19 +78,24 @@ def _lines(text: str) -> list[str]:
     return text.split("\n")
 
 
+def _text_lines(text: str) -> list[str]:
+    """The segments of a text file: only LF, CRLF and CR end a line (not U+2028)."""
+    return _lines(text.replace("\r\n", "\n").replace("\r", "\n"))
+
+
 def read_lines(path: str | Path) -> list[str]:
-    """One segment per line of a UTF-8 file; only LF, CRLF and CR end a line (not U+2028)."""
-    return _lines(_read_utf8(path).replace("\r\n", "\n").replace("\r", "\n"))
+    """One segment per line of a UTF-8 file, lines ended as in ``_text_lines``."""
+    return _text_lines(_read_utf8(path))
 
 
 def parse_tsv(text: str, origin: str | Path) -> ParallelCorpus:
-    """Parse 2-column TSV text, one pair per line, ids in line order from 0.
+    """Parse 2-column TSV text, one pair per line (LF, CRLF or CR ended), ids in line order from 0.
 
     Raises AlignmentError naming ``origin:line`` on a row without exactly
     two columns.
     """
     pairs = []
-    for i, row in enumerate(_lines(text)):
+    for i, row in enumerate(_text_lines(text)):
         cols = row.split("\t")
         if len(cols) != 2:
             raise AlignmentError(
@@ -101,7 +106,8 @@ def parse_tsv(text: str, origin: str | Path) -> ParallelCorpus:
 
 
 def load_corpus(source_path: str | Path, target_path: str | Path | None = None) -> ParallelCorpus:
-    """Load a corpus from two parallel text files or one 2-column TSV.
+    """Load a corpus from two parallel text files or one 2-column TSV, each
+    line ended by LF, CRLF or CR.
 
     Ids are assigned in file order starting at 0. Raises AlignmentError on a
     line-count mismatch and CorpusEncodingError on invalid UTF-8.
@@ -109,8 +115,8 @@ def load_corpus(source_path: str | Path, target_path: str | Path | None = None) 
     if target_path is None:
         return parse_tsv(_read_utf8(source_path), source_path)
 
-    src_lines = _lines(_read_utf8(source_path))
-    tgt_lines = _lines(_read_utf8(target_path))
+    src_lines = read_lines(source_path)
+    tgt_lines = read_lines(target_path)
     if len(src_lines) != len(tgt_lines):
         raise AlignmentError(
             f"line count mismatch: {source_path} has {len(src_lines)} lines, "

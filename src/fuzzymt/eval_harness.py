@@ -98,11 +98,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             value = raw.pop(key, None)
             if value is not None:
                 raw[key] = _config_object(path, key, cls, value)
-    cfg = _config_object(path, "config", ExperimentConfig, raw)
-    # make_batches sets max_tokens per batch, to token_multiplier times the longest source
-    if cfg.decoding.max_tokens is not None:
-        raise ValidationError(f"{path}: decoding.max_tokens cannot be set; use token_multiplier")
-    return cfg
+    return _config_object(path, "config", ExperimentConfig, raw)
 
 
 def config_digest(cfg: ExperimentConfig) -> str:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .corpus import ParallelCorpus, pair_key, write_jsonl_records
 from .errors import ArgumentError, SizeError, StateError, ValidationError
-from .prompting import LanguageNames, normalize_segment, render_few_shot, render_zero_shot
+from .prompting import STOP, LanguageNames, normalize_segment, render_few_shot, render_zero_shot
 from .retrieval import ContextStore, retrieve_fuzzy_many
 
 SCHEMA_VERSION = 1
@@ -33,9 +33,9 @@ class FinetuneExample:
     def __post_init__(self):
         if self.shot_type not in (SHOT_ZERO, SHOT_ONE):
             raise ValidationError(f"shot_type must be zero|one, got {self.shot_type!r}")
-        if not self.completion.startswith(" ") or not self.completion.endswith("\n"):
+        if not self.completion.startswith(" ") or not self.completion.endswith(STOP):
             raise ValidationError("completion must start with one space and end with newline")
-        if self.completion.endswith("\n\n"):
+        if self.completion.endswith(STOP + STOP):
             raise ValidationError("completion must end with exactly one newline")
 
 
@@ -113,8 +113,8 @@ class TrainingManifest:
 
 
 def make_completion(target: str) -> str:
-    """One leading space, the normalized target, exactly one trailing newline."""
-    return " " + normalize_segment(target).rstrip("\n") + "\n"
+    """One leading space, the normalized target (which holds no newline), then ``STOP``."""
+    return " " + normalize_segment(target) + STOP
 
 
 def build_finetune_dataset(
@@ -190,10 +190,14 @@ def write_jsonl(examples: Sequence[FinetuneExample], path: str | Path) -> int:
     )
 
 
+def manifest_payload(manifest: TrainingManifest) -> dict:
+    """The validated manifest as its JSON object, schema version first."""
+    manifest.validate()
+    return {"schema_version": SCHEMA_VERSION, **asdict(manifest)}
+
+
 def emit_training_manifest(manifest: TrainingManifest, path: str | Path) -> None:
     """Validate and write the manifest JSON."""
-    manifest.validate()
-    payload = {"schema_version": SCHEMA_VERSION, **asdict(manifest)}
     Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+        json.dumps(manifest_payload(manifest), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )

@@ -3,6 +3,10 @@
 The wire protocol is the OpenAI-compatible completions shape:
 POST {endpoint}/v1/completions with {"model", "prompt" (array), "temperature",
 "top_p", "max_tokens", "stop"} returning {"choices": [{"index", "text"}]}.
+The user chooses only ``temperature`` (0, the default, is greedy decoding)
+and ``top_p``. The stop is always ``prompting.STOP``, the newline that ends
+every line of the prompt format, and each batch's ``max_tokens`` is set by
+``make_batches`` from the batch's own sources.
 Each batch is one request under the one retry rule of ``_http``: 4
 attempts, 1, 2 and 4 s apart, for a connection error, a timeout, a 429 or a
 5xx, and one for any other reply. A batch without a 200 reply raises
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Sequence
@@ -26,10 +30,7 @@ from . import _http
 from . import embedding as embedding_mod
 from .corpus import write_jsonl_records
 from .errors import ArgumentError, ContractViolationError, CorpusEncodingError, StateError, TransportError
-from .prompting import RenderedPrompt
-
-MODE_GREEDY = "greedy"
-MODE_SAMPLED = "sampled"
+from .prompting import STOP, RenderedPrompt
 
 DEFAULT_BATCH_SIZE = 20
 DEFAULT_TOKEN_MULTIPLIER = 4
@@ -37,26 +38,14 @@ DEFAULT_TOKEN_MULTIPLIER = 4
 
 @dataclass
 class DecodingParams:
-    mode: str = MODE_GREEDY
-    temperature: float = 0.3
+    temperature: float = 0.0  # 0 is greedy (argmax)
     top_p: float = 1.0
-    stop_sequences: list[str] = field(default_factory=lambda: ["\n"])
-    max_tokens: int | None = None
 
     def __post_init__(self):
-        if self.mode not in (MODE_GREEDY, MODE_SAMPLED):
-            raise ArgumentError(f"mode must be greedy|sampled, got {self.mode!r}")
         if self.temperature < 0:
             raise ArgumentError(f"temperature must be >= 0, got {self.temperature}")
         if not (0.0 < self.top_p <= 1.0):
             raise ArgumentError(f"top_p must be in (0,1], got {self.top_p}")
-        if not self.stop_sequences:
-            raise ArgumentError("stop_sequences must be non-empty")
-
-    @property
-    def wire_temperature(self) -> float:
-        """Greedy decoding maps to temperature 0 on the wire (argmax)."""
-        return 0.0 if self.mode == MODE_GREEDY else self.temperature
 
 
 @dataclass
@@ -64,6 +53,7 @@ class TranslationRequestBatch:
     prompts: list[RenderedPrompt]
     params: DecodingParams
     ids: list[int]
+    max_tokens: int
 
 
 @dataclass(frozen=True)
@@ -98,30 +88,21 @@ def make_batches(
         ids = list(range(len(prompts)))
     elif len(ids) != len(prompts):
         raise ArgumentError(f"{len(prompts)} prompts vs {len(ids)} ids")
-    template = params if params is not None else DecodingParams()
-    batches = []
-    for start in range(0, len(prompts), batch_size):
-        chunk_prompts = list(prompts[start : start + batch_size])
-        chunk_sources = sources[start : start + batch_size]
-        chunk_ids = list(ids[start : start + batch_size])
-        tokens = max_source_words(chunk_sources) * token_multiplier
-        batches.append(
-            TranslationRequestBatch(
-                prompts=chunk_prompts,
-                params=replace(template, max_tokens=tokens),
-                ids=chunk_ids,
-            )
+    params = params if params is not None else DecodingParams()
+    return [
+        TranslationRequestBatch(
+            prompts=list(prompts[start : start + batch_size]),
+            params=params,
+            ids=list(ids[start : start + batch_size]),
+            max_tokens=max_source_words(sources[start : start + batch_size]) * token_multiplier,
         )
-    return batches
+        for start in range(0, len(prompts), batch_size)
+    ]
 
 
-def truncate_at_stop(text: str, stop_sequences: Sequence[str]) -> str:
-    cut = len(text)
-    for stop in stop_sequences:
-        pos = text.find(stop)
-        if pos != -1:
-            cut = min(cut, pos)
-    return text[:cut].strip()
+def truncate_at_stop(text: str) -> str:
+    """The text before the first ``STOP``, stripped."""
+    return text.partition(STOP)[0].strip()
 
 
 def generation_record(result: TranslationResult) -> dict:
@@ -140,10 +121,10 @@ def translate_batch(
     payload = {
         "model": model,
         "prompt": [p.text for p in batch.prompts],
-        "temperature": batch.params.wire_temperature,
+        "temperature": batch.params.temperature,
         "top_p": batch.params.top_p,
-        "max_tokens": batch.params.max_tokens,
-        "stop": list(batch.params.stop_sequences),
+        "max_tokens": batch.max_tokens,
+        "stop": [STOP],
     }
     url = endpoint.rstrip("/") + "/v1/completions"
     reply = _http.post_json(url, payload)
@@ -170,10 +151,7 @@ def translate_batch(
             raise ContractViolationError(f"malformed choice {choice!r}: needs a string text and a distinct int "
                                          f"index in [0, {n})")
         texts[index] = choice["text"]
-    return [
-        TranslationResult(id=pid, text=truncate_at_stop(text, batch.params.stop_sequences))
-        for pid, text in zip(batch.ids, texts)
-    ]
+    return [TranslationResult(id=pid, text=truncate_at_stop(text)) for pid, text in zip(batch.ids, texts)]
 
 
 def translate_all(

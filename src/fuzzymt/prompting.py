@@ -5,10 +5,11 @@ Completion-style translation prompts use labelled lines::
     Spanish: <source>
     English:
 
-with one "<name>: <text>" example pair per shot before the query. The
-newline is the stop token, so segment-internal newlines are always
-normalized to spaces; the prompt ends exactly at "<target_name>:" with no
-trailing whitespace.
+with one "<name>: <text>" example pair per shot before the query. ``STOP``,
+the newline, ends every translation: the client sends it as the stop
+sequence and fine-tuning completions end with it. Segment-internal newlines
+are therefore always normalized to spaces, and the prompt ends exactly at
+"<target_name>:" with no trailing whitespace.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .corpus import write_jsonl_records
 from .errors import ArgumentError
 from .retrieval import FuzzyMatch
 
+STOP = "\n"
 _NEWLINE_RUN = re.compile(r"[\r\n]+")
 
 
@@ -49,7 +51,7 @@ def normalize_segment(text: str) -> str:
 
 def render_zero_shot(source: str, langs: LanguageNames = LanguageNames()) -> RenderedPrompt:
     """"<source_name>: <source>\\n<target_name>:" with zero example pairs."""
-    if not source:
+    if not source.strip():
         raise ArgumentError("source must be non-empty")
     text = f"{langs.source_name}: {normalize_segment(source)}\n{langs.target_name}:"
     return RenderedPrompt(text=text, shots=0)
@@ -63,7 +65,7 @@ def render_few_shot(
     """Example pairs (ascending score, best match last) followed by the query."""
     if not matches:
         raise ArgumentError("matches must be non-empty; use render_zero_shot instead")
-    if not source:
+    if not source.strip():
         raise ArgumentError("source must be non-empty")
     ordered = sorted(matches, key=lambda m: m.score)
     lines = []

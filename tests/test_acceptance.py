@@ -316,7 +316,7 @@ def test_10_batching_rule():
                 assert len(batch.prompts) <= batch_size
                 chunk = sources[cursor : cursor + len(batch.prompts)]
                 expected = max(len(s.split()) for s in chunk) * multiplier
-                assert batch.params.max_tokens == expected
+                assert batch.max_tokens == expected
                 cursor += len(batch.prompts)
 
 

@@ -13,8 +13,13 @@ from pathlib import Path
 import pytest
 
 from fuzzymt import cli, retrieval
+from fuzzymt.ann_index import IvfConfig
 from fuzzymt.corpus import write_tsv
-from fuzzymt.llm_client import run_mock_server
+from fuzzymt.embedding import EmbeddingProviderConfig
+from fuzzymt.eval_harness import ExperimentConfig
+from fuzzymt.finetune_export import LoraConfig, MixSpec, TrainingArgs
+from fuzzymt.llm_client import DecodingParams, run_mock_server
+from fuzzymt.prompting import LanguageNames
 
 from conftest import local_endpoint, synth_corpus
 
@@ -68,12 +73,38 @@ CLI_SURFACE = {
                       f"--nprobe {LANGS}",
     "manifest": f"{COMMON} --epochs --train-batch-size --learning-rate --warmup-ratio --lora-r --lora-alpha "
                 "--lora-dropout",
-    "translate": f"{COMMON} --in --endpoint --model --batch-size --token-multiplier --mode --temperature --top-p "
+    "translate": f"{COMMON} --in --endpoint --model --batch-size --token-multiplier --temperature --top-p "
                  f"--max-concurrent-batches --trace {LANGS}",
     "evaluate": f"{COMMON} --in --hyp --ref",
     "report": f"{COMMON} --in --format",
     "run": f"{COMMON} --config",
 }
+
+# (subcommand, flag) -> the dataclass field whose default the flag's default must be
+FLAG_OWNERS = {
+    **{("index-build", flag): (EmbeddingProviderConfig, name) for flag, name in [
+        ("--provider", "kind"), ("--endpoint", "endpoint"), ("--model", "model_name"), ("--dim", "dim"),
+        ("--embed-batch-size", "batch_size"), ("--seed", "seed")]},
+    **{("index-build", flag): (IvfConfig, name) for flag, name in [
+        ("--nlist", "nlist"), ("--metric", "metric"), ("--kmeans-iters", "kmeans_iters")]},
+    ("retrieve", "--nprobe"): (IvfConfig, "nprobe"),
+    ("prompts", "--source-name"): (LanguageNames, "source_name"),
+    ("prompts", "--target-name"): (LanguageNames, "target_name"),
+    ("export-dataset", "--ratio"): (MixSpec, "one_shot_ratio"),
+    ("export-dataset", "--validation-size"): (MixSpec, "validation_size"),
+    **{("manifest", flag): (TrainingArgs, name) for flag, name in [
+        ("--epochs", "epochs"), ("--train-batch-size", "batch_size"), ("--learning-rate", "learning_rate"),
+        ("--warmup-ratio", "warmup_ratio")]},
+    **{("manifest", flag): (LoraConfig, name) for flag, name in [
+        ("--lora-r", "r"), ("--lora-alpha", "alpha"), ("--lora-dropout", "dropout")]},
+    **{("translate", flag): (ExperimentConfig, name) for flag, name in [
+        ("--model", "model_name"), ("--batch-size", "batch_size"), ("--token-multiplier", "token_multiplier"),
+        ("--max-concurrent-batches", "max_concurrent_batches")]},
+    ("translate", "--temperature"): (DecodingParams, "temperature"),
+    ("translate", "--top-p"): (DecodingParams, "top_p"),
+}
+# the run config objects whose every field some code outside the class reads
+CONFIG_CLASSES = (ExperimentConfig, EmbeddingProviderConfig, IvfConfig, DecodingParams, LanguageNames, MixSpec)
 
 
 def run_cli(argv, capsys):
@@ -157,6 +188,33 @@ class TestHelpAndUsage:
             missing = declared - reads(cli._COMMANDS[name].__name__, set())
             if missing:
                 unread[name] = sorted(missing)
+        assert unread == {}
+
+    @pytest.mark.parametrize("sub, flag", FLAG_OWNERS, ids=[f"{sub}{flag}" for sub, flag in FLAG_OWNERS])
+    def test_flag_default_is_owner_default(self, sub, flag):
+        cls, name = FLAG_OWNERS[sub, flag]
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in subparsers.choices[sub]._actions if flag in a.option_strings)
+        assert action.default == cls.__dataclass_fields__[name].default
+
+    def test_every_config_field_is_read(self):
+        """Each field of a run config object is read as an attribute somewhere
+        in the package outside its own class body."""
+        trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(cli.__file__).parent.glob("*.py")]
+
+        def reads(node, skip):
+            if isinstance(node, ast.ClassDef) and node.name == skip:
+                return set()
+            found = {node.attr} if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) else set()
+            for child in ast.iter_child_nodes(node):
+                found |= reads(child, skip)
+            return found
+
+        unread = {}
+        for cls in CONFIG_CLASSES:
+            missing = set(cls.__dataclass_fields__) - set().union(*(reads(tree, cls.__name__) for tree in trees))
+            if missing:
+                unread[cls.__name__] = sorted(missing)
         assert unread == {}
 
 
@@ -454,6 +512,13 @@ class TestRetrieveAndPrompts:
         assert first["prompt"].startswith("Spanish: ")
         assert first["prompt"].endswith("\nEnglish:")
 
+    def test_prompts_whitespace_source_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "test.tsv"
+        path.write_text("hola\thello\n \tfoo\n", encoding="utf-8")
+        code, _, err = run_cli(["prompts", "--in", str(path)], capsys)
+        assert code == 2
+        assert "source must be non-empty" in err
+
     def test_prompts_one_shot_requires_context(self, corpus_tsv, capsys):
         code, _, _ = run_cli(
             ["prompts", "--in", corpus_tsv, "--condition", "one-shot"], capsys
@@ -473,6 +538,23 @@ class TestExportAndManifest:
         counts = json.loads(stdout)
         assert counts["train"] == 6 and counts["validation"] == 2
         assert counts["one_shot"] == 4 and counts["zero_shot"] == 4
+
+    def test_export_crlf_files_as_lf(self, tmp_path, capsys):
+        pairs = synth_corpus(12, seed=3).pairs
+        outputs = []
+        for eol in ("\n", "\r\n"):
+            name = "crlf" if eol == "\r\n" else "lf"
+            src, tgt = tmp_path / f"{name}.es", tmp_path / f"{name}.en"
+            src.write_bytes("".join(p.source + eol for p in pairs).encode("utf-8"))
+            tgt.write_bytes("".join(p.target + eol for p in pairs).encode("utf-8"))
+            prefix = tmp_path / name
+            code, _, _ = run_cli(["export-dataset", "--in", f"{src},{tgt}", "--context", f"{src},{tgt}",
+                                  "--total", "8", "--validation-size", "2", "--dim", "32", "--out", str(prefix)],
+                                 capsys)
+            assert code == 0
+            outputs.append([Path(f"{prefix}.{part}.jsonl").read_bytes() for part in ("train", "validation")])
+        assert outputs[0] == outputs[1]
+        assert b"\\r" not in b"".join(outputs[1]) and b" \\n" not in b"".join(outputs[1])
 
     def test_manifest_defaults(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
@@ -682,6 +764,29 @@ class TestRun:
         code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
         assert code == 2
         assert "unknown provider keys ['bogus']" in err
+
+    @pytest.mark.parametrize("key, value", [("mode", "sampled"), ("stop_sequences", ["|"]), ("max_tokens", 7)],
+                             ids=["mode", "stop_sequences", "max_tokens"])
+    def test_run_removed_decoding_key_exit_2(self, key, value, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"test_corpus": "a.tsv", "context_corpus": "b.tsv", "decoding": {key: value}}),
+                            encoding="utf-8")
+        code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert f"unknown decoding keys ['{key}']" in err
+
+    def test_run_whitespace_source_exit_2(self, tmp_path, capsys):
+        test_path = tmp_path / "test.tsv"
+        test_path.write_text("hola\thello\n \tfoo\n", encoding="utf-8")
+        context_path = tmp_path / "context.tsv"
+        write_tsv(synth_corpus(8, seed=41, id_offset=300), context_path)
+        config = {"test_corpus": str(test_path), "context_corpus": str(context_path),
+                  "provider": {"dim": 32}, "endpoint": "http://127.0.0.1:9", "output_dir": str(tmp_path / "run")}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert "[prompts-zero-shot] source must be non-empty" in err
 
     def test_run_invalid_utf8_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"

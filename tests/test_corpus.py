@@ -59,6 +59,18 @@ class TestLoadCorpus:
         assert len(corpus) == 2
         assert corpus.pairs[0].target == "hello"
 
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_load_as_lf(self, eol, tmp_path):
+        rows = [("hola mundo", "hello world"), ("adios", "goodbye")]
+        for name, newline in (("lf", "\n"), ("other", eol)):
+            for side, column in (("es", 0), ("en", 1)):
+                (tmp_path / f"{name}.{side}").write_text("".join(r[column] + newline for r in rows), encoding="utf-8")
+            (tmp_path / f"{name}.tsv").write_text("".join(f"{s}\t{t}{newline}" for s, t in rows), encoding="utf-8")
+        lf = load_corpus(tmp_path / "lf.es", tmp_path / "lf.en")
+        assert lf.pairs == _pairs(rows)
+        assert load_corpus(tmp_path / "other.es", tmp_path / "other.en") == lf
+        assert load_corpus(tmp_path / "other.tsv") == load_corpus(tmp_path / "lf.tsv") == lf
+
     def test_tsv_bad_column_count(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_text("only one column\n", encoding="utf-8")

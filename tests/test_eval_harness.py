@@ -316,7 +316,7 @@ class TestConfigLoading:
             "provider": {"kind": "deterministic-test", "dim": 32, "seed": 4},
             "ivf": {"dim": 32, "nlist": 2, "nprobe": 1},
             "endpoint": "http://127.0.0.1:9999",
-            "decoding": {"mode": "sampled", "temperature": 0.3, "top_p": 1.0},
+            "decoding": {"temperature": 0.3, "top_p": 1.0},
             "conditions": ["zero-shot"],
             "output_dir": "out",
             "seed": 4,
@@ -326,7 +326,7 @@ class TestConfigLoading:
         cfg = load_experiment_config(path)
         assert cfg.provider.dim == 32
         assert cfg.ivf.nlist == 2
-        assert cfg.decoding.mode == "sampled"
+        assert cfg.decoding.temperature == 0.3
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -345,7 +345,7 @@ class TestConfigLoading:
     def test_decoding_max_tokens_rejected(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"test_corpus": "a", "context_corpus": "b", "decoding": {"max_tokens": -7}}))
-        with pytest.raises(ValidationError, match="decoding.max_tokens cannot be set; use token_multiplier"):
+        with pytest.raises(ValidationError, match=r"unknown decoding keys \['max_tokens'\]"):
             load_experiment_config(path)
 
     def test_missing_required_field_rejected(self, tmp_path):

@@ -30,24 +30,16 @@ def _prompts(sources):
 
 
 class TestDecodingParams:
-    def test_greedy_wire_temperature_zero(self):
-        params = DecodingParams(mode="greedy", temperature=0.7)
-        assert params.wire_temperature == 0.0
-
-    def test_sampled_defaults(self):
-        params = DecodingParams(mode="sampled")
-        assert params.wire_temperature == 0.3
+    def test_default_is_greedy(self):
+        params = DecodingParams()
+        assert params.temperature == 0.0
         assert params.top_p == 1.0
 
     def test_validation(self):
         with pytest.raises(ArgumentError):
-            DecodingParams(mode="beam")
-        with pytest.raises(ArgumentError):
             DecodingParams(temperature=-1)
         with pytest.raises(ArgumentError):
             DecodingParams(top_p=0.0)
-        with pytest.raises(ArgumentError):
-            DecodingParams(stop_sequences=[])
 
 
 class TestMakeBatches:
@@ -59,12 +51,12 @@ class TestMakeBatches:
     def test_max_tokens_rule(self):
         sources = ["uno dos", " ".join(["w"] * 12), "tres"]
         batches = make_batches(_prompts(sources), sources, batch_size=20, token_multiplier=4)
-        assert batches[0].params.max_tokens == 48
+        assert batches[0].max_tokens == 48
 
     def test_per_batch_max_tokens(self):
         sources = [" ".join(["a"] * 10), " ".join(["b"] * 3)]
         batches = make_batches(_prompts(sources), sources, batch_size=1, token_multiplier=4)
-        assert [b.params.max_tokens for b in batches] == [40, 12]
+        assert [b.max_tokens for b in batches] == [40, 12]
 
     def test_empty_input(self):
         assert make_batches([], [], batch_size=20) == []
@@ -80,9 +72,9 @@ class TestMakeBatches:
 
 
 def test_truncate_at_stop():
-    assert truncate_at_stop("hello world\nextra", ["\n"]) == "hello world"
-    assert truncate_at_stop("  spaced  ", ["\n"]) == "spaced"
-    assert truncate_at_stop("a|b\nc", ["\n", "|"]) == "a"
+    assert truncate_at_stop("hello world\nextra") == "hello world"
+    assert truncate_at_stop("  spaced  ") == "spaced"
+    assert truncate_at_stop("a|b\nc") == "a|b"
 
 
 class TestMockServerModes:
@@ -124,8 +116,7 @@ class TestMockServerModes:
 
     def test_greedy_temperature_on_wire(self):
         with run_mock_server("canned", fixtures=["ok"]) as server:
-            params = DecodingParams(mode="greedy", temperature=0.9)
-            batches = make_batches([render_zero_shot("x", LANGS)], ["x"], params=params)
+            batches = make_batches([render_zero_shot("x", LANGS)], ["x"], params=DecodingParams())
             translate_batch(batches[0], server.endpoint)
             sent = server.state.request_log[-1]["payload"]
         assert sent["temperature"] == 0.0

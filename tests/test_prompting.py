@@ -48,6 +48,10 @@ class TestZeroShot:
         with pytest.raises(ArgumentError):
             render_zero_shot("", LANGS)
 
+    def test_whitespace_source_rejected(self):
+        with pytest.raises(ArgumentError, match="source must be non-empty"):
+            render_zero_shot(" \t ", LANGS)
+
 
 class TestFewShot:
     def test_one_shot_byte_exact(self):
@@ -74,6 +78,10 @@ class TestFewShot:
     def test_empty_matches_rejected(self):
         with pytest.raises(ArgumentError):
             render_few_shot("s", [], LANGS)
+
+    def test_whitespace_source_rejected(self):
+        with pytest.raises(ArgumentError, match="source must be non-empty"):
+            render_few_shot(" \t ", [_match("s", "t")], LANGS)
 
     @settings(max_examples=100, deadline=None)
     @given(source=st_segment, fuzzy_src=st_segment, fuzzy_tgt=st_segment)
