@@ -60,12 +60,17 @@ class DatasetSplit:
     validation: ParallelCorpus
 
 
-def _read_utf8(path: str | Path) -> str:
+def _read_utf8(path: str | Path, text_lines: bool = False) -> str:
+    """The file decoded as UTF-8. CorpusEncodingError names the line of an
+    invalid byte: lines end at LF, or as in ``_text_lines`` if ``text_lines``."""
     raw = Path(path).read_bytes()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        head = raw[: exc.start]
+        if text_lines:
+            head = head.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1
         raise CorpusEncodingError(f"{path}:{line}: not valid UTF-8: {exc}") from exc
 
 
@@ -85,7 +90,7 @@ def _text_lines(text: str) -> list[str]:
 
 def read_lines(path: str | Path) -> list[str]:
     """One segment per line of a UTF-8 file, lines ended as in ``_text_lines``."""
-    return _text_lines(_read_utf8(path))
+    return _text_lines(_read_utf8(path, text_lines=True))
 
 
 def parse_tsv(text: str, origin: str | Path) -> ParallelCorpus:
@@ -113,7 +118,7 @@ def load_corpus(source_path: str | Path, target_path: str | Path | None = None) 
     line-count mismatch and CorpusEncodingError on invalid UTF-8.
     """
     if target_path is None:
-        return parse_tsv(_read_utf8(source_path), source_path)
+        return parse_tsv(_read_utf8(source_path, text_lines=True), source_path)
 
     src_lines = read_lines(source_path)
     tgt_lines = read_lines(target_path)

@@ -2,11 +2,18 @@
 
 Each metric reduces every pair to integer statistics, sums them over the
 corpus, and applies one float formula to the sums (the sacreBLEU design,
-arXiv:1804.08771). BLEU and chrF++ share one n-gram counter: per order, the
-hypothesis n-grams, the reference n-grams, and the clipped matches. An
-``EvalPair`` tokenizes its two sides once; BLEU, TER and the check that
-every reference holds a token all read those tokens. Fixed settings, chosen
-to match dominant community defaults:
+arXiv:1804.08771). An ``EvalPair`` tokenizes its two sides once; BLEU, TER
+and the check that every reference holds a token all read those tokens.
+
+BLEU and chrF++ share one n-gram counter, which counts the whole corpus in
+one numpy pass per order. Units become integers (a character its code
+point, a token a dense id). An n-gram's key is the id of its (n-1)-gram
+prefix times a base above every unit, plus its last unit; a unigram's
+prefix is its pair index, so a key names one gram of one pair.
+``np.unique`` re-densifies the keys at each order, which keeps them far
+inside int64, and a pair's matches are clipped as min(hypothesis count,
+reference count) per key. Fixed settings, chosen to match dominant
+community defaults:
 
 * BLEU: n-gram orders 1..4 pooled over the corpus, geometric mean, brevity
   penalty exp(1 - r/c) for c < r with c, r the pooled unigram counts,
@@ -31,9 +38,9 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -103,16 +110,57 @@ def tokenize_13a(line: str) -> list[str]:
 
 def _pooled_ngram_stats(sides: Iterable[tuple[Sequence, Sequence]], orders: range) -> list[list[int]]:
     """[hypothesis n-grams, reference n-grams, clipped matches] for each n in
-    ``orders``, summed over the (hypothesis, reference) sides."""
-    stats = [[0, 0, 0] for _ in orders]
-    for hyp, ref in sides:
-        for pooled, n in zip(stats, orders):
-            hyp_grams = Counter(hyp[i : i + n] for i in range(len(hyp) - n + 1))
-            ref_grams = Counter(ref[i : i + n] for i in range(len(ref) - n + 1))
-            pooled[0] += max(len(hyp) - n + 1, 0)
-            pooled[1] += max(len(ref) - n + 1, 0)
-            pooled[2] += (hyp_grams & ref_grams).total()
+    ``orders``, a range 1..k, summed over the (hypothesis, reference) sides,
+    which are all strings (units are characters) or all token sequences.
+
+    All hypotheses, then all references, become one array of unit ids
+    (``_unit_ids``). The gram of size n at position i has a key: its pair
+    index (for n = 1) or the id of the (n-1)-gram at i (for n > 1), times
+    ``base``, plus the unit at i + n - 1, where ``base`` exceeds every
+    unit. ``np.unique`` maps the keys of an order to dense ids, so two
+    grams share an id exactly when they are the same gram of the same
+    pair, and a pair's grams never meet another pair's. With N the number
+    of pairs plus units, ids and pair indices are below N and ``base`` is
+    at most max(N, 0x110000), so a key stays far inside int64 for any
+    corpus that fits in memory. The clipped matches of an order are the
+    sum over ids of min(hypothesis count, reference count), each side
+    counted with ``np.bincount``.
+    """
+    hyps, refs = zip(*sides)
+    units, lengths = _unit_ids(hyps + refs)
+    pairs = len(hyps)
+    segment = np.repeat(np.arange(2 * pairs), lengths)
+    end = np.cumsum(lengths)[segment]
+    base = int(units.max(initial=0)) + 1
+    starts = np.arange(len(units))
+    ids = segment % pairs
+    stats = []
+    for n in orders:
+        keep = starts + (n - 1) < end[starts]
+        starts = starts[keep]
+        distinct, ids = np.unique(ids[keep] * base + units[starts + (n - 1)], return_inverse=True)
+        in_hyp = segment[starts] < pairs
+        hyp_counts = np.bincount(ids[in_hyp], minlength=len(distinct))
+        ref_counts = np.bincount(ids[~in_hyp], minlength=len(distinct))
+        hyp_total = int(np.count_nonzero(in_hyp))
+        matches = int(np.minimum(hyp_counts, ref_counts).sum())
+        stats.append([hyp_total, len(starts) - hyp_total, matches])
     return stats
+
+
+def _unit_ids(segments: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 unit ids of all ``segments``, concatenated, and each one's length.
+
+    A character's id is its code point (a lone surrogate's too); a token's
+    is its index among the distinct tokens of ``segments``.
+    """
+    lengths = np.fromiter(map(len, segments), dtype=np.intp, count=len(segments))
+    if isinstance(segments[0], str):
+        points = "".join(segments).encode("utf-32-le", "surrogatepass")
+        return np.frombuffer(points, dtype="<u4").astype(np.int64), lengths
+    tokens = list(chain.from_iterable(segments))
+    vocab = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
+    return np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens)), lengths
 
 
 # -- BLEU -----------------------------------------------------------------------

@@ -81,7 +81,8 @@ def parse_prompt(text: str, langs: LanguageNames = LanguageNames()) -> tuple[lis
     """Split a rendered prompt back into its example pairs and the query.
 
     Returns (examples, query_source). Raises ArgumentError when the text does
-    not follow the rendered line structure.
+    not follow the rendered line structure or its query source is blank, a
+    source that the renderers reject too.
     """
     src_prefix = f"{langs.source_name}: "
     tgt_prefix = f"{langs.target_name}: "
@@ -100,7 +101,10 @@ def parse_prompt(text: str, langs: LanguageNames = LanguageNames()) -> tuple[lis
     query_line = body[-1]
     if not query_line.startswith(src_prefix):
         raise ArgumentError("query line must carry the source-language prefix")
-    return examples, query_line[len(src_prefix):]
+    query = query_line[len(src_prefix):]
+    if not query.strip():
+        raise ArgumentError("query source must be non-empty")
+    return examples, query
 
 
 def prompt_record(prompt_id: int, prompt: RenderedPrompt, reference: str) -> dict:

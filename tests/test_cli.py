@@ -47,6 +47,7 @@ BAD_RECORD = [
     ("translate", "int-prompt", b'{"id": 1, "prompt": 5}', "key 'prompt' must be str"),
     ("translate", "no-stub-prompt", b'{"id": 1, "prompt": "Spanish: a"}',
      "prompt must end with the bare target stub line"),
+    ("translate", "blank-query", b'{"id": 1, "prompt": "Spanish:  \\nEnglish:"}', "query source must be non-empty"),
 ]
 BAD_JSONL_CASES = [
     pytest.param(sub, content, message, id=f"{sub}-{case}")

@@ -83,6 +83,15 @@ class TestLoadCorpus:
         with pytest.raises(CorpusEncodingError):
             load_corpus(path, path)
 
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_invalid_utf8_names_its_line(self, eol, tmp_path):
+        (tmp_path / "es.txt").write_bytes(eol.join([b"a", b"b", b"\xff", b""]))
+        (tmp_path / "en.txt").write_bytes(eol.join([b"a", b"b", b"c", b""]))
+        (tmp_path / "c.tsv").write_bytes(eol.join([b"a\tx", b"b\ty", b"\xff\tz", b""]))
+        for spec, bad in ((f"{tmp_path / 'es.txt'},{tmp_path / 'en.txt'}", "es.txt"), (str(tmp_path / "c.tsv"), "c.tsv")):
+            with pytest.raises(CorpusEncodingError, match=re.escape(f"{bad}:3: not valid UTF-8")):
+                load_any(spec)
+
     def test_jsonl_round_trip(self, tmp_path):
         corpus = ParallelCorpus(_pairs([("a b", "x y"), ('q"uote', "z")]))
         path = tmp_path / "c.jsonl"

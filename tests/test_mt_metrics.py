@@ -36,7 +36,14 @@ def frozen_values():
     return json.loads((DATA / "metrics_expected.json").read_text(encoding="utf-8"))
 
 
-from oracles import bleu_reference, chrf_pp_reference, exhaustive_shift_edits, greedy_ter_reference, lev_oracle
+from oracles import (
+    _ref_ngram_stats,
+    bleu_reference,
+    chrf_pp_reference,
+    exhaustive_shift_edits,
+    greedy_ter_reference,
+    lev_oracle,
+)
 
 # -- tokenizer --------------------------------------------------------------------
 
@@ -299,13 +306,63 @@ def _corpora(draw):
     return pairs
 
 
+@st.composite
+def _repetitive_corpora(draw):
+    """Up to 40 pairs over a 3-5 letter alphabet, so most grams recur in other pairs."""
+    alphabet = "abcde"[: draw(st.integers(3, 5))]
+    word = st.text(alphabet, min_size=1, max_size=3)
+    sentence = st.lists(word, max_size=8).map(" ".join)
+    refs = st.lists(word, min_size=1, max_size=8).map(" ".join)
+    return draw(st.lists(st.tuples(sentence, refs), min_size=1, max_size=40))
+
+
+def _assert_equal_frozen_scorers(corpus):
+    pairs = [EvalPair(hyp, ref) for hyp, ref in corpus]
+    assert bleu(pairs).value == bleu_reference(corpus)
+    assert chrf_pp(pairs).value == chrf_pp_reference(corpus)
+
+
+def _summed_ref_stats(sides, orders):
+    """``oracles._ref_ngram_stats`` of each pair, summed per order."""
+    return [[sum(col) for col in zip(*(_ref_ngram_stats(hyp, ref, n) for hyp, ref in sides))] for n in orders]
+
+
 class TestFrozenScorers:
     @settings(max_examples=200, deadline=None)
     @given(_corpora())
     def test_bleu_and_chrf_pp_equal_frozen_per_pair_scorers(self, corpus):
+        _assert_equal_frozen_scorers(corpus)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_repetitive_corpora())
+    def test_grams_shared_across_pairs(self, corpus):
+        _assert_equal_frozen_scorers(corpus)
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            # each hypothesis matches only the other pair's reference
+            [("a b c d", "e f g h"), ("e f g h", "a b c d")],
+            [("a\ud800b c", "a\ud800b c d"), ("\ud800", "x \ud800")],
+            [("\ud83d\ude00 b", "\U0001f600 b"), ("\udfff\ud800", "\ud800\udfff")],
+            [("𝔘😀 x𝔘", "𝔘😀 x𝔘 y"), ("😀😀😀", "😀😀 😀")],
+            [("", "a b c"), ("", "d")],
+            [("a b", "a b c d e"), ("c", "c c"), ("ab", "ab ab")],
+        ],
+        ids=["grams-of-the-other-pair", "lone-surrogate", "surrogate-pair-halves", "astral", "all-empty-hypotheses",
+             "shorter-than-order"],
+    )
+    def test_edge_corpora_equal_per_pair_oracle(self, corpus):
         pairs = [EvalPair(hyp, ref) for hyp, ref in corpus]
-        assert bleu(pairs).value == bleu_reference(corpus)
-        assert chrf_pp(pairs).value == chrf_pp_reference(corpus)
+        words = [(tuple(hyp.split()), tuple(ref.split())) for hyp, ref in corpus]
+        chars = [("".join(hyp), "".join(ref)) for hyp, ref in words]
+        for sides, orders in (
+            ([pair.tokens for pair in pairs], range(1, 5)),
+            (chars, range(1, 7)),
+            (words, range(1, 3)),
+        ):
+            assert mt_metrics._pooled_ngram_stats(sides, orders) == _summed_ref_stats(sides, orders)
+        _assert_equal_frozen_scorers(corpus)
 
     def test_independent_reference_script_reproduces_frozen_values(self):
         script = Path(__file__).parents[1] / "scripts" / "metric_reference.py"

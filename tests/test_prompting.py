@@ -130,6 +130,13 @@ class TestRoundTripParse:
         with pytest.raises(ArgumentError):
             parse_prompt("garbage without stub", LANGS)
 
+    @pytest.mark.parametrize("query", ["", " ", "\t \u3000"], ids=["empty", "space", "blanks"])
+    @pytest.mark.parametrize("shots", [0, 1])
+    def test_blank_query_rejected(self, query, shots):
+        examples = "Spanish: hola\nEnglish: hello\n" * shots
+        with pytest.raises(ArgumentError, match="query source must be non-empty"):
+            parse_prompt(f"{examples}Spanish: {query}\nEnglish:", LANGS)
+
 
 class TestLanguageNames:
     def test_defaults(self):
