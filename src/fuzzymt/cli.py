@@ -20,6 +20,9 @@ retrieval.FLAT_MAX_ROWS pairs gets the exact flat index (nlist 1, no k-means),
 whatever --nlist and --kmeans-iters say; a larger one needs --nlist at most
 its size.
 
+translate --out keeps the generations of every batch that got its reply, in
+batch order, also when another batch fails (exit 3).
+
 --seed goes to the commands that draw random numbers: split (the validation
 sample) and the five that take the provider flags (index-build, index-search,
 retrieve, prompts, export-dataset), where it seeds the embedding, k-means and
@@ -425,14 +428,13 @@ def _cmd_translate(args) -> int:
         model=args.model,
         max_concurrent_batches=args.max_concurrent_batches,
         trace_path=args.trace,
+        generations_path=args.out,
     )
-    lines = [llm_client.generation_record(r) for r in results]
     if args.out is not None:
-        corpus.write_jsonl_records(args.out, lines)
-        _print({"translations": len(lines), "out": args.out})
+        _print({"translations": len(results), "out": args.out})
     else:
-        for line in lines:
-            _print(line)
+        for result in results:
+            _print(llm_client.generation_record(result))
     return EXIT_OK
 
 

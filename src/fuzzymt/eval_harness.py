@@ -212,20 +212,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
                 params=cfg.decoding,
                 ids=test.ids(),
             )
-            t0 = time.monotonic()
             translations = llm_client.translate_all(
                 batches,
                 cfg.endpoint,
                 model=cfg.model_name,
                 max_concurrent_batches=cfg.max_concurrent_batches,
                 trace_path=out_dir / f"trace.{condition}.jsonl",
+                generations_path=out_dir / f"generations.{condition}.jsonl",
             )
-            elapsed = max(time.monotonic() - t0, 1e-9)
             stage["items"] = len(translations)
-            corpus_mod.write_jsonl_records(
-                out_dir / f"generations.{condition}.jsonl",
-                map(llm_client.generation_record, translations),
-            )
+        segments_per_second = stage["items"] / max(stage["seconds"], 1e-9)
         with _stage(f"score-{condition}", stages) as stage:
             pairs = [
                 EvalPair(hypothesis=r.text, reference=t)
@@ -238,7 +234,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
                 condition=condition,
                 translations=translations,
                 scores=scores,
-                segments_per_second=len(test) / elapsed,
+                segments_per_second=segments_per_second,
             )
         )
 
@@ -285,12 +281,17 @@ def rescore_condition(output_dir: str | Path, condition: str) -> list[MetricScor
         for r in corpus_mod.read_jsonl(prompts_path, required={"id": int, "reference": str})
     }
     generations_path = out_dir / f"generations.{condition}.jsonl"
-    pairs = []
+    texts: dict[int, str] = {}
     for g in corpus_mod.read_jsonl(generations_path, required={"id": int, "text": str}):
         if g["id"] not in refs:
             raise DataError(f"{generations_path}: id {g['id']!r} has no prompt in {prompts_path}")
-        pairs.append(EvalPair(hypothesis=g["text"], reference=refs[g["id"]]))
-    return score_all(pairs)
+        if g["id"] in texts:
+            raise DataError(f"{generations_path}: id {g['id']!r} repeats")
+        texts[g["id"]] = g["text"]
+    missing = next((pid for pid in refs if pid not in texts), None)
+    if missing is not None:
+        raise DataError(f"{generations_path}: prompt id {missing!r} of {prompts_path} has no generation")
+    return score_all([EvalPair(hypothesis=text, reference=refs[pid]) for pid, text in texts.items()])
 
 
 # -- report rendering ------------------------------------------------------------

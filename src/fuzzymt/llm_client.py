@@ -11,10 +11,15 @@ Each batch is one request under the one retry rule of ``_http``: 4
 attempts, 1, 2 and 4 s apart, for a connection error, a timeout, a 429 or a
 5xx, and one for any other reply. A batch without a 200 reply raises
 ``TransportError`` naming its prompt ids, and a reply that is not JSON or
-does not match the shape raises ``ContractViolationError``. The trace has
-one line per batch sent, in batch order, with its status, attempts and
-latency. The bundled mock server speaks the same protocol (and the
-embeddings shape) fully deterministically for offline end-to-end runs.
+does not match the shape raises ``ContractViolationError``. ``translate_all``
+writes two files in batch order, also when a batch fails: the trace, one line
+per batch sent with its status, attempts and latency, and the generations,
+one ``generation_record`` per prompt of every batch that got its reply. The
+bundled mock server speaks the same protocol (and the embeddings shape) for
+offline end-to-end runs, and each reply depends only on the request's
+content: ``echo-fuzzy`` answers each prompt's last completed target line, and
+``dictionary`` looks each query source up in a lexicon, answering 400, with
+the first source it lacks, to a request that holds one.
 """
 
 from __future__ import annotations
@@ -160,27 +165,31 @@ def translate_all(
     model: str = "default",
     max_concurrent_batches: int = 2,
     trace_path: str | Path | None = None,
+    generations_path: str | Path | None = None,
 ) -> list[TranslationResult]:
     """Run batches (up to max_concurrent_batches in flight), results in input order.
 
-    ``trace_path`` is written once, when the batches are done or one has
-    failed: one line per batch sent, in batch order.
+    The trace and the generations (see the module docstring) are written
+    once, when the batches are done or one has failed.
     """
     if max_concurrent_batches < 1:
         raise ArgumentError(f"max_concurrent_batches must be >= 1, got {max_concurrent_batches}")
     traces: list[list[dict]] = [[] for _ in batches]
+    parts: list[list[TranslationResult]] = [[] for _ in batches]
     try:
-        parts = _http.map_ordered(lambda i: translate_batch(batches[i], endpoint, model, traces[i]),
-                                  range(len(batches)), max_concurrent_batches)
+        _http.map_ordered(lambda i: parts[i].extend(translate_batch(batches[i], endpoint, model, traces[i])),
+                          range(len(batches)), max_concurrent_batches)
     finally:
         if trace_path is not None:
             write_jsonl_records(trace_path, (record for trace in traces for record in trace))
+        if generations_path is not None:
+            write_jsonl_records(generations_path, (generation_record(r) for part in parts for r in part))
     return [result for part in parts for result in part]
 
 
 # -- mock server ---------------------------------------------------------------
 
-MOCK_MODES = ("echo-fuzzy", "dictionary", "canned")
+MOCK_MODES = ("echo-fuzzy", "dictionary")
 
 
 def _echo_fuzzy_completion(prompt_text: str) -> str:
@@ -196,22 +205,12 @@ def _echo_fuzzy_completion(prompt_text: str) -> str:
     return ""
 
 
-def _dictionary_completion(prompt_text: str, lexicon: dict) -> str:
-    lines = prompt_text.split("\n")
-    if len(lines) < 2:
-        return ""
-    query_line = lines[-2]
-    source = query_line.split(": ", 1)[1] if ": " in query_line else query_line
-    return lexicon.get(source, "")
-
-
 class _MockState:
     def __init__(self, mode: str, fixtures, embed_dim: int, embed_seed: int):
         self.mode = mode
         self.fixtures = fixtures
         self.embed_dim = embed_dim
         self.embed_seed = embed_seed
-        self.cursor = 0
         self.lock = threading.Lock()
         self.request_log: list[dict] = []
 
@@ -254,16 +253,15 @@ class _MockHandler(BaseHTTPRequestHandler):
         state = self.state
         if state.mode == "echo-fuzzy":
             texts = [_echo_fuzzy_completion(p) for p in prompts]
-        elif state.mode == "dictionary":
-            texts = [_dictionary_completion(p, state.fixtures or {}) for p in prompts]
-        else:  # canned
-            with state.lock:
-                fixtures = state.fixtures or []
-                if state.cursor + len(prompts) > len(fixtures):
-                    self._reply(400, {"error": "canned fixtures exhausted"})
-                    return
-                texts = list(fixtures[state.cursor : state.cursor + len(prompts)])
-                state.cursor += len(prompts)
+        else:  # dictionary
+            lexicon = state.fixtures or {}
+            # the text after "<name>: " on the query line, the one before the target stub
+            sources = [p.split("\n")[-2:][0].split(": ", 1)[-1] for p in prompts]
+            missing = next((s for s in sources if s not in lexicon), None)
+            if missing is not None:
+                self._reply(400, {"error": f"no lexicon entry for source {missing!r}"})
+                return
+            texts = [lexicon[s] for s in sources]
         choices = [{"index": i, "text": t} for i, t in enumerate(texts)]
         self._reply(200, {"choices": choices})
 
@@ -316,12 +314,9 @@ def run_mock_server(
     host: str = "127.0.0.1",
     port: int = 0,
 ) -> MockServerHandle:
-    """Start a deterministic completion+embedding endpoint on a local port.
-
-    Modes: echo-fuzzy returns the prompt's last completed target line;
-    dictionary maps the query source line through a fixture lexicon; canned
-    replays fixture outputs in request order and answers 400 once exhausted.
-    """
+    """Start a deterministic completion+embedding endpoint on a local port in
+    one of ``MOCK_MODES`` (see the module docstring); ``fixtures`` is the
+    dictionary lexicon."""
     if mode not in MOCK_MODES:
         raise ArgumentError(f"mode must be one of {MOCK_MODES}, got {mode!r}")
     state = _MockState(mode, fixtures, embed_dim, embed_seed)

@@ -590,6 +590,20 @@ class TestTranslateEvaluateReport:
         assert code == 3
         assert "transport error" in err
 
+    def test_failed_translate_keeps_finished_batches(self, corpus_tsv, tmp_path, capsys):
+        prompts_path = str(tmp_path / "prompts.jsonl")
+        out = tmp_path / "generations.jsonl"
+        run_cli(["prompts", "--in", corpus_tsv, "--out", prompts_path], capsys)
+        pairs = synth_corpus(12, seed=3).pairs
+        # batches of 5: the third batch holds the one source the lexicon lacks
+        lexicon = {p.source: p.target for p in pairs[:-1]}
+        with run_mock_server("dictionary", fixtures=lexicon) as server:
+            code, stdout, err = run_cli(["translate", "--in", prompts_path, "--endpoint", server.endpoint,
+                                         "--batch-size", "5", "--out", str(out)], capsys)
+        assert code == 3 and stdout == "" and "HTTP 400" in err
+        lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert lines == [{"id": p.id, "text": p.target} for p in pairs[:10]]
+
     def test_non_json_body_exit_3(self, corpus_tsv, tmp_path, capsys):
         prompts_path = str(tmp_path / "prompts.jsonl")
         run_cli(["prompts", "--in", corpus_tsv, "--out", prompts_path], capsys)

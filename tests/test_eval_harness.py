@@ -8,7 +8,7 @@ import pytest
 
 from fuzzymt import ann_index, embedding, retrieval
 from fuzzymt.corpus import ParallelCorpus, SegmentPair, load_any, read_jsonl, write_tsv
-from fuzzymt.errors import DataError, LeakageError, ValidationError
+from fuzzymt.errors import DataError, LeakageError, TransportError, ValidationError
 from fuzzymt.eval_harness import (
     CONDITION_ONE,
     CONDITION_ZERO,
@@ -189,6 +189,21 @@ class TestDictionaryMock:
         assert scores["BLEU"] == 100.0
         assert scores["TER"] == 0.0
 
+    def test_failed_batch_keeps_finished_generations(self, tmp_path):
+        test_corpus = synth_corpus(10, seed=30)
+        context_corpus = synth_corpus(4, seed=31, id_offset=200)
+        test_path, context_path = _write_corpora(tmp_path, test_corpus, context_corpus)
+        # batches of 4: only the last batch holds the source the lexicon lacks
+        lexicon = {p.source: p.target for p in test_corpus.pairs[:-1]}
+        out = tmp_path / "run"
+        with run_mock_server("dictionary", fixtures=lexicon) as server:
+            cfg = _config(tmp_path, server.endpoint, test_path, context_path, conditions=[CONDITION_ZERO])
+            with pytest.raises(TransportError, match=r"^\[translate-zero-shot\] "):
+                run_experiment(cfg)
+        generations = read_jsonl(out / "generations.zero-shot.jsonl")
+        assert generations == [{"id": p.id, "text": p.target} for p in test_corpus.pairs[:8]]
+        assert not list(out.glob("report.*")) and not (out / "run_meta.json").exists()
+
 
 class TestReproducibilityAndRescoring:
     def test_two_runs_byte_identical_reports(self, leaky_setup, tmp_path):
@@ -241,6 +256,21 @@ class TestReproducibilityAndRescoring:
             json.dumps({"id": 0, "text": "a b"}).encode() + b"\n" + bad_line
         )
         with pytest.raises(DataError, match=f"generations.zero-shot.jsonl:2: {message}"):
+            rescore_condition(tmp_path, CONDITION_ZERO)
+
+    @pytest.mark.parametrize(
+        "generation_ids, message",
+        [([0, 2], "prompt id 1 .* has no generation"), ([0, 1, 2, 1], "id 1 repeats")],
+        ids=["partial", "repeated"],
+    )
+    def test_rescore_rejects_partial_or_repeated_generations(self, tmp_path, generation_ids, message):
+        (tmp_path / "prompts.zero-shot.jsonl").write_text(
+            "".join(json.dumps({"id": i, "reference": "a b"}) + "\n" for i in range(3)), encoding="utf-8"
+        )
+        (tmp_path / "generations.zero-shot.jsonl").write_text(
+            "".join(json.dumps({"id": i, "text": "a b"}) + "\n" for i in generation_ids), encoding="utf-8"
+        )
+        with pytest.raises(DataError, match=message):
             rescore_condition(tmp_path, CONDITION_ZERO)
 
 

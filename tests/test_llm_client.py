@@ -99,23 +99,27 @@ class TestMockServerModes:
             results = translate_batch(batches[0], server.endpoint)
         assert results[0].text == "Hello."
 
-    def test_canned_replay_and_exhaustion(self):
-        with run_mock_server("canned", fixtures=["uno", "dos"]) as server:
+    def test_dictionary_reply_by_content_and_missing_source(self):
+        prompts = [render_zero_shot(s, LANGS).text for s in ("uno", "dos")]
+        with run_mock_server("dictionary", fixtures={"uno": "one", "dos": "two"}) as server:
             url = server.endpoint + "/v1/completions"
-            for expected in ("uno", "dos"):
-                resp = requests.post(url, json={"prompt": ["p"]}, timeout=5)
-                assert resp.json()["choices"][0]["text"] == expected
-            resp = requests.post(url, json={"prompt": ["p"]}, timeout=5)
-            assert resp.status_code == 400
+            # the same request gets the same reply, whatever came before it
+            for _ in range(2):
+                for prompt, expected in zip(prompts, ("one", "two")):
+                    resp = requests.post(url, json={"prompt": [prompt]}, timeout=5)
+                    assert resp.json()["choices"][0]["text"] == expected
+            lacking = prompts + [render_zero_shot("tres", LANGS).text]
+            resp = requests.post(url, json={"prompt": lacking}, timeout=5)
+            assert resp.status_code == 400 and "'tres'" in resp.json()["error"]
 
-    def test_canned_stop_truncation(self):
-        with run_mock_server("canned", fixtures=["hello world\nextra"]) as server:
+    def test_dictionary_stop_truncation(self):
+        with run_mock_server("dictionary", fixtures={"x": "hello world\nextra"}) as server:
             batches = make_batches([render_zero_shot("x", LANGS)], ["x"])
             results = translate_batch(batches[0], server.endpoint)
         assert results[0].text == "hello world"
 
     def test_greedy_temperature_on_wire(self):
-        with run_mock_server("canned", fixtures=["ok"]) as server:
+        with run_mock_server("dictionary", fixtures={"x": "ok"}) as server:
             batches = make_batches([render_zero_shot("x", LANGS)], ["x"], params=DecodingParams())
             translate_batch(batches[0], server.endpoint)
             sent = server.state.request_log[-1]["payload"]
@@ -217,8 +221,8 @@ class TestTransport:
         assert [(r.id, r.text) for r in results] == [(7, "a"), (8, "b")]
 
     def test_retry_schedule(self, sleeps):
-        # the exhausted canned mock's 400 would fail again: it is sent once, with no backoff
-        with run_mock_server("canned", fixtures=[]) as server:
+        # the dictionary mock's 400 for a source it lacks would fail again: it is sent once, with no backoff
+        with run_mock_server("dictionary", fixtures={}) as server:
             batches = make_batches(_prompts(["a"]), ["a"], ids=[3])
             with pytest.raises(TransportError) as err:
                 translate_batch(batches[0], server.endpoint)
@@ -233,7 +237,7 @@ class TestTranslateAll:
         fixtures = [f"out{i}" for i in range(10)]
         prompts = _prompts(sources)
         batches = make_batches(prompts, sources, batch_size=3)
-        with run_mock_server("canned", fixtures=fixtures) as server:
+        with run_mock_server("dictionary", fixtures=dict(zip(sources, fixtures))) as server:
             results = translate_all(batches, server.endpoint, max_concurrent_batches=1)
         assert [r.id for r in results] == list(range(10))
         assert [r.text for r in results] == fixtures
@@ -252,7 +256,7 @@ class TestTranslateAll:
         fixtures = ["x\ny", "plain", "q\n"]
         prompts = _prompts(sources)
         batches = make_batches(prompts, sources, batch_size=2)
-        with run_mock_server("canned", fixtures=fixtures) as server:
+        with run_mock_server("dictionary", fixtures=dict(zip(sources, fixtures))) as server:
             results = translate_all(batches, server.endpoint)
         assert all("\n" not in r.text for r in results)
 
@@ -260,7 +264,7 @@ class TestTranslateAll:
         trace = tmp_path / "trace.jsonl"
         sources = ["a"]
         batches = make_batches(_prompts(sources), sources)
-        with run_mock_server("canned", fixtures=["ok"]) as server:
+        with run_mock_server("dictionary", fixtures={"a": "ok"}) as server:
             translate_all(batches, server.endpoint, trace_path=trace)
         [record] = read_jsonl(trace)
         assert record["request"]["prompt"] == [batches[0].prompts[0].text]
@@ -273,8 +277,8 @@ class TestTranslateAll:
         trace = tmp_path / "trace.jsonl"
         sources = [f"s{i}" for i in range(8)]
         batches = make_batches(_prompts(sources), sources, batch_size=2)
-        # the canned mock answers the first two requests, then 400
-        with run_mock_server("canned", fixtures=["t"] * 4) as server:
+        # the dictionary mock answers batches 0 and 1 and refuses the rest, which hold s4-s7
+        with run_mock_server("dictionary", fixtures={f"s{i}": "t" for i in range(4)}) as server:
             with pytest.raises(TransportError) as err:
                 translate_all(batches, server.endpoint, max_concurrent_batches=max_concurrent_batches,
                               trace_path=trace)
@@ -288,12 +292,23 @@ class TestTranslateAll:
         assert [r["status"] for r in records[:3]] == [200, 200, 400]
         assert records[2]["attempts"] == 1 and "HTTP 400" in records[2]["error"]
 
+    @pytest.mark.parametrize("max_concurrent_batches", [1, 2])
+    def test_failed_batch_keeps_finished_generations(self, max_concurrent_batches, tmp_path):
+        generations = tmp_path / "generations.jsonl"
+        sources = [f"s{i}" for i in range(8)]
+        batches = make_batches(_prompts(sources), sources, batch_size=2)
+        with run_mock_server("dictionary", fixtures={f"s{i}": f"t{i}" for i in range(4)}) as server:
+            with pytest.raises(TransportError):
+                translate_all(batches, server.endpoint, max_concurrent_batches=max_concurrent_batches,
+                              generations_path=generations)
+        assert read_jsonl(generations) == [{"id": i, "text": f"t{i}"} for i in range(4)]
+
     def test_max_concurrent_batches_below_one_rejected(self, tmp_path):
         batches = make_batches(_prompts(["a"]), ["a"])
         with pytest.raises(ArgumentError, match="max_concurrent_batches"):
             translate_all(batches, "http://127.0.0.1:9", max_concurrent_batches=0,
-                          trace_path=tmp_path / "trace.jsonl")
-        assert not (tmp_path / "trace.jsonl").exists()
+                          trace_path=tmp_path / "trace.jsonl", generations_path=tmp_path / "generations.jsonl")
+        assert not (tmp_path / "trace.jsonl").exists() and not (tmp_path / "generations.jsonl").exists()
 
 
 def test_mock_server_rejects_unknown_mode():
