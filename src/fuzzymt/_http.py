@@ -6,18 +6,30 @@ TIMEOUT_SECONDS each, where only a connection error, a timeout, a 429 or a
 (1, 2 and 4 s). Any other reply is final: a 4xx would fail again, and a
 200 body is decoded once, so one that is not JSON is a failure with status
 200. Each caller maps a failed ``Reply`` to its own typed error.
+
+Requests go through ``urllib.request``, and no exception from sending one or
+reading its body leaves ``post_json``: an ``HTTPError`` is a reply with its
+status and body; a ``URLError`` whose reason is an ``OSError`` and any other
+``OSError`` (refused, unresolved, reset, timed out, closed before a status
+line) is retried; a ``URLError`` with a text reason (no host), a
+``ValueError`` (a URL that is not http or https, a payload holding NaN) and
+an ``http.client.HTTPException`` (a body shorter than its Content-Length)
+end the call after that attempt. https uses the system trust store, which
+``SSL_CERT_FILE`` overrides; ``REQUESTS_CA_BUNDLE`` is not read.
 ``map_ordered`` runs a client's requests and keeps their results in order.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from http.client import HTTPException
 from time import monotonic, sleep
 from typing import Any, Callable, Sequence
-
-import requests
+from urllib.error import HTTPError, URLError
+from urllib.request import Request, urlopen
 
 API_KEY_ENV = "FUZZYMT_API_KEY"
 ATTEMPTS = 4
@@ -59,21 +71,32 @@ def post_json(url: str, payload: dict) -> Reply:
             sleep(BACKOFF_SECONDS * 2 ** (attempt - 2))
         start = monotonic()
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=TIMEOUT_SECONDS)
-        except requests.RequestException as exc:
+            request = Request(url, data=json.dumps(payload, allow_nan=False).encode("utf-8"), headers=headers)
+            if request.type not in ("http", "https"):
+                raise ValueError(f"not an http or https URL: {url!r}")
+            try:
+                with urlopen(request, timeout=TIMEOUT_SECONDS) as resp:
+                    status, body = resp.status, resp.read()
+            except HTTPError as exc:
+                with exc:
+                    status, body = exc.code, exc.read()
+        except OSError as exc:
             error = repr(exc)
-            if isinstance(exc, (requests.ConnectionError, requests.Timeout)):
-                continue
+            # a URLError with a text reason (no host) would fail again; a failed connection or read may not
+            if isinstance(exc, URLError) and not isinstance(exc.reason, OSError):
+                break
+            continue
+        except (ValueError, HTTPException) as exc:
+            error = repr(exc)
             break
         finally:
             latency_ms = int((monotonic() - start) * 1000)
-        status = resp.status_code
         if status == 200:
             try:
-                return Reply(resp.json(), 200, None, attempt, latency_ms)
+                return Reply(json.loads(body), 200, None, attempt, latency_ms)
             except ValueError as exc:
                 return Reply(None, 200, f"HTTP 200 with a body that is not JSON: {exc}", attempt, latency_ms)
-        error = f"HTTP {status}: {resp.text[:200]}"
+        error = f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}"
         if status != 429 and status < 500:
             break
     return Reply(None, status, error, attempt, latency_ms)

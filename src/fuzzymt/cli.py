@@ -20,8 +20,8 @@ retrieval.FLAT_MAX_ROWS pairs gets the exact flat index (nlist 1, no k-means),
 whatever --nlist and --kmeans-iters say; a larger one needs --nlist at most
 its size.
 
-translate --out keeps the generations of every batch that got its reply, in
-batch order, also when another batch fails (exit 3).
+translate keeps the generations of every batch that got its reply, in batch
+order, in --out or on stdout, also when another batch fails (exit 3).
 
 --seed goes to the commands that draw random numbers: split (the validation
 sample) and the five that take the provider flags (index-build, index-search,
@@ -406,7 +406,9 @@ def _cmd_manifest(args) -> int:
 def _cmd_translate(args) -> int:
     langs = _langs_from_args(args)
     prompts, sources, ids = [], [], []
+    first_line: dict[int, int] = {}
     for lineno, record in corpus._iter_jsonl(args.inp, required={"id": int, "prompt": str}):
+        corpus.check_new_id(args.inp, lineno, record["id"], first_line)
         try:
             sources.append(prompting.parse_prompt(record["prompt"], langs)[1])
         except ArgumentError as exc:
@@ -428,13 +430,10 @@ def _cmd_translate(args) -> int:
         model=args.model,
         max_concurrent_batches=args.max_concurrent_batches,
         trace_path=args.trace,
-        generations_path=args.out,
+        generations=sys.stdout if args.out is None else args.out,
     )
     if args.out is not None:
         _print({"translations": len(results), "out": args.out})
-    else:
-        for result in results:
-            _print(llm_client.generation_record(result))
     return EXIT_OK
 
 
@@ -519,9 +518,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except OSError as exc:
         _log(f"error: {exc}")
-        return EXIT_DATA
-    except json.JSONDecodeError as exc:
-        _log(f"error: invalid JSON input: {exc}")
         return EXIT_DATA
 
 

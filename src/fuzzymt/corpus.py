@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .errors import AlignmentError, CorpusEncodingError, DataError, SizeError
 
@@ -139,10 +140,10 @@ def encode_jsonl(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def write_jsonl_records(path: str | Path, records: Iterable[dict]) -> int:
-    """Write one JSON-lines line per record. Returns the count."""
+def write_jsonl_records(path: str | Path | TextIO, records: Iterable[dict]) -> int:
+    """Write one JSON-lines line per record to a file, or to an open text stream. Returns the count."""
     count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in records:
             fh.write(encode_jsonl(record))
             count += 1
@@ -196,6 +197,13 @@ def _iter_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]
         yield lineno, record
 
 
+def check_new_id(path: str | Path, lineno: int, pid: int, first_line: dict[int, int]) -> None:
+    """Note ``pid`` in ``first_line`` as seen on ``lineno``; DataError naming
+    ``path:line`` when an earlier line holds it."""
+    if first_line.setdefault(pid, lineno) != lineno:
+        raise DataError(f"{path}:{lineno}: repeated id {pid} (first on line {first_line[pid]})")
+
+
 def load_corpus_jsonl(path: str | Path) -> ParallelCorpus:
     """Load a corpus from JSON-lines records {id, source, target}; a record
     without an id (or with a null one) takes its record index. Raises
@@ -205,8 +213,7 @@ def load_corpus_jsonl(path: str | Path) -> ParallelCorpus:
     first_line: dict[int, int] = {}
     for i, (lineno, r) in enumerate(records):
         pair = SegmentPair(id=i if r.get("id") is None else r["id"], source=r["source"], target=r["target"])
-        if first_line.setdefault(pair.id, lineno) != lineno:
-            raise DataError(f"{path}:{lineno}: repeated id {pair.id} (first on line {first_line[pair.id]})")
+        check_new_id(path, lineno, pair.id, first_line)
         pairs.append(pair)
     return ParallelCorpus(pairs)
 

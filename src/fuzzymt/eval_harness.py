@@ -15,6 +15,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -66,6 +68,9 @@ class ExperimentConfig:
         for cond in self.conditions:
             if cond not in CONDITION_ORDER:
                 raise ValidationError(f"unknown condition {cond!r}")
+        for name in ("batch_size", "token_multiplier", "max_concurrent_batches"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -76,13 +81,27 @@ class ConditionResult:
     segments_per_second: float
 
 
+def _fits(value, tp) -> bool:
+    """Whether a config value has the declared type; a bool is no int, an int is a float."""
+    if isinstance(tp, UnionType):
+        return any(_fits(value, t) for t in get_args(tp))
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else get_origin(tp) or tp)
+
+
 def _config_object(path, what: str, cls, raw):
-    """``cls(**raw)``, with unknown keys and bad arguments a ValidationError."""
+    """``cls(**raw)``, with unknown keys, values of another type and bad arguments a ValidationError."""
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: {what} must be a JSON object")
     unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
     if unknown:
         raise ValidationError(f"{path}: unknown {what} keys {unknown}")
+    hints = get_type_hints(cls)
+    for key, value in raw.items():
+        if not _fits(value, hints[key]):
+            raise ValidationError(f"{path}: {what} key {key!r} must be {cls.__dataclass_fields__[key].type}, "
+                                  f"got {json.dumps(value, ensure_ascii=False)[:40]}")
     try:
         return cls(**raw)
     except TypeError as exc:
@@ -91,7 +110,10 @@ def _config_object(path, what: str, cls, raw):
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file; a null nested object means its default."""
-    raw = json.loads(corpus_mod._read_utf8(path))
+    try:
+        raw = json.loads(corpus_mod._read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg} (column {exc.colno})") from exc
     if isinstance(raw, dict):
         for key, cls in (("provider", EmbeddingProviderConfig), ("ivf", IvfConfig),
                          ("decoding", DecodingParams), ("langs", LanguageNames)):
@@ -218,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
                 model=cfg.model_name,
                 max_concurrent_batches=cfg.max_concurrent_batches,
                 trace_path=out_dir / f"trace.{condition}.jsonl",
-                generations_path=out_dir / f"generations.{condition}.jsonl",
+                generations=out_dir / f"generations.{condition}.jsonl",
             )
             stage["items"] = len(translations)
         segments_per_second = stage["items"] / max(stage["seconds"], 1e-9)

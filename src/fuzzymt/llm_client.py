@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from . import _http
 from . import embedding as embedding_mod
@@ -165,12 +165,13 @@ def translate_all(
     model: str = "default",
     max_concurrent_batches: int = 2,
     trace_path: str | Path | None = None,
-    generations_path: str | Path | None = None,
+    generations: str | Path | TextIO | None = None,
 ) -> list[TranslationResult]:
     """Run batches (up to max_concurrent_batches in flight), results in input order.
 
     The trace and the generations (see the module docstring) are written
-    once, when the batches are done or one has failed.
+    once, when the batches are done or one has failed; ``generations`` is a
+    path or an open text stream.
     """
     if max_concurrent_batches < 1:
         raise ArgumentError(f"max_concurrent_batches must be >= 1, got {max_concurrent_batches}")
@@ -182,8 +183,8 @@ def translate_all(
     finally:
         if trace_path is not None:
             write_jsonl_records(trace_path, (record for trace in traces for record in trace))
-        if generations_path is not None:
-            write_jsonl_records(generations_path, (generation_record(r) for part in parts for r in part))
+        if generations is not None:
+            write_jsonl_records(generations, (generation_record(r) for part in parts for r in part))
     return [result for part in parts for result in part]
 
 

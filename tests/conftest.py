@@ -62,9 +62,10 @@ def sleeps(monkeypatch) -> list[float]:
 
 
 @contextmanager
-def local_endpoint(replies):
+def local_endpoint(replies, short_by: int = 0):
     """Answer the n-th POST with ``replies[n]``, a (status, body) pair, and every
-    later one with the last reply; yields (endpoint, request paths)."""
+    later one with the last reply; yields (endpoint, request paths). Each reply
+    declares a Content-Length ``short_by`` bytes longer than its body."""
     paths: list[str] = []
     lock = threading.Lock()
 
@@ -78,7 +79,7 @@ def local_endpoint(replies):
                 paths.append(self.path)
                 status, body = replies[min(len(paths), len(replies)) - 1]
             self.send_response(status)
-            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Content-Length", str(len(body) + short_by))
             self.end_headers()
             self.wfile.write(body)
 

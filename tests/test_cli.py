@@ -48,6 +48,7 @@ BAD_RECORD = [
     ("translate", "no-stub-prompt", b'{"id": 1, "prompt": "Spanish: a"}',
      "prompt must end with the bare target stub line"),
     ("translate", "blank-query", b'{"id": 1, "prompt": "Spanish:  \\nEnglish:"}', "query source must be non-empty"),
+    ("translate", "repeated-id", b'{"id": 0, "prompt": "Spanish: b\\nEnglish:"}', "repeated id 0 (first on line 1)"),
 ]
 BAD_JSONL_CASES = [
     pytest.param(sub, content, message, id=f"{sub}-{case}")
@@ -597,12 +598,17 @@ class TestTranslateEvaluateReport:
         pairs = synth_corpus(12, seed=3).pairs
         # batches of 5: the third batch holds the one source the lexicon lacks
         lexicon = {p.source: p.target for p in pairs[:-1]}
+        finished = [{"id": p.id, "text": p.target} for p in pairs[:10]]
+        argv = ["translate", "--in", prompts_path, "--batch-size", "5"]
         with run_mock_server("dictionary", fixtures=lexicon) as server:
-            code, stdout, err = run_cli(["translate", "--in", prompts_path, "--endpoint", server.endpoint,
-                                         "--batch-size", "5", "--out", str(out)], capsys)
-        assert code == 3 and stdout == "" and "HTTP 400" in err
-        lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
-        assert lines == [{"id": p.id, "text": p.target} for p in pairs[:10]]
+            code, stdout, err = run_cli(argv + ["--endpoint", server.endpoint, "--out", str(out)], capsys)
+            assert code == 3 and stdout == "" and "HTTP 400" in err
+            lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+            assert lines == finished
+            # without --out the same records go to stdout
+            code, stdout, err = run_cli(argv + ["--endpoint", server.endpoint], capsys)
+        assert code == 3 and "HTTP 400" in err
+        assert [json.loads(line) for line in stdout.splitlines()] == finished
 
     def test_non_json_body_exit_3(self, corpus_tsv, tmp_path, capsys):
         prompts_path = str(tmp_path / "prompts.jsonl")
@@ -803,6 +809,13 @@ class TestRun:
         assert code == 2
         assert "[prompts-zero-shot] source must be non-empty" in err
 
+    def test_run_invalid_json_config_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text('{"test_corpus": "a.tsv",\n "context_corpus": }\n', encoding="utf-8")
+        code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert f"{cfg_path}:2: invalid JSON: Expecting value" in err
+
     def test_run_invalid_utf8_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_bytes(b'{"test_corpus": "caf\xff.tsv"}\n')
@@ -845,9 +858,21 @@ class TestRun:
             (None, {"max_concurrent_batches": 0}, "max_concurrent_batches must be >= 1"),
             (None, {"provider": {"max_attempts": 5}}, "unknown provider keys ['max_attempts']"),
             (None, {"provider": {"backoff_seconds": 0.5}}, "unknown provider keys ['backoff_seconds']"),
+            (None, {"batch_size": 0}, "batch_size must be >= 1, got 0"),
+            (None, {"token_multiplier": 0}, "token_multiplier must be >= 1, got 0"),
+            (None, {"batch_size": "20"}, "config key 'batch_size' must be int, got \"20\""),
+            (None, {"batch_size": True}, "config key 'batch_size' must be int, got true"),
+            (None, {"max_concurrent_batches": "2"}, "config key 'max_concurrent_batches' must be int, got \"2\""),
+            (None, {"seed": "0"}, "config key 'seed' must be int, got \"0\""),
+            (None, {"endpoint": 5}, "config key 'endpoint' must be str, got 5"),
+            (None, {"langs": {"source_name": 5}}, "langs key 'source_name' must be str, got 5"),
+            (None, {"decoding": {"temperature": "0"}}, "decoding key 'temperature' must be float, got \"0\""),
         ],
         ids=["cli-no-endpoint", "cli-no-concurrency", "config-no-endpoint", "config-no-in-flight",
-             "config-no-concurrency", "config-max-attempts", "config-backoff-seconds"],
+             "config-no-concurrency", "config-max-attempts", "config-backoff-seconds", "config-zero-batch-size",
+             "config-zero-token-multiplier", "config-str-batch-size", "config-bool-batch-size",
+             "config-str-concurrency", "config-str-seed", "config-int-endpoint", "config-int-source-name",
+             "config-str-temperature"],
     )
     def test_bad_remote_setting_exit_2(self, argv, config, message, corpus_tsv, tmp_path, capsys, sleeps):
         if argv is not None:
@@ -864,6 +889,7 @@ class TestRun:
         assert code == 2
         assert message in err
         assert sleeps == []
+        assert not (tmp_path / "run").exists()
 
     def test_run_without_config_usage_error(self, capsys):
         code, _, _ = run_cli(["run"], capsys)

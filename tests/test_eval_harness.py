@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,35 @@ class TestConfigLoading:
         path.write_text(json.dumps({"test_corpus": "a", "context_corpus": "b", key: value}))
         with pytest.raises(ValidationError, match=key):
             load_experiment_config(path)
+
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text('{"test_corpus": "a", "context_corpus": "b",}', encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:1: invalid JSON"):
+            load_experiment_config(path)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"seed": 1.0}, "config key 'seed' must be int, got 1.0"),
+            ({"ivf": {"dim": "32"}}, "ivf key 'dim' must be int, got \"32\""),
+            ({"provider": {"normalize": 1}}, "provider key 'normalize' must be bool, got 1"),
+            ({"decoding": {"top_p": True}}, "decoding key 'top_p' must be float, got true"),
+            ({"conditions": "zero-shot"}, "config key 'conditions' must be list[str], got \"zero-shot\""),
+        ],
+        ids=["float-seed", "str-dim", "int-normalize", "bool-top-p", "str-conditions"],
+    )
+    def test_value_of_another_type_rejected(self, extra, message, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"test_corpus": "a", "context_corpus": "b", **extra}), encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            load_experiment_config(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_int_accepted_for_float(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"test_corpus": "a", "context_corpus": "b", "decoding": {"top_p": 1}}))
+        assert load_experiment_config(path).decoding.top_p == 1
 
     def test_decoding_max_tokens_rejected(self, tmp_path):
         path = tmp_path / "exp.json"

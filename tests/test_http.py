@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -68,13 +71,63 @@ def test_reply_reports_attempts_and_latency():
     assert isinstance(reply.latency_ms, int) and reply.latency_ms >= 0
 
 
+@pytest.mark.parametrize("status, body", [(200, OK_BODY), (503, b"busy")], ids=["200", "503"])
+def test_short_body_is_a_final_failure(status, body, sleeps):
+    """A reply that ends before its declared Content-Length is not retried and raises nothing."""
+    with local_endpoint([(status, body)], short_by=10) as (endpoint, paths):
+        reply = _http.post_json(endpoint, {})
+    assert (reply.body, reply.status, reply.attempts, len(paths), sleeps) == (None, None, 1, 1, [])
+    assert "IncompleteRead" in reply.error
+
+
+@pytest.mark.parametrize(
+    "url, payload, error",
+    [
+        ("example.invalid/v1", {}, ("ValueError", "unknown url type")),
+        ("127.0.0.1:9/v1", {}, ("ValueError", "not an http or https URL")),
+        ("file:///dev/null", {}, ("ValueError", "not an http or https URL")),
+        ("http:///v1", {}, ("URLError", "no host given")),
+        (CLOSED_PORT, {"x": float("nan")}, ("ValueError", "not JSON compliant")),
+    ],
+    ids=["no-scheme", "host-as-scheme", "file-scheme", "no-host", "nan-payload"],
+)
+def test_unsendable_request_is_a_final_failure(url, payload, error, sleeps):
+    reply = _http.post_json(url, payload)
+    assert (reply.body, reply.status, reply.attempts, sleeps) == (None, None, 1, [])
+    assert reply.error.startswith(error[0] + "(") and error[1] in reply.error
+
+
+def test_clients_run_without_requests():
+    """Every module imports, and both clients reach the mock, with ``requests`` unimportable."""
+    script = """
+import importlib, pkgutil, sys
+sys.modules["requests"] = None
+import fuzzymt
+for module in pkgutil.iter_modules(fuzzymt.__path__):
+    importlib.import_module("fuzzymt." + module.name)
+from fuzzymt.embedding import EmbeddingProviderConfig, embed_batch
+from fuzzymt.llm_client import make_batches, run_mock_server, translate_batch
+from fuzzymt.prompting import render_zero_shot
+with run_mock_server("dictionary", fixtures={"uno": "one"}, embed_dim=2) as server:
+    [batch] = make_batches([render_zero_shot("uno")], ["uno"])
+    print(translate_batch(batch, server.endpoint)[0].text)
+    provider = EmbeddingProviderConfig(kind="remote-http", endpoint=server.endpoint + "/v1/embeddings", dim=2)
+    print(embed_batch(["uno"], provider).shape)
+"""
+    src = str(Path(_http.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["one", "(1, 2)"]
+
+
 def test_map_ordered_keeps_item_order():
     assert _http.map_ordered(lambda i: i * i, range(7), 3) == [i * i for i in range(7)]
     assert _http.map_ordered(lambda i: i, [], 2) == []
 
 
 # the names through which code could send a request, sleep or start a pool itself
-BOUNDARY_NAMES = {"requests", "sleep", "ThreadPoolExecutor"}
+BOUNDARY_NAMES = {"requests", "urllib", "urlopen", "sleep", "ThreadPoolExecutor"}
 
 
 def test_only_http_module_sends_sleeps_or_pools():

@@ -3,8 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
-import requests
 
+from fuzzymt import _http
 from fuzzymt.embedding import EmbeddingProviderConfig, embed_batch
 from fuzzymt.errors import ArgumentError, ContractViolationError, TransportError
 from fuzzymt.llm_client import (
@@ -106,11 +106,11 @@ class TestMockServerModes:
             # the same request gets the same reply, whatever came before it
             for _ in range(2):
                 for prompt, expected in zip(prompts, ("one", "two")):
-                    resp = requests.post(url, json={"prompt": [prompt]}, timeout=5)
-                    assert resp.json()["choices"][0]["text"] == expected
+                    reply = _http.post_json(url, {"prompt": [prompt]})
+                    assert reply.body["choices"][0]["text"] == expected
             lacking = prompts + [render_zero_shot("tres", LANGS).text]
-            resp = requests.post(url, json={"prompt": lacking}, timeout=5)
-            assert resp.status_code == 400 and "'tres'" in resp.json()["error"]
+            reply = _http.post_json(url, {"prompt": lacking})
+            assert reply.status == 400 and "'tres'" in reply.error
 
     def test_dictionary_stop_truncation(self):
         with run_mock_server("dictionary", fixtures={"x": "hello world\nextra"}) as server:
@@ -300,14 +300,14 @@ class TestTranslateAll:
         with run_mock_server("dictionary", fixtures={f"s{i}": f"t{i}" for i in range(4)}) as server:
             with pytest.raises(TransportError):
                 translate_all(batches, server.endpoint, max_concurrent_batches=max_concurrent_batches,
-                              generations_path=generations)
+                              generations=generations)
         assert read_jsonl(generations) == [{"id": i, "text": f"t{i}"} for i in range(4)]
 
     def test_max_concurrent_batches_below_one_rejected(self, tmp_path):
         batches = make_batches(_prompts(["a"]), ["a"])
         with pytest.raises(ArgumentError, match="max_concurrent_batches"):
             translate_all(batches, "http://127.0.0.1:9", max_concurrent_batches=0,
-                          trace_path=tmp_path / "trace.jsonl", generations_path=tmp_path / "generations.jsonl")
+                          trace_path=tmp_path / "trace.jsonl", generations=tmp_path / "generations.jsonl")
         assert not (tmp_path / "trace.jsonl").exists() and not (tmp_path / "generations.jsonl").exists()
 
 
