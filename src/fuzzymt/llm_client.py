@@ -25,6 +25,7 @@ the first source it lacks, to a request that holds one.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -47,8 +48,8 @@ class DecodingParams:
     top_p: float = 1.0
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ArgumentError(f"temperature must be >= 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ArgumentError(f"temperature must be a finite number >= 0, got {self.temperature}")
         if not (0.0 < self.top_p <= 1.0):
             raise ArgumentError(f"top_p must be in (0,1], got {self.top_p}")
 

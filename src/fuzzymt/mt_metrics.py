@@ -12,8 +12,21 @@ prefix times a base above every unit, plus its last unit; a unigram's
 prefix is its pair index, so a key names one gram of one pair.
 ``np.unique`` re-densifies the keys at each order, which keeps them far
 inside int64, and a pair's matches are clipped as min(hypothesis count,
-reference count) per key. Fixed settings, chosen to match dominant
-community defaults:
+reference count) per key.
+
+TER runs the greedy shift search of every pair of the corpus in lockstep
+rounds. Hypotheses are padded on the left to one length and references on
+the right, and each hypothesis word has a cost row against its own
+reference, so one int32 DP table holds every unfinished pair. Each round
+computes that table, walks one backtrace per pair to flag its misaligned
+words, lists every allowed block move of every pair as one batch, and
+scores the moves in one DP that runs in blocks of bounded size; a move's DP
+starts at the table row where the prefix it shares with its hypothesis
+ends. Each pair then applies its largest positive gain or drops out. Pairs
+never mix, so each pair's edit count is that of a search run on it alone;
+a corpus whose table would exceed the byte bound runs as two halves.
+
+Fixed settings, chosen to match dominant community defaults:
 
 * BLEU: n-gram orders 1..4 pooled over the corpus, geometric mean, brevity
   penalty exp(1 - r/c) for c < r with c, r the pooled unigram counts,
@@ -22,16 +35,12 @@ community defaults:
   (whitespace tokens), beta = 2, F-scores averaged over the orders present
   in either side of the pooled corpus.
 * TER: word edits (insert/delete/substitute, cost 1) plus block shifts
-  (cost 1), greedy shift search capped at 50 iterations per segment,
+  (cost 1), greedy shift search capped at 50 shifts per segment,
   case-sensitive, 13a-style tokenization, divided by total reference words.
-  Each shift iteration computes the hypothesis's integer DP table once (for
-  its edit distance and the misaligned-word backtrace), then scores every
-  candidate move (a reference-matching block of at most 10 words with a
-  misaligned word, moved at most 50 positions) in one batched DP that starts
-  each candidate at the table row where its prefix shared with the
-  hypothesis ends. The move with the largest edit-distance gain is applied
-  if that gain is positive; of equal gains the first in (start, length,
-  destination) order wins.
+  A shift moves a block of at most 10 words that is found in the reference
+  and holds a misaligned word, at most 50 positions; the move with the
+  largest edit-distance gain is applied if that gain is positive, and of
+  equal gains the first in (start, length, destination) order wins.
 """
 
 from __future__ import annotations
@@ -89,6 +98,8 @@ _13A_RULES = [
     (re.compile(r"([\.,])([^0-9])"), r" \1 \2"),
     (re.compile(r"([0-9])(-)"), r"\1 \2 "),
 ]
+# the first rule pads single ASCII characters, which one translate table does in C
+_13A_PAD = str.maketrans({c: f" {c} " for c in map(chr, range(128)) if _13A_RULES[0][0].fullmatch(c)})
 
 
 def tokenize_13a(line: str) -> list[str]:
@@ -102,8 +113,8 @@ def tokenize_13a(line: str) -> list[str]:
         .replace("&lt;", "<")
         .replace("&gt;", ">")
     )
-    norm = f" {norm} "
-    for pattern, repl in _13A_RULES:
+    norm = f" {norm} ".translate(_13A_PAD)
+    for pattern, repl in _13A_RULES[1:]:
         norm = pattern.sub(repl, norm)
     return norm.split()
 
@@ -220,143 +231,166 @@ def chrf_pp(pairs: Sequence[EvalPair]) -> MetricScore:
 
 # -- TER ------------------------------------------------------------------------
 
+# bound in bytes on a chunk of pairs' DP table and on the working arrays of a
+# block of shift candidates
+_TER_BLOCK_BYTES = 1 << 18
 
-def _dp_step(prev: np.ndarray, tokens: np.ndarray, step_cost: np.ndarray, out: np.ndarray) -> None:
-    """The next edit-distance DP row of each batch entry, after one more token.
+
+def _dp_step(prev: np.ndarray, cost: np.ndarray, out: np.ndarray) -> None:
+    """The next edit-distance DP row of each batch entry, after one more word.
 
     Row i is kept as F[j] = D[j] - i - j, so that the uniform-cost recurrence
     D[j] = min(D'[j-1] + cost, D'[j] + 1, D[j-1] + 1) becomes
     F[j] = min(F'[j-1] + cost - 2, F'[j], F[j-1]) with F[0] = 0: the insertion
-    chain is a running minimum. ``step_cost[t]`` holds cost - 2 of token id t
-    against each reference word. ``out`` may be ``prev``; its column 0
-    must already hold 0.
+    chain is a running minimum, so F is non-increasing and a ``cost`` row of
+    zeros (a padding word) leaves it unchanged. ``cost`` holds cost - 2 of
+    each entry's word against each reference word. ``out`` may be ``prev``;
+    its column 0 must already hold 0.
     """
-    np.minimum(prev[:, :-1] + step_cost[tokens], prev[:, 1:], out=out[:, 1:])
+    np.minimum(prev[:, :-1] + cost, prev[:, 1:], out=out[:, 1:])
     np.minimum.accumulate(out, axis=1, out=out)
 
 
-def _dp_table(hyp: np.ndarray, step_cost: np.ndarray) -> np.ndarray:
-    """The (n+1, m+1) DP table of ``hyp`` against the reference, rows as in ``_dp_step``."""
-    table = np.zeros((len(hyp) + 1, step_cost.shape[1] + 1), dtype=np.int32)
-    for i in range(len(hyp)):
-        _dp_step(table[i : i + 1], hyp[i : i + 1], step_cost, table[i + 1 : i + 2])
-    return table
+def _block_moves(table: np.ndarray, costs: np.ndarray, n: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every allowed block move of every pair, in (pair, start, length, dest) order.
 
-
-def _misaligned_positions(hyp: list[int], ref: list[int], table: np.ndarray) -> list[bool]:
-    """Per-hypothesis-word error flags from one deterministic DP backtrace.
-
-    Ties prefer a diagonal step, then a hypothesis-side deletion.
+    ``costs`` are the (depth, pairs, width) cost rows of the left-padded
+    hypotheses, so a pair's words sit in its last ``n`` rows. A block of
+    1..TER_MAX_SHIFT_SIZE words holds a misaligned word and is found in the
+    reference; it moves at most TER_MAX_SHIFT_DIST positions. A word is
+    misaligned unless its pair's one DP backtrace, from the last row and
+    column m, aligns it with an equal reference word; all walks step
+    together over the flattened table, ties preferring a diagonal step, then
+    a hypothesis-side deletion. A move is returned as int32 (pair, lo, span,
+    turn): it turns the words lo..lo + span - 1 left by ``turn``.
     """
-    n, m = len(hyp), len(ref)
-    dp = (table + np.arange(n + 1)[:, None] + np.arange(m + 1)).tolist()
-    herr = [True] * n
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + (hyp[i - 1] != ref[j - 1]):
-            if hyp[i - 1] == ref[j - 1]:
-                herr[i - 1] = False
-            i, j = i - 1, j - 1
-        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
-            i -= 1
-        else:
-            j -= 1
-    return herr
+    match = costs == -2
+    diag = table[1:, :, 1:] == table[:-1, :, :-1] + costs
+    plane = table[0].size
+    back = np.full(table.shape, -1, dtype=np.int32)
+    back[1:][table[1:] == table[:-1]] = -plane
+    back[1:, :, 1:][diag] = -plane - 1
+    back[0, :, 0] = 0
+    path = np.empty((int((n + m).max()) + 1, len(n)), dtype=np.intp)
+    path[0], back = (len(table) - 1) * plane + np.arange(len(n)) * table.shape[2] + m, back.ravel()
+    for k in range(len(path) - 1):
+        np.add(path[k], back[path[k]], out=path[k + 1])
+    seen = np.zeros(table.size, dtype=bool)
+    seen[path] = True
+    herr = ~(seen.reshape(table.shape)[1:, :, 1:] & diag & match).any(axis=2)
+    depth = match.shape[0]
+    valid = np.zeros((match.shape[1], depth, TER_MAX_SHIFT_SIZE), dtype=bool)
+    block, err = match, herr
+    for size in range(min(TER_MAX_SHIFT_SIZE, depth, match.shape[2])):
+        if size:
+            block, err = block[:-1, :, :-1] & match[size:, :, size:], err[:-1] | herr[size:]
+        found = block.any(axis=2)
+        if not found.any():
+            break
+        valid[:, : depth - size, size] = (found & err).T
+    pair, start, length = np.array(np.nonzero(valid), dtype=np.int32)
+    length += 1
+    lo = np.maximum(start - TER_MAX_SHIFT_DIST, depth - n[pair])
+    count = np.minimum(depth - length, start + TER_MAX_SHIFT_DIST) - lo
+    move = np.repeat(np.arange(len(pair), dtype=np.int32), count)
+    dest = np.arange(len(move), dtype=np.int32) - np.repeat((np.cumsum(count) - count - lo).astype(np.int32), count)
+    pair, start, length = pair[move], start[move], length[move]
+    dest += dest >= start
+    return pair, np.minimum(start, dest), np.abs(dest - start) + length, np.where(dest > start, length, start - dest)
 
 
-def _ref_spans(ref: Sequence[int], max_size: int) -> set[tuple[int, ...]]:
-    spans = set()
-    for length in range(1, min(max_size, len(ref)) + 1):
-        for start in range(len(ref) - length + 1):
-            spans.add(tuple(ref[start : start + length]))
-    return spans
+def _rotated(lo: np.ndarray, span: np.ndarray, turn: np.ndarray, width: int) -> np.ndarray:
+    """The (moves, width) position in the hypothesis of each word of each move's result."""
+    t = np.arange(width, dtype=np.int32) - lo[:, None]
+    # t < 0 reads as unsigned above every span
+    inside = t.view(np.uint32) < span[:, None].view(np.uint32)
+    return np.where(inside, (t + turn[:, None]) % span[:, None], t) + lo[:, None]
 
 
-def _shift_candidates(hyp: list[int], herr: list[bool], spans: set) -> np.ndarray:
-    """(start, length, dest) of every allowed block move, in greedy visit order."""
-    n = len(hyp)
-    out = []
-    for start in range(n):
-        for length in range(1, min(TER_MAX_SHIFT_SIZE, n - start) + 1):
-            if tuple(hyp[start : start + length]) not in spans:
-                # longer blocks only shrink the candidate set
-                break
-            if not any(herr[start : start + length]):
-                continue
-            out.extend(
-                (start, length, dest)
-                for dest in range(n - length + 1)
-                if dest != start and abs(dest - start) <= TER_MAX_SHIFT_DIST
-            )
-    return np.array(out, dtype=np.int32).reshape(-1, 3)
+def _moved_distances(table: np.ndarray, cost: np.ndarray, hyp: np.ndarray, m: np.ndarray,
+                     moves: tuple[np.ndarray, ...]) -> np.ndarray:
+    """F at the last row and column m of each move's result, as in ``_dp_step``.
 
-
-def _best_shift(hyp: np.ndarray, ref: list[int], table: np.ndarray, spans: set,
-                step_cost: np.ndarray) -> np.ndarray | None:
-    """The block move that most reduces edit distance, or None if none does.
-
-    Every candidate's DP runs in one batch: a candidate shares its first
-    min(start, dest) words with ``hyp``, so it starts from that row of
-    ``table``. Of equal gains the first candidate in visit order wins.
+    A move's result shares its first lo rows with its hypothesis, so its DP
+    starts from that row of ``table``. Moves run in blocks, bounded by
+    ``_TER_BLOCK_BYTES``, in order of that row, each joining once its block
+    reaches the row.
     """
-    n, m = len(hyp), len(ref)
-    hyp_list = hyp.tolist()
-    cands = _shift_candidates(hyp_list, _misaligned_positions(hyp_list, ref, table), spans)
-    if len(cands) == 0:
-        return None
-    start, length, dest = (col[:, None] for col in cands.T)
-    k = np.arange(n)
-    lo = np.minimum(start, dest)
-    # position in hyp of each candidate's k-th word: the block lands at dest,
-    # and the words it passes over move by its length
-    displaced = np.where(dest < start, k - length, k + length)
-    moved_at = np.where((k >= lo) & (k < np.maximum(start, dest) + length), displaced, k)
-    moved_at = np.where((k >= dest) & (k < dest + length), start + k - dest, moved_at)
-    moved = hyp[moved_at]
+    pair, lo, span, turn = moves
+    order = np.argsort(lo, kind="stable")
+    out = np.empty(len(order), dtype=np.int32)
+    step = max(1, _TER_BLOCK_BYTES // (4 * (4 * hyp.shape[1] + 3 * table.shape[2])))
+    for sel in (order[b : b + step] for b in range(0, len(order), step)):
+        words = hyp[pair[sel, None], _rotated(lo[sel], span[sel], turn[sel], hyp.shape[1])].T.copy()
+        joined = np.searchsorted(lo[sel], np.arange(hyp.shape[1]), side="right").tolist()
+        rows = table[lo[sel], pair[sel]]
+        for i in range(int(lo[sel[0]]), hyp.shape[1]):
+            _dp_step(rows[: joined[i]], cost.take(words[i, : joined[i]], axis=0), rows[: joined[i]])
+        out[sel] = rows[np.arange(len(sel)), m[pair[sel]]]
+    return out
 
-    # candidates in order of shared prefix; each joins once the batch reaches its row
-    order = np.argsort(lo[:, 0], kind="stable")
-    batch = moved[order].T.copy()
-    joined = np.searchsorted(lo[order, 0], np.arange(n), side="right")
-    rows = np.empty((len(cands), m + 1), dtype=np.int32)
-    active = 0
-    for i in range(int(lo.min()), n):
-        rows[active : joined[i]] = table[i]
-        active = joined[i]
-        _dp_step(rows[:active], batch[i, :active], step_cost, rows[:active])
 
-    gain = np.empty(len(cands), dtype=np.int32)
-    gain[order] = table[n, m] - rows[:, m]
-    best = int(np.argmax(gain))
-    return moved[best] if gain[best] > 0 else None
+def _ter_edits(sides: Sequence[tuple[Sequence[str], Sequence[str]]]) -> np.ndarray:
+    """Greedy-shift TER edit count of each of a non-empty list of
+    (hypothesis, reference) token pairs, every unfinished pair one round at
+    a time.
+
+    Pairs whose padded DP table exceeds ``_TER_BLOCK_BYTES`` run as two
+    halves. A padding word's cost row is zeros, so every pair's DP ends in
+    the table's last row. Every live pair has made ``shifts`` shifts, and
+    rows up to ``redo`` of its table still hold from the round before. An
+    empty hypothesis has no block to move.
+    """
+    hyps, refs = zip(*sides)
+    units, lengths = _unit_ids(hyps + refs)
+    n, m = lengths.reshape(2, -1)
+    pairs, words, width, depth = len(n), int(n.sum()), int(m.max()), int(n.max())
+    if pairs > 1 and 4 * pairs * (depth + 1) * (width + 1) > _TER_BLOCK_BYTES:
+        return np.concatenate([_ter_edits(sides[: pairs // 2]), _ter_edits(sides[pairs // 2 :])])
+    ref = np.full((pairs, width), -1)
+    ref[np.arange(width) < m[:, None]] = units[words:]
+    # cost - 2 of every hypothesis word against its reference; the last row pads
+    cost = np.zeros((words + 1, width), dtype=np.int32)
+    cost[:-1] = (units[:words, None] != ref[np.repeat(np.arange(pairs), n)]) - 2
+    hyp = np.full((pairs, depth), words, dtype=np.int32)
+    hyp[np.arange(depth) >= depth - n[:, None]] = np.arange(words)
+    edits, live, shifts, redo = np.zeros(pairs, dtype=np.int64), np.arange(pairs), 0, 0
+    table = np.zeros((depth + 1, pairs, width + 1), dtype=np.int32)
+    while True:
+        n_live, m_live, hyp_live = n[live], m[live], hyp[live]
+        for i in range(redo, depth):
+            _dp_step(table[i], cost.take(hyp_live[:, i], axis=0), table[i + 1])
+        final = table[depth, np.arange(len(live)), m_live]
+        edits[live] = shifts + final + n_live + m_live
+        if shifts == TER_MAX_SHIFT_ITERS:
+            return edits
+        moves = _block_moves(table, cost.take(hyp_live.T, axis=0), n_live, m_live)
+        if not len(moves[0]):
+            return edits
+        gain = final[moves[0]] - _moved_distances(table, cost, hyp_live, m_live, moves)
+        # each pair's first largest gain in (start, length, dest) order, if positive
+        best = np.lexsort((-gain, moves[0]))[np.concatenate(([True], moves[0][1:] != moves[0][:-1]))]
+        pair, lo, span, turn = (col[best[gain[best] > 0]] for col in moves)
+        if not len(pair):
+            return edits
+        hyp[live[pair]] = hyp_live[pair[:, None], _rotated(lo, span, turn, depth)]
+        live, table, shifts, redo = live[pair], table[:, pair], shifts + 1, int(lo.min())
 
 
 def ter_segment_edits(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> int:
     """Greedy-shift TER edit count for a single tokenized segment."""
-    vocab: dict[str, int] = {}
-    hyp = np.array([vocab.setdefault(t, len(vocab)) for t in hyp_tokens], dtype=np.int32)
-    ref = [vocab.setdefault(t, len(vocab)) for t in ref_tokens]
-    step_cost = (np.arange(len(vocab))[:, None] != np.array(ref, dtype=np.int32)).astype(np.int32) - 2
-    spans = _ref_spans(ref, TER_MAX_SHIFT_SIZE)
-    shifts = 0
-    while True:
-        table = _dp_table(hyp, step_cost)
-        edits = int(table[-1, -1]) + len(hyp) + len(ref)
-        if edits == 0 or shifts == TER_MAX_SHIFT_ITERS:
-            return shifts + edits
-        shifted = _best_shift(hyp, ref, table, spans, step_cost)
-        if shifted is None:
-            return shifts + edits
-        hyp = shifted
-        shifts += 1
+    return int(_ter_edits([(hyp_tokens, ref_tokens)])[0])
 
 
 def ter(pairs: Sequence[EvalPair]) -> MetricScore:
-    """Corpus TER: 100 * total edits / total reference words."""
+    """Corpus TER: 100 * total edits / total reference words.
+
+    The pairs run shortest hypothesis first, so that the halves of a large
+    corpus pad little.
+    """
     _require_pairs(pairs)
-    total_edits = sum(ter_segment_edits(*pair.tokens) for pair in pairs)
-    total_ref_words = sum(len(pair.tokens[1]) for pair in pairs)
-    return MetricScore("TER", 100.0 * total_edits / total_ref_words)
+    sides = sorted((pair.tokens for pair in pairs), key=lambda side: len(side[0]))
+    return MetricScore("TER", 100.0 * int(_ter_edits(sides).sum()) / sum(len(ref) for _, ref in sides))
 
 
 def score_all(pairs: Sequence[EvalPair]) -> list[MetricScore]:

@@ -853,6 +853,10 @@ class TestRun:
              "needs an http:// or https:// endpoint"),
             (["translate", "--in", "{prompts}", "--endpoint", "http://127.0.0.1:9", "--max-concurrent-batches", "0"],
              None, "max_concurrent_batches must be >= 1"),
+            (["translate", "--in", "{prompts}", "--endpoint", "http://127.0.0.1:9", "--temperature", "nan"],
+             None, "temperature must be a finite number >= 0, got nan"),
+            (["translate", "--in", "{prompts}", "--endpoint", "http://127.0.0.1:9", "--temperature", "inf"],
+             None, "temperature must be a finite number >= 0, got inf"),
             (None, {"provider": {"kind": "remote-http"}}, "needs an http:// or https:// endpoint"),
             (None, {"provider": {"max_in_flight": 0}}, "max_in_flight must be >= 1"),
             (None, {"max_concurrent_batches": 0}, "max_concurrent_batches must be >= 1"),
@@ -867,12 +871,14 @@ class TestRun:
             (None, {"endpoint": 5}, "config key 'endpoint' must be str, got 5"),
             (None, {"langs": {"source_name": 5}}, "langs key 'source_name' must be str, got 5"),
             (None, {"decoding": {"temperature": "0"}}, "decoding key 'temperature' must be float, got \"0\""),
+            (None, {"decoding": {"temperature": float("nan")}}, "temperature must be a finite number >= 0, got nan"),
         ],
-        ids=["cli-no-endpoint", "cli-no-concurrency", "config-no-endpoint", "config-no-in-flight",
-             "config-no-concurrency", "config-max-attempts", "config-backoff-seconds", "config-zero-batch-size",
+        ids=["cli-no-endpoint", "cli-no-concurrency", "cli-nan-temperature", "cli-inf-temperature",
+             "config-no-endpoint", "config-no-in-flight", "config-no-concurrency", "config-max-attempts",
+             "config-backoff-seconds", "config-zero-batch-size",
              "config-zero-token-multiplier", "config-str-batch-size", "config-bool-batch-size",
              "config-str-concurrency", "config-str-seed", "config-int-endpoint", "config-int-source-name",
-             "config-str-temperature"],
+             "config-str-temperature", "config-nan-temperature"],
     )
     def test_bad_remote_setting_exit_2(self, argv, config, message, corpus_tsv, tmp_path, capsys, sleeps):
         if argv is not None:

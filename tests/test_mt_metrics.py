@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -36,8 +37,10 @@ def frozen_values():
     return json.loads((DATA / "metrics_expected.json").read_text(encoding="utf-8"))
 
 
+import oracles
 from oracles import (
     _ref_ngram_stats,
+    _ref_tokenize_13a,
     bleu_reference,
     chrf_pp_reference,
     exhaustive_shift_edits,
@@ -60,6 +63,14 @@ class TestTokenizer:
 
     def test_dash_after_digit(self):
         assert tokenize_13a("5-mg") == ["5", "-", "mg"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(" !\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~0123456789\n\táéß𝔘😀ab", min_size=1, max_size=6),
+        st.sampled_from(["&amp;", "&quot;", "&lt;", "&gt;", "<skipped>", "-\n", "1,200", "3.5", "5-mg"]),
+    ), max_size=12).map("".join))
+    def test_equals_frozen_regex_tokenizer(self, line):
+        assert tokenize_13a(line) == _ref_tokenize_13a(line)
 
 
 # -- BLEU -------------------------------------------------------------------------
@@ -193,6 +204,91 @@ class TestGreedyShiftReference:
     def test_moved_block_near_duplicates(self, pair):
         hyp, ref = pair
         assert ter_segment_edits(hyp, ref) == greedy_ter_reference(hyp, ref)
+
+
+def _moved_block_pair(rng: random.Random) -> tuple[list[str], list[str]]:
+    """``_moved_block_pairs`` drawn from a seeded ``random.Random``."""
+    vocab = [f"w{i}" for i in range(rng.randint(4, 30))]
+    ref = rng.choices(vocab, k=rng.randint(15, 40))
+    hyp = list(ref)
+    start = rng.randrange(len(hyp))
+    block = hyp[start : start + rng.randint(1, 10)]
+    del hyp[start : start + len(block)]
+    dest = rng.randint(0, len(hyp))
+    hyp[dest:dest] = block
+    for _ in range(rng.randint(0, 3)):
+        hyp[rng.randrange(len(hyp))] = rng.choice(vocab)
+    return hyp, ref
+
+
+@st.composite
+def _ter_corpora(draw):
+    """1-40 pairs with non-empty references: empty hypotheses, identical pairs,
+    0-20-word pairs over 2-5 symbols, and up to two 15-40-word moved-block
+    near-duplicates (their frozen greedy search is slow)."""
+    alphabet = "abcde"[: draw(st.integers(2, 5))]
+    words = st.lists(st.sampled_from(alphabet), max_size=20)
+    refs = st.lists(st.sampled_from(alphabet), min_size=1, max_size=20)
+    pair = st.one_of(
+        st.tuples(st.just([]), refs),
+        refs.map(lambda ref: (ref, ref)),
+        st.tuples(words, refs),
+    )
+    corpus = draw(st.lists(pair, min_size=1, max_size=40))
+    for _ in range(draw(st.integers(0, min(2, 40 - len(corpus))))):
+        corpus.insert(draw(st.integers(0, len(corpus))), draw(_moved_block_pairs()))
+    return corpus
+
+
+class TestTerLockstep:
+    """Every pair of a corpus shifts in lockstep; each must match the frozen greedy search."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_ter_corpora())
+    def test_corpus_equals_frozen_greedy_search(self, corpus):
+        expected = [greedy_ter_reference(hyp, ref) for hyp, ref in corpus]
+        assert mt_metrics._ter_edits(corpus).tolist() == expected
+        pairs = [EvalPair(" ".join(hyp), " ".join(ref)) for hyp, ref in corpus]
+        total_ref_words = sum(len(ref) for _, ref in corpus)
+        assert ter(pairs).value == 100.0 * sum(expected) / total_ref_words
+
+    def test_pairs_stop_independently_at_the_shift_cap(self, monkeypatch):
+        # the first three need 2, 3 and 2 greedy shifts, the next one 1
+        corpus = [(hyp.split(), ref.split()) for hyp, ref in (
+            ("c d a b g h e f", "a b c d e f g h"), ("b a d c f e", "a b c d e f"), ("x c a b", "a b c x"),
+            ("d a b c", "a b c d"), ("a b c d", "a b c d"), ("", "a b"), ("e f c d a b", "a b c d e f"),
+        )]
+        uncapped = mt_metrics._ter_edits(corpus).tolist()
+        monkeypatch.setattr(mt_metrics, "TER_MAX_SHIFT_ITERS", 1)
+        monkeypatch.setattr(oracles, "_REF_MAX_SHIFT_ITERS", 1)
+        capped = mt_metrics._ter_edits(corpus).tolist()
+        assert capped == [greedy_ter_reference(hyp, ref) for hyp, ref in corpus]
+        assert [c > u for c, u in zip(capped, uncapped)] == [True, True, True, False, False, False, False]
+
+    def test_one_row_blocks_give_equal_edits(self, monkeypatch):
+        rng = random.Random(18)
+        corpus = [_moved_block_pair(rng) for _ in range(6)]
+        corpus += [(list(rng.choices("abc", k=rng.randint(0, 12))), list(rng.choices("abc", k=rng.randint(1, 12))))
+                   for _ in range(30)]
+        default = mt_metrics._ter_edits(corpus).tolist()
+        monkeypatch.setattr(mt_metrics, "_TER_BLOCK_BYTES", 1)
+        assert mt_metrics._ter_edits(corpus).tolist() == default
+        assert default == [greedy_ter_reference(hyp, ref) for hyp, ref in corpus]
+
+    def test_working_memory_is_bounded(self):
+        rng = random.Random(1802)
+        pairs = [EvalPair(" ".join(hyp), " ".join(ref)) for hyp, ref in (_moved_block_pair(rng) for _ in range(64))]
+        for pair in pairs:
+            pair.tokens
+        tracemalloc.start()
+        try:
+            ter(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 2 MiB; the per-pair search peaked at 3.8 MiB here, and with
+        # _TER_BLOCK_BYTES lifted the lockstep peaks at 23 MiB
+        assert peak < 3 << 20
 
 
 # -- cross-metric properties --------------------------------------------------------
