@@ -74,13 +74,10 @@ def _load_corpus_arg(spec: str) -> corpus.ParallelCorpus:
 
 
 def _write_corpus(c: corpus.ParallelCorpus, out: str | None) -> None:
-    if out is None:
-        for pair in c.pairs:
-            sys.stdout.write(f"{pair.source}\t{pair.target}\n")
-    elif out.endswith(".jsonl"):
+    if out is not None and out.endswith(".jsonl"):
         corpus.write_jsonl_corpus(c, out)
     else:
-        corpus.write_tsv(c, out)
+        corpus.write_tsv(c, sys.stdout if out is None else out)
 
 
 def _provider_from_args(args) -> embedding.EmbeddingProviderConfig:
@@ -315,8 +312,10 @@ def _cmd_index_search(args) -> int:
     else:
         raise UsageError("index-search needs --query or --queries")
     store = retrieval.ContextStore.load(args.index, _provider_from_args(args), args.nprobe)
-    for i, matches in enumerate(retrieval.retrieve_fuzzy_many(store, queries, k=args.k)):
-        _print({"query_index": i, "hits": [{"id": m.pair.id, "score": m.score} for m in matches]})
+    corpus.write_jsonl_records(sys.stdout, (
+        {"query_index": i, "hits": [{"id": m.pair.id, "score": m.score} for m in matches]}
+        for i, matches in enumerate(retrieval.retrieve_fuzzy_many(store, queries, k=args.k))
+    ))
     return EXIT_OK
 
 
@@ -328,12 +327,9 @@ def _cmd_retrieve(args) -> int:
     store = _context_store(args, args.context)
     query_corpus = _load_corpus_arg(args.inp)
     match_lists = retrieval.retrieve_fuzzy_many(store, query_corpus.sources(), k=args.k)
+    n = retrieval.write_retrieval_dump(sys.stdout if args.out is None else args.out, query_corpus.ids(), match_lists)
     if args.out is not None:
-        n = retrieval.write_retrieval_dump(args.out, query_corpus.ids(), match_lists)
         _print({"queries": n, "out": args.out})
-    else:
-        for qid, matches in zip(query_corpus.ids(), match_lists):
-            _print(retrieval.retrieval_record(qid, matches))
     return EXIT_OK
 
 
@@ -346,12 +342,9 @@ def _cmd_prompts(args) -> int:
         store = _context_store(args, args.context)
         match_lists = retrieval.retrieve_fuzzy_many(store, test.sources(), k=1)
     prompts = eval_harness.condition_prompts(args.condition, test.pairs, match_lists, _langs_from_args(args))
+    n = prompting.write_prompt_dump(sys.stdout if args.out is None else args.out, test.ids(), prompts, test.targets())
     if args.out is not None:
-        n = prompting.write_prompt_dump(args.out, test.ids(), prompts, test.targets())
         _print({"prompts": n, "shots": prompts[0].shots if prompts else 0, "out": args.out})
-    else:
-        for pid, prompt, ref in zip(test.ids(), prompts, test.targets()):
-            _print(prompting.prompt_record(pid, prompt, ref))
     return EXIT_OK
 
 
@@ -407,7 +400,7 @@ def _cmd_translate(args) -> int:
     langs = _langs_from_args(args)
     prompts, sources, ids = [], [], []
     first_line: dict[int, int] = {}
-    for lineno, record in corpus._iter_jsonl(args.inp, required={"id": int, "prompt": str}):
+    for lineno, record in corpus.iter_jsonl(args.inp, required={"id": int, "prompt": str}):
         corpus.check_new_id(args.inp, lineno, record["id"], first_line)
         try:
             sources.append(prompting.parse_prompt(record["prompt"], langs)[1])
@@ -455,14 +448,14 @@ def _cmd_evaluate(args) -> int:
         raise UsageError("evaluate needs --in JSONL or --hyp and --ref")
     payload = eval_harness.score_record(mt_metrics.score_all(pairs))
     if args.out is not None:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        corpus.write_json(args.out, payload)
     _print(payload)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     try:
-        table = eval_harness.report_json_to_table(corpus._read_utf8(args.inp), args.format)
+        table = eval_harness.report_json_to_table(corpus.read_utf8(args.inp), args.format)
     except ValidationError as exc:
         raise ValidationError(f"{args.inp}: {exc}") from exc
     if args.out is not None:

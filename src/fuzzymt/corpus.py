@@ -2,8 +2,15 @@
 
 A corpus is an ordered list of aligned segment pairs. Filtering removes
 exact duplicates, empty-sided pairs, and over-length pairs; splitting draws
-a seeded validation sample without replacement. This module also owns the
-JSON-lines codec that every other module writes and reads records with.
+a seeded validation sample without replacement.
+
+This module also owns the JSON codec that every other module reads and
+writes its artifacts with: JSON lines (compact, non-ASCII kept, one object
+per line), JSON documents such as store.json, run_meta.json, report.json and
+the manifest (indent 2, ASCII-escaped, a final newline), and the value-type
+rule of both readers and of ``dataclass_from_json``: true/false is never an
+int, an int is accepted for a float, and any other mismatch is a
+ValidationError ``key 'k' must be T, got V``.
 """
 
 from __future__ import annotations
@@ -13,9 +20,10 @@ import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO
+from types import UnionType
+from typing import Iterable, Iterator, Mapping, TextIO, get_args, get_origin, get_type_hints
 
-from .errors import AlignmentError, CorpusEncodingError, DataError, SizeError
+from .errors import AlignmentError, CorpusEncodingError, DataError, SizeError, ValidationError
 
 DEFAULT_MAX_WORDS = 70
 
@@ -61,7 +69,7 @@ class DatasetSplit:
     validation: ParallelCorpus
 
 
-def _read_utf8(path: str | Path, text_lines: bool = False) -> str:
+def read_utf8(path: str | Path, text_lines: bool = False) -> str:
     """The file decoded as UTF-8. CorpusEncodingError names the line of an
     invalid byte: lines end at LF, or as in ``_text_lines`` if ``text_lines``."""
     raw = Path(path).read_bytes()
@@ -91,7 +99,7 @@ def _text_lines(text: str) -> list[str]:
 
 def read_lines(path: str | Path) -> list[str]:
     """One segment per line of a UTF-8 file, lines ended as in ``_text_lines``."""
-    return _text_lines(_read_utf8(path, text_lines=True))
+    return _text_lines(read_utf8(path, text_lines=True))
 
 
 def parse_tsv(text: str, origin: str | Path) -> ParallelCorpus:
@@ -119,7 +127,7 @@ def load_corpus(source_path: str | Path, target_path: str | Path | None = None) 
     line-count mismatch and CorpusEncodingError on invalid UTF-8.
     """
     if target_path is None:
-        return parse_tsv(_read_utf8(source_path, text_lines=True), source_path)
+        return parse_tsv(read_utf8(source_path, text_lines=True), source_path)
 
     src_lines = read_lines(source_path)
     tgt_lines = read_lines(target_path)
@@ -135,6 +143,79 @@ def load_corpus(source_path: str | Path, target_path: str | Path | None = None) 
     return ParallelCorpus(pairs)
 
 
+def _open_out(path: str | Path | TextIO):
+    """An open text stream as it is (left open), or the file at ``path`` opened for UTF-8 with LF line ends."""
+    return nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8", newline="\n")
+
+
+def encode_json(obj) -> str:
+    """One JSON document: indented by 2, non-ASCII escaped, newline-terminated."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as one JSON document (``encode_json``)."""
+    Path(path).write_text(encode_json(obj), encoding="utf-8", newline="\n")
+
+
+def read_json(path: str | Path):
+    """The JSON document in a UTF-8 file. Raises CorpusEncodingError on
+    invalid UTF-8 and ValidationError naming ``path:line`` on invalid JSON."""
+    return _parse_json(read_utf8(path), path, 1)
+
+
+def _parse_json(text: str, path: str | Path, first_line: int):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        line = first_line + exc.lineno - 1
+        raise ValidationError(f"{path}:{line}: invalid JSON: {exc.msg} (column {exc.colno})") from exc
+
+
+def fits(value, tp) -> bool:
+    """Whether a JSON value has type ``tp`` (a class, ``list[str]`` or a ``|``
+    union): true/false is only a bool, and an int is also a float."""
+    if isinstance(tp, UnionType):
+        return any(fits(value, t) for t in get_args(tp))
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else get_origin(tp) or tp)
+
+
+def _type_name(tp) -> str:
+    types = get_args(tp) if isinstance(tp, UnionType) else (tp,)
+    return " or ".join("null" if t is type(None) else str(t) if get_origin(t) else t.__name__ for t in types)
+
+
+def _check_types(record: dict, types: Mapping[str, type], where: str) -> None:
+    """ValidationError ``{where}key 'k' must be T, got V`` for the first key of ``types`` whose value
+    in ``record`` does not fit its type; an absent key reads as null, or is a ``missing key``."""
+    for key, tp in types.items():
+        if key not in record and not fits(None, tp):
+            raise ValidationError(f"{where}missing key {key!r}")
+        value = record.get(key)
+        if not fits(value, tp):
+            raise ValidationError(f"{where}key {key!r} must be {_type_name(tp)}, "
+                                  f"got {json.dumps(value, ensure_ascii=False)[:40]}")
+
+
+def dataclass_from_json(cls, raw, what: str, where: str = ""):
+    """``cls(**raw)`` for a JSON object ``raw``, every value checked against ``cls``'s field types.
+    A ValidationError starting ``{where}`` and naming ``what`` rejects anything but an object,
+    unknown keys, values of another type and missing required fields."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where}{what} must be a JSON object")
+    unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ValidationError(f"{where}unknown {what} keys {unknown}")
+    hints = get_type_hints(cls)
+    _check_types(raw, {key: hints[key] for key in raw}, f"{where}{what} ")
+    try:
+        return cls(**raw)
+    except TypeError as exc:
+        raise ValidationError(f"{where}{what}: {exc}") from exc
+
+
 def encode_jsonl(record: dict) -> str:
     """One JSON-lines line: compact JSON, non-ASCII kept, newline-terminated."""
     return json.dumps(record, ensure_ascii=False) + "\n"
@@ -143,43 +224,34 @@ def encode_jsonl(record: dict) -> str:
 def write_jsonl_records(path: str | Path | TextIO, records: Iterable[dict]) -> int:
     """Write one JSON-lines line per record to a file, or to an open text stream. Returns the count."""
     count = 0
-    with nullcontext(path) if hasattr(path, "write") else open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         for record in records:
             fh.write(encode_jsonl(record))
             count += 1
     return count
 
 
-def _type_names(types: type | tuple[type, ...]) -> str:
-    types = types if isinstance(types, tuple) else (types,)
-    return " or ".join("null" if t is type(None) else t.__name__ for t in types)
-
-
-def read_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]] = {}) -> list[dict]:
+def read_jsonl(path: str | Path, required: Mapping[str, type] = {}) -> list[dict]:
     """Parse a JSON-lines file into one dict per non-blank line.
 
-    ``required`` maps each key the caller reads to the type(s) its value must
-    have; a key whose types include ``type(None)`` may also be absent or null.
-    JSON true/false pass as no type, so a bool is never taken for an int.
-    Raises CorpusEncodingError on invalid UTF-8 or a string holding a lone
-    surrogate escape (such as "\\ud800"), and DataError naming
+    ``required`` maps each key the caller reads to the type its value must
+    have (``int | None``: also absent or null), under the module's value-type
+    rule. Raises CorpusEncodingError on invalid UTF-8 or a string holding a
+    lone surrogate escape (such as "\\ud800"), and ValidationError naming
     ``path:line`` on a line that is not a JSON object, lacks a required key
     or holds a value of another type under it.
     """
-    return [record for _, record in _iter_jsonl(path, required)]
+    return [record for _, record in iter_jsonl(path, required)]
 
 
-def _iter_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]]) -> Iterator[tuple[int, dict]]:
+def iter_jsonl(path: str | Path, required: Mapping[str, type] = {}) -> Iterator[tuple[int, dict]]:
     """``read_jsonl``'s records, one at a time, each with its line number."""
-    for lineno, line in enumerate(_lines(_read_utf8(path)), 1):
+    for lineno, line in enumerate(_lines(read_utf8(path)), 1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg} (column {exc.colno})") from exc
+        record = _parse_json(line, path, lineno)
         if not isinstance(record, dict):
-            raise DataError(f"{path}:{lineno}: expected a JSON object")
+            raise ValidationError(f"{path}:{lineno}: expected a JSON object")
         # a \u escape can decode to a lone surrogate, which no UTF-8 writer accepts
         if "\\u" in line:
             try:
@@ -187,13 +259,7 @@ def _iter_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]
             except UnicodeEncodeError as exc:
                 bad = exc.object[exc.start : exc.end]
                 raise CorpusEncodingError(f"{path}:{lineno}: not valid UTF-8: lone surrogate {bad!r}") from exc
-        for key, types in required.items():
-            if key not in record and not isinstance(None, types):
-                raise DataError(f"{path}:{lineno}: missing key {key!r}")
-            value = record.get(key)
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise DataError(f"{path}:{lineno}: key {key!r} must be {_type_names(types)}, "
-                                f"got {json.dumps(value, ensure_ascii=False)[:40]}")
+        _check_types(record, required, f"{path}:{lineno}: ")
         yield lineno, record
 
 
@@ -208,7 +274,7 @@ def load_corpus_jsonl(path: str | Path) -> ParallelCorpus:
     """Load a corpus from JSON-lines records {id, source, target}; a record
     without an id (or with a null one) takes its record index. Raises
     DataError naming ``path:line`` on an id that an earlier record holds."""
-    records = _iter_jsonl(path, required={"id": (int, type(None)), "source": str, "target": str})
+    records = iter_jsonl(path, required={"id": int | None, "source": str, "target": str})
     pairs = []
     first_line: dict[int, int] = {}
     for i, (lineno, r) in enumerate(records):
@@ -267,9 +333,9 @@ def split_corpus(corpus: ParallelCorpus, validation_size: int, seed: int) -> Dat
     )
 
 
-def write_tsv(corpus: ParallelCorpus, path: str | Path) -> int:
-    """Write pairs as a 2-column TSV, one pair per line. Returns the count."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def write_tsv(corpus: ParallelCorpus, path: str | Path | TextIO) -> int:
+    """Write pairs as a 2-column TSV, one pair per line, to a file or an open text stream. Returns the count."""
+    with _open_out(path) as fh:
         for pair in corpus.pairs:
             fh.write(f"{pair.source}\t{pair.target}\n")
     return len(corpus)

@@ -15,8 +15,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,6 +40,7 @@ CONTEXT_LABELS = {
 REPORT_COLUMNS = ("Model", "Context", "BLEU ↑", "chrF++ ↑", "TER ↓")
 # record key -> MetricScore name, in report column order
 _SCORE_KEYS = {"bleu": "BLEU", "chrf_pp": "chrF++", "ter": "TER"}
+_ROW_TYPES = {"model": str, "context": str, **dict.fromkeys(_SCORE_KEYS, float)}
 
 
 @dataclass
@@ -81,46 +80,16 @@ class ConditionResult:
     segments_per_second: float
 
 
-def _fits(value, tp) -> bool:
-    """Whether a config value has the declared type; a bool is no int, an int is a float."""
-    if isinstance(tp, UnionType):
-        return any(_fits(value, t) for t in get_args(tp))
-    if isinstance(value, bool):
-        return tp is bool
-    return isinstance(value, (int, float) if tp is float else get_origin(tp) or tp)
-
-
-def _config_object(path, what: str, cls, raw):
-    """``cls(**raw)``, with unknown keys, values of another type and bad arguments a ValidationError."""
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: {what} must be a JSON object")
-    unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
-    if unknown:
-        raise ValidationError(f"{path}: unknown {what} keys {unknown}")
-    hints = get_type_hints(cls)
-    for key, value in raw.items():
-        if not _fits(value, hints[key]):
-            raise ValidationError(f"{path}: {what} key {key!r} must be {cls.__dataclass_fields__[key].type}, "
-                                  f"got {json.dumps(value, ensure_ascii=False)[:40]}")
-    try:
-        return cls(**raw)
-    except TypeError as exc:
-        raise ValidationError(f"{path}: {what}: {exc}") from exc
-
-
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file; a null nested object means its default."""
-    try:
-        raw = json.loads(corpus_mod._read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg} (column {exc.colno})") from exc
+    raw = corpus_mod.read_json(path)
     if isinstance(raw, dict):
         for key, cls in (("provider", EmbeddingProviderConfig), ("ivf", IvfConfig),
                          ("decoding", DecodingParams), ("langs", LanguageNames)):
             value = raw.pop(key, None)
             if value is not None:
-                raw[key] = _config_object(path, key, cls, value)
-    return _config_object(path, "config", ExperimentConfig, raw)
+                raw[key] = corpus_mod.dataclass_from_json(cls, value, key, f"{path}: ")
+    return corpus_mod.dataclass_from_json(ExperimentConfig, raw, "config", f"{path}: ")
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
@@ -288,28 +257,30 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
             "index": {"nlist": store.index.config.nlist, "list_size_min": min(lengths),
                       "list_size_max": max(lengths), "lists_empty": lengths.count(0)},
         }
-        (out_dir / "run_meta.json").write_text(
-            json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-        )
+        corpus_mod.write_json(out_dir / "run_meta.json", meta)
     return results
+
+
+def _by_id(path: Path, key: str) -> dict[int, str]:
+    """The ``key`` string of each JSON-lines record by its int id, which no two lines may share."""
+    values: dict[int, str] = {}
+    first_line: dict[int, int] = {}
+    for lineno, record in corpus_mod.iter_jsonl(path, required={"id": int, key: str}):
+        corpus_mod.check_new_id(path, lineno, record["id"], first_line)
+        values[record["id"]] = record[key]
+    return values
 
 
 def rescore_condition(output_dir: str | Path, condition: str) -> list[MetricScore]:
     """Recompute scores for one condition from persisted artifacts only."""
     out_dir = Path(output_dir)
     prompts_path = out_dir / f"prompts.{condition}.jsonl"
-    refs = {
-        r["id"]: r["reference"]
-        for r in corpus_mod.read_jsonl(prompts_path, required={"id": int, "reference": str})
-    }
     generations_path = out_dir / f"generations.{condition}.jsonl"
-    texts: dict[int, str] = {}
-    for g in corpus_mod.read_jsonl(generations_path, required={"id": int, "text": str}):
-        if g["id"] not in refs:
-            raise DataError(f"{generations_path}: id {g['id']!r} has no prompt in {prompts_path}")
-        if g["id"] in texts:
-            raise DataError(f"{generations_path}: id {g['id']!r} repeats")
-        texts[g["id"]] = g["text"]
+    refs = _by_id(prompts_path, "reference")
+    texts = _by_id(generations_path, "text")
+    stray = next((pid for pid in texts if pid not in refs), None)
+    if stray is not None:
+        raise DataError(f"{generations_path}: id {stray!r} has no prompt in {prompts_path}")
     missing = next((pid for pid in refs if pid not in texts), None)
     if missing is not None:
         raise DataError(f"{generations_path}: prompt id {missing!r} of {prompts_path} has no generation")
@@ -355,16 +326,8 @@ def render_report(
     ordered = sorted(results, key=lambda r: CONDITION_ORDER.index(r.condition))
     rows = [_result_row(r, model_name) for r in ordered]
     if format == "json":
-        return json.dumps({"columns": list(REPORT_COLUMNS), "rows": rows}, indent=2) + "\n"
+        return corpus_mod.encode_json({"columns": list(REPORT_COLUMNS), "rows": rows})
     return _table(rows, format)
-
-
-def _is_report_row(row) -> bool:
-    if not isinstance(row, dict):
-        return False
-    scores = [row.get(key) for key in _SCORE_KEYS]
-    return (isinstance(row.get("model"), str) and isinstance(row.get("context"), str)
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in scores))
 
 
 def report_json_to_table(json_text: str, format: str = "markdown") -> str:
@@ -379,7 +342,8 @@ def report_json_to_table(json_text: str, format: str = "markdown") -> str:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
     rows = payload.get("rows") if isinstance(payload, dict) else None
-    if not isinstance(rows, list) or not all(map(_is_report_row, rows)):
+    if not isinstance(rows, list) or not all(isinstance(row, dict) and all(
+            corpus_mod.fits(row.get(key), tp) for key, tp in _ROW_TYPES.items()) for row in rows):
         raise ValidationError('not a JSON report: expected {"rows": [{model, context, '
                               'bleu, chrf_pp, ter}, ...]}')
     return _table(rows, format)

@@ -7,13 +7,12 @@ trainer needs, with validated defaults.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import ParallelCorpus, pair_key, write_jsonl_records
+from .corpus import ParallelCorpus, pair_key, write_json, write_jsonl_records
 from .errors import ArgumentError, SizeError, StateError, ValidationError
 from .prompting import STOP, LanguageNames, normalize_segment, render_few_shot, render_zero_shot
 from .retrieval import ContextStore, retrieve_fuzzy_many
@@ -198,6 +197,4 @@ def manifest_payload(manifest: TrainingManifest) -> dict:
 
 def emit_training_manifest(manifest: TrainingManifest, path: str | Path) -> None:
     """Validate and write the manifest JSON."""
-    Path(path).write_text(
-        json.dumps(manifest_payload(manifest), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, manifest_payload(manifest))

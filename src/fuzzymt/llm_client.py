@@ -14,7 +14,7 @@ attempts, 1, 2 and 4 s apart, for a connection error, a timeout, a 429 or a
 does not match the shape raises ``ContractViolationError``. ``translate_all``
 writes two files in batch order, also when a batch fails: the trace, one line
 per batch sent with its status, attempts and latency, and the generations,
-one ``generation_record`` per prompt of every batch that got its reply. The
+one record {id, text} per prompt of every batch that got its reply. The
 bundled mock server speaks the same protocol (and the embeddings shape) for
 offline end-to-end runs, and each reply depends only on the request's
 content: ``echo-fuzzy`` answers each prompt's last completed target line, and
@@ -111,11 +111,6 @@ def truncate_at_stop(text: str) -> str:
     return text.partition(STOP)[0].strip()
 
 
-def generation_record(result: TranslationResult) -> dict:
-    """The JSONL record of one generation, as written to files and stdout."""
-    return {"id": result.id, "text": result.text}
-
-
 def translate_batch(
     batch: TranslationRequestBatch,
     endpoint: str,
@@ -185,7 +180,7 @@ def translate_all(
         if trace_path is not None:
             write_jsonl_records(trace_path, (record for trace in traces for record in trace))
         if generations is not None:
-            write_jsonl_records(generations, (generation_record(r) for part in parts for r in part))
+            write_jsonl_records(generations, ({"id": r.id, "text": r.text} for part in parts for r in part))
     return [result for part in parts for result in part]
 
 
@@ -208,11 +203,10 @@ def _echo_fuzzy_completion(prompt_text: str) -> str:
 
 
 class _MockState:
-    def __init__(self, mode: str, fixtures, embed_dim: int, embed_seed: int):
+    def __init__(self, mode: str, fixtures, provider: embedding_mod.EmbeddingProviderConfig):
         self.mode = mode
         self.fixtures = fixtures
-        self.embed_dim = embed_dim
-        self.embed_seed = embed_seed
+        self.provider = provider
         self.lock = threading.Lock()
         self.request_log: list[dict] = []
 
@@ -271,10 +265,9 @@ class _MockHandler(BaseHTTPRequestHandler):
         inputs = payload.get("input", [])
         if isinstance(inputs, str):
             inputs = [inputs]
-        state = self.state
         try:
-            matrix = embedding_mod._embed_deterministic(inputs, state.embed_dim, state.embed_seed)
-        except CorpusEncodingError as exc:
+            matrix = embedding_mod.embed_batch(inputs, self.state.provider)
+        except (ArgumentError, CorpusEncodingError) as exc:  # no input, or a lone surrogate
             self._reply(400, {"error": str(exc)})
             return
         data = [{"index": i, "embedding": row} for i, row in enumerate(matrix.tolist())]
@@ -321,7 +314,7 @@ def run_mock_server(
     dictionary lexicon."""
     if mode not in MOCK_MODES:
         raise ArgumentError(f"mode must be one of {MOCK_MODES}, got {mode!r}")
-    state = _MockState(mode, fixtures, embed_dim, embed_seed)
+    state = _MockState(mode, fixtures, embedding_mod.EmbeddingProviderConfig(dim=embed_dim, seed=embed_seed))
     handler = type("BoundMockHandler", (_MockHandler,), {"state": state})
     try:
         server = ThreadingHTTPServer((host, port), handler)

@@ -224,8 +224,6 @@ def chrf_pp(pairs: Sequence[EvalPair]) -> MetricScore:
         denom = beta_sq * precision + recall
         f_sum += ((1 + beta_sq) * precision * recall / denom) if denom > 0 else eps
         present += 1
-    if present == 0:
-        return MetricScore("chrF++", 0.0)
     return MetricScore("chrF++", 100.0 * f_sum / present)
 
 

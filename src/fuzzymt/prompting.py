@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .corpus import write_jsonl_records
 from .errors import ArgumentError
@@ -107,18 +107,14 @@ def parse_prompt(text: str, langs: LanguageNames = LanguageNames()) -> tuple[lis
     return examples, query
 
 
-def prompt_record(prompt_id: int, prompt: RenderedPrompt, reference: str) -> dict:
-    """The JSONL record {id, prompt, shots, reference} of one prompt."""
-    return {"id": prompt_id, "prompt": prompt.text, "shots": prompt.shots, "reference": reference}
-
-
 def write_prompt_dump(
-    path: str | Path,
+    path: str | Path | TextIO,
     ids: Sequence[int],
     prompts: Sequence[RenderedPrompt],
     references: Sequence[str],
 ) -> int:
-    """Write one prompt_record per prompt."""
+    """Write one JSONL record {id, prompt, shots, reference} per prompt to a file or an open text stream."""
     if not (len(ids) == len(prompts) == len(references)):
         raise ArgumentError("ids, prompts, and references must have equal lengths")
-    return write_jsonl_records(path, map(prompt_record, ids, prompts, references))
+    return write_jsonl_records(path, ({"id": pid, "prompt": prompt.text, "shots": prompt.shots, "reference": ref}
+                                      for pid, prompt, ref in zip(ids, prompts, references)))

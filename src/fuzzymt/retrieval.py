@@ -8,17 +8,16 @@ Its store.json then reads ``ivf.nlist: 1``.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from . import ann_index, embedding
 from .ann_index import IvfConfig, IvfIndex
-from .corpus import ParallelCorpus, SegmentPair, load_any, load_corpus_jsonl
-from .corpus import write_jsonl_corpus, write_jsonl_records
+from .corpus import ParallelCorpus, SegmentPair, dataclass_from_json, load_any, load_corpus_jsonl
+from .corpus import read_json, write_json, write_jsonl_corpus, write_jsonl_records
 from .embedding import EmbeddingProviderConfig
-from .errors import ArgumentError, SizeError, StoreError
+from .errors import ArgumentError, DataError, SizeError, StoreError
 
 STORE_CORPUS, STORE_INDEX, STORE_META = "corpus.jsonl", "index.ivf", "store.json"
 # the provider fields that decide the vectors; the others only say how to fetch them
@@ -71,7 +70,7 @@ class ContextStore:
             "ivf": {k: v for k, v in asdict(self.index.config).items() if k != "nprobe"},
             "sha256": {name: _sha256(out / name) for name in (STORE_CORPUS, STORE_INDEX)},
         }
-        (out / STORE_META).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        write_json(out / STORE_META, meta)
 
     @classmethod
     def load(cls, directory: str | Path, provider: EmbeddingProviderConfig, nprobe: int) -> "ContextStore":
@@ -82,12 +81,14 @@ class ContextStore:
         """
         src = Path(directory)
         try:
-            meta = json.loads((src / STORE_META).read_text(encoding="utf-8"))
-            built = IvfConfig(**meta["ivf"], nprobe=min(nprobe, meta["ivf"]["nlist"]))
+            meta = read_json(src / STORE_META)
+            # nprobe 1 fits any nlist; the caller's nprobe is clamped below
+            built = dataclass_from_json(IvfConfig, {**meta["ivf"], "nprobe": 1}, "ivf")
             stored = {name: meta["provider"][name] for name in FINGERPRINT_FIELDS}
             digests = {name: meta["sha256"][name] for name in (STORE_CORPUS, STORE_INDEX)}
-        except (ValueError, KeyError, TypeError) as exc:
+        except (DataError, KeyError, TypeError) as exc:
             raise StoreError(f"{src / STORE_META}: malformed store metadata ({exc!r})") from exc
+        built = replace(built, nprobe=min(nprobe, built.nlist))
         for name, value in stored.items():
             if getattr(provider, name) != value:
                 raise StoreError(f"{src}: store was built with provider {name}={value!r}, "
@@ -153,28 +154,17 @@ def retrieve_fuzzy_many(store: ContextStore, sources: Sequence[str], k: int = 1)
     ]
 
 
-def retrieval_record(query_id: int, matches: Sequence[FuzzyMatch]) -> dict:
-    """The JSONL record {query_id, matches: [...]} of one query's matches."""
-    return {
-        "query_id": query_id,
-        "matches": [
-            {
-                "context_id": m.pair.id,
-                "score": m.score,
-                "source": m.pair.source,
-                "target": m.pair.target,
-            }
-            for m in matches
-        ],
-    }
-
-
 def write_retrieval_dump(
-    path: str | Path,
+    path: str | Path | TextIO,
     query_ids: Sequence[int],
     all_matches: Sequence[Sequence[FuzzyMatch]],
 ) -> int:
-    """Write one retrieval_record per query."""
+    """Write one JSONL record {query_id, matches: [{context_id, score, source,
+    target}, ...]} per query to a file or an open text stream."""
     if len(query_ids) != len(all_matches):
         raise ArgumentError("one match list required per query id")
-    return write_jsonl_records(path, map(retrieval_record, query_ids, all_matches))
+    return write_jsonl_records(path, (
+        {"query_id": qid, "matches": [{"context_id": m.pair.id, "score": m.score, "source": m.pair.source,
+                                       "target": m.pair.target} for m in matches]}
+        for qid, matches in zip(query_ids, all_matches)
+    ))

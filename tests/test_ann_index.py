@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzymt import ann_index
 from fuzzymt.ann_index import (
     ClusterRangeWarning,
     IvfConfig,
@@ -300,6 +301,30 @@ class TestExactTies:
             for hits in (index.search(q, copies), many):
                 assert [h.id for h in hits] == want
                 assert len({h.score for h in hits}) == 1
+
+    @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
+    @pytest.mark.parametrize("metric", ["cosine", "l2"])
+    @pytest.mark.parametrize("nlist", [1, 4])
+    # 1: one query per search block and one row per re-score block;
+    # 4800: 4 queries per search block and 18 rows per re-score block
+    @pytest.mark.parametrize("block_bytes", [1, 4800])
+    def test_small_blocks_give_equal_hits(self, monkeypatch, metric, nlist, block_bytes):
+        rows = unit_rows(300, 16, seed=19)
+        index = train(rows, IvfConfig(dim=16, nlist=nlist, nprobe=min(2, nlist), metric=metric, kmeans_iters=6))
+        index.add(enumerate(rows))
+        queries = rows[:40] + 0.05 * np.random.default_rng(20).normal(size=(40, 16))
+        default = index.search_many(queries, 5)
+        sizes = []
+        exact = IvfIndex._exact_scores
+
+        def counted(self, vecs, rows, q64, qi):
+            sizes.append(len(rows))
+            return exact(self, vecs, rows, q64, qi)
+
+        monkeypatch.setattr(IvfIndex, "_exact_scores", counted)
+        monkeypatch.setattr(ann_index, "_BLOCK_BYTES", block_bytes)
+        assert index.search_many(queries, 5) == default
+        assert max(sizes) > 1 + block_bytes // (16 * 16)  # so a call split its rows into blocks
 
     @settings(max_examples=80, deadline=None)
     @given(

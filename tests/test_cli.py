@@ -219,6 +219,29 @@ class TestHelpAndUsage:
                 unread[cls.__name__] = sorted(missing)
         assert unread == {}
 
+    def test_no_module_reads_another_modules_private_names(self):
+        """No package module reads another's underscore name, as ``module._name``
+        or ``from .module import _name``; a private module such as ``_http`` is
+        imported for its public names."""
+        reads = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            modules = set()  # the names the file binds to package modules
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                if node.level == 0 and node.module != "fuzzymt" and not (node.module or "").startswith("fuzzymt."):
+                    continue
+                for alias in node.names:
+                    if node.module is None or node.module == "fuzzymt":
+                        modules.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        reads.append(f"{path.name}: from {node.module} import {alias.name}")
+            reads += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in modules and node.attr.startswith("_")]
+        assert reads == []
+
 
 class TestFilter:
     def test_paper_style_invocation(self, tmp_path, capsys):
@@ -526,6 +549,29 @@ class TestRetrieveAndPrompts:
             ["prompts", "--in", corpus_tsv, "--condition", "one-shot"], capsys
         )
         assert code == 1
+
+
+class TestDumps:
+    @pytest.mark.parametrize("sub", ["filter", "retrieve", "prompts", "translate"])
+    def test_stdout_holds_the_out_file_bytes(self, sub, corpus_tsv, queries_tsv, tmp_path, capsys):
+        prompts_path = str(tmp_path / "prompts.jsonl")
+        assert run_cli(["prompts", "--in", queries_tsv, "--out", prompts_path], capsys)[0] == 0
+        with run_mock_server("echo-fuzzy") as server:
+            argv = {
+                "filter": ["filter", "--in", corpus_tsv],
+                "retrieve": ["retrieve", "--in", queries_tsv, "--context", corpus_tsv, *BUILD_FLAGS, *NPROBE,
+                             "-k", "2"],
+                "prompts": ["prompts", "--in", queries_tsv, "--condition", "one-shot", "--context", corpus_tsv,
+                            *BUILD_FLAGS, *NPROBE],
+                "translate": ["translate", "--in", prompts_path, "--endpoint", server.endpoint],
+            }[sub]
+            code, stdout, err = run_cli(argv, capsys)
+            assert code == 0, err
+            out = tmp_path / f"{sub}.out"
+            code, _, err = run_cli([*argv, "--out", str(out)], capsys)
+            assert code == 0, err
+        assert stdout.count("\n") >= 5
+        assert stdout.encode("utf-8") == out.read_bytes()
 
 
 class TestExportAndManifest:

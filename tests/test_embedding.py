@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzymt import embedding
+from fuzzymt import _http, embedding
 from fuzzymt.embedding import CHUNK, NGRAM_SIZES, EmbeddingProviderConfig, embed_batch
 from fuzzymt.errors import ArgumentError, ContractViolationError, CorpusEncodingError, ProviderError
 from fuzzymt.llm_client import run_mock_server
@@ -190,6 +190,11 @@ class TestLoneSurrogate:
             assert err.value.status == 400
             assert len(server.state.request_log) == 1
         assert sleeps == []
+
+    def test_mock_answers_400_to_no_input(self):
+        with run_mock_server("echo-fuzzy", embed_dim=16) as server:
+            reply = _http.post_json(server.endpoint + "/v1/embeddings", {"input": []})
+        assert reply.status == 400 and "non-empty" in reply.error
 
 
 class TestEmbedBatch:

@@ -260,13 +260,17 @@ class TestReproducibilityAndRescoring:
             rescore_condition(tmp_path, CONDITION_ZERO)
 
     @pytest.mark.parametrize(
-        "generation_ids, message",
-        [([0, 2], "prompt id 1 .* has no generation"), ([0, 1, 2, 1], "id 1 repeats")],
-        ids=["partial", "repeated"],
+        "prompt_ids, generation_ids, message",
+        [
+            ([0, 1, 2], [0, 2], "prompt id 1 .* has no generation"),
+            ([0, 1, 2], [0, 1, 2, 1], r"generations.zero-shot.jsonl:4: repeated id 1 \(first on line 2\)"),
+            ([0, 1, 1], [0, 1], r"prompts.zero-shot.jsonl:3: repeated id 1 \(first on line 2\)"),
+        ],
+        ids=["partial", "repeated", "repeated-prompt"],
     )
-    def test_rescore_rejects_partial_or_repeated_generations(self, tmp_path, generation_ids, message):
+    def test_rescore_rejects_partial_or_repeated_generations(self, tmp_path, prompt_ids, generation_ids, message):
         (tmp_path / "prompts.zero-shot.jsonl").write_text(
-            "".join(json.dumps({"id": i, "reference": "a b"}) + "\n" for i in range(3)), encoding="utf-8"
+            "".join(json.dumps({"id": i, "reference": "a b"}) + "\n" for i in prompt_ids), encoding="utf-8"
         )
         (tmp_path / "generations.zero-shot.jsonl").write_text(
             "".join(json.dumps({"id": i, "text": "a b"}) + "\n" for i in generation_ids), encoding="utf-8"

@@ -133,6 +133,16 @@ class TestSaveLoad:
         with pytest.raises(StoreError, match="malformed store metadata"):
             ContextStore.load(tmp_path / "store", det_provider, nprobe=1)
 
+    @pytest.mark.parametrize("key, value", [("nlist", 0), ("seed", -3), ("kmeans_iters", "x")])
+    def test_bad_ivf_value_names_store_json_and_key(self, tmp_path, store, det_provider, key, value):
+        store.save(tmp_path / "store")
+        meta_path = tmp_path / "store" / "store.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["ivf"][key] = value
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(StoreError, match=rf"store\.json: malformed store metadata \(.*{key}"):
+            ContextStore.load(tmp_path / "store", det_provider, nprobe=1)
+
     def test_index_header_must_match_metadata(self, tmp_path, store, det_provider):
         store.save(tmp_path / "store")
         meta_path = tmp_path / "store" / "store.json"
