@@ -1,16 +1,17 @@
 """IVF-Flat approximate nearest neighbor index built from scratch.
 
-A k-means coarse quantizer (k-means++ seeding, Lloyd iterations) partitions
-the collection into nlist inverted lists; a query scores only the vectors in
-its nprobe best lists. With nprobe == nlist the search is exact brute force;
-with nlist 1 (one centroid, the mean, and no k-means) the index is the exact
-flat index.
+A row's score for a query is their inner product: their cosine similarity,
+as embeddings are unit rows. A k-means coarse quantizer (k-means++ seeding,
+Lloyd iterations) partitions the collection into nlist inverted lists; a
+query scores only the vectors in its nprobe best lists. With nprobe == nlist
+the search is exact brute force; with nlist 1 (one centroid, the mean, and
+no k-means) the index is the exact flat index.
 
 An index is filled once: ``train`` returns it empty, and one ``add`` stores
 every row, as float32, in one contiguous (N, d) array beside an ids array and
 an offsets array: list c is rows offsets[c]:offsets[c + 1], in insertion order.
-A row's list is its nearest centroid by ``_assign``, the same float64 scoring
-that Lloyd's k-means uses; with nlist 1 the rows are stored as given.
+A row's list is the centroid of its highest float64 dot product (``_assign``);
+with nlist 1 the rows are stored as given.
 
 ``search_many`` works on blocks of queries, sized so that a block's float32
 score matrix stays near _BLOCK_BYTES whatever the query count:
@@ -43,21 +44,18 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ArgumentError, ConflictError, StateError, TrainingError
 
-METRIC_L2 = "l2"
-METRIC_COSINE = "cosine"
-
 INDEX_MAGIC = b"IVF1"
 _HEADER = struct.Struct("<4sIIBQ")  # magic, dim, nlist, metric, size
-_METRIC_CODES = {METRIC_L2: 0, METRIC_COSINE: 1}
-_METRIC_NAMES = {v: k for k, v in _METRIC_CODES.items()}
+# the header's metric byte: 1 (cosine) is the only similarity an index has
+_COSINE_CODE = 1
 
 KMEANS_SHIFT_TOL = 1e-6
 # Faiss guideline: nlist should sit between 4*sqrt(N) and 16*sqrt(N).
@@ -81,7 +79,6 @@ class IvfConfig:
     dim: int
     nlist: int = 4096
     nprobe: int = 32
-    metric: str = METRIC_COSINE
     kmeans_iters: int = 25
     seed: int = 0
 
@@ -92,8 +89,6 @@ class IvfConfig:
             raise ArgumentError(f"nlist must be positive, got {self.nlist}")
         if not (1 <= self.nprobe <= self.nlist):
             raise ArgumentError(f"nprobe must be in [1, nlist={self.nlist}], got {self.nprobe}")
-        if self.metric not in _METRIC_CODES:
-            raise ArgumentError(f"metric must be one of {sorted(_METRIC_CODES)}, got {self.metric!r}")
         if self.kmeans_iters <= 0:
             raise ArgumentError(f"kmeans_iters must be positive, got {self.kmeans_iters}")
         if self.seed < 0:
@@ -122,20 +117,21 @@ def _as_matrix(vectors, dim: int, dtype=np.float64) -> np.ndarray:
     return matrix
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
-    """Each point's nearest centroid: the highest dot product for cosine, the
-    least squared distance for l2. Scored in float64, a block of rows at a time."""
+def _assign(points: np.ndarray, centroids: np.ndarray, by_distance: bool = False) -> np.ndarray:
+    """Each point's nearest centroid: the highest dot product, as a search
+    ranks lists, or with ``by_distance`` the least squared distance, as
+    k-means defines it. Scored in float64, a block of rows at a time."""
     cents = centroids.astype(np.float64, copy=False)
     c_sq = np.einsum("ij,ij->i", cents, cents)
     labels = np.empty(len(points), dtype=np.int64)
     block = max(1, 4_000_000 // len(cents))
     for start in range(0, len(points), block):
         dots = points[start : start + block].astype(np.float64, copy=False) @ cents.T
-        if metric == METRIC_COSINE:
-            labels[start : start + block] = np.argmax(dots, axis=1)
-        else:
+        if by_distance:
             # x.x is constant per row, so argmin of (c.c - 2 x.c) suffices
             labels[start : start + block] = np.argmin(c_sq - 2.0 * dots, axis=1)
+        else:
+            labels[start : start + block] = np.argmax(dots, axis=1)
     return labels
 
 
@@ -163,7 +159,7 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> 
     centroids = _kmeans_pp_seed(points, k, rng)
     n, dim = points.shape
     for _ in range(iters):
-        labels = _assign(points, centroids, METRIC_L2)
+        labels = _assign(points, centroids, by_distance=True)
         counts = np.bincount(labels, minlength=k).astype(np.int64)
         sums = np.zeros((k, dim), dtype=np.float64)
         np.add.at(sums, labels, points)
@@ -199,8 +195,7 @@ class IvfIndex:
     def __init__(self, config: IvfConfig, centroids: np.ndarray):
         self.config = config
         self.centroids = np.ascontiguousarray(centroids, dtype=np.float32)
-        self._centroid_sq = _row_sq(self.centroids)
-        self._centroid_norm = math.sqrt(float(self._centroid_sq.max()))
+        self._centroid_norm = _max_norm(self.centroids)
         self._set_lists(np.empty(0, np.int64), np.empty((0, config.dim), np.float32), np.zeros(config.nlist, np.int64))
         self._filled = False  # until add or load sets the lists
 
@@ -232,7 +227,7 @@ class IvfIndex:
         if self.config.nlist == 1:
             self._set_lists(ids, vecs, [len(ids)])
             return self
-        labels = _assign(vecs, self.centroids, self.config.metric)
+        labels = _assign(vecs, self.centroids)
         # a stable sort keeps each list's rows in insertion order
         order = np.argsort(labels, kind="stable")
         self._set_lists(ids[order], vecs[order], np.bincount(labels, minlength=self.config.nlist))
@@ -244,9 +239,8 @@ class IvfIndex:
         self._ids = ids
         self._vecs = vecs
         self._offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-        self._vec_sq = _row_sq(vecs)
         self._row_list = np.repeat(np.arange(self.config.nlist), lengths)
-        self._vec_norm = math.sqrt(float(self._vec_sq.max(initial=0.0)))
+        self._vec_norm = _max_norm(vecs)
 
     # -- search --------------------------------------------------------------
 
@@ -282,7 +276,7 @@ class IvfIndex:
         """(query row, id, score) of every hit of the block, best first per row."""
         q32 = q64.astype(np.float32)
         q_norm = math.sqrt(float(np.einsum("ij,ij->i", q64, q64).max()))
-        rows, vecs, vec_sq = None, self._vecs, self._vec_sq
+        rows, vecs = None, self._vecs
         keep = None  # (queries, scored rows): the query probes the row's list
         if nprobe < self.config.nlist:
             probed = self._probe(q64, q32, q_norm, nprobe)
@@ -291,7 +285,7 @@ class IvfIndex:
             if n_used < len(used):
                 # score only the rows of the lists that some query of the block probes
                 rows = np.flatnonzero(used[self._row_list])
-                vecs, vec_sq = self._vecs[rows], self._vec_sq[rows]
+                vecs = self._vecs[rows]
             if np.count_nonzero(probed) < len(q64) * n_used:
                 keep = probed[:, self._row_list if rows is None else self._row_list[rows]]
         if len(vecs) == 0:
@@ -300,7 +294,7 @@ class IvfIndex:
             keep = np.ones((len(q64), len(vecs)), dtype=bool)
         # with at most 2k rows the float32 pass would keep nearly all of them
         if len(vecs) > 2 * k:
-            approx = self._approx_scores(q32, vecs, vec_sq)
+            approx = q32 @ vecs.T
             approx[~keep] = -np.inf
             keep = keep & _within(approx, k, 2.0 * self._error_bound(q_norm, self._vec_norm))
         qi, col = np.nonzero(keep)
@@ -315,7 +309,7 @@ class IvfIndex:
     def _probe(self, q64, q32, q_norm: float, nprobe: int) -> np.ndarray:
         """Boolean (queries, nlist): each query's nprobe best lists by exact
         float64 score, ties to the lower centroid index."""
-        approx = self._approx_scores(q32, self.centroids, self._centroid_sq)
+        approx = q32 @ self.centroids.T
         margin = 2.0 * self._error_bound(q_norm, self._centroid_norm)
         kth = _kth_best(approx, nprobe)
         maybe = ~(approx < kth - margin)
@@ -332,36 +326,23 @@ class IvfIndex:
         probed[qi[best], cent[best]] = True
         return probed
 
-    def _approx_scores(self, q32: np.ndarray, vecs: np.ndarray, vec_sq: np.ndarray) -> np.ndarray:
-        """float32 scores; for l2, 2 q.v - v.v, which ranks as -|v - q|^2 does."""
-        approx = q32 @ vecs.T
-        if self.config.metric == METRIC_L2:
-            approx *= 2.0
-            approx -= vec_sq.astype(np.float32)
-        return approx
-
     def _error_bound(self, q_norm: float, v_norm: float) -> float:
-        """A bound on |float32 score - float64 score| (up to a per-query
-        constant) for queries of norm at most ``q_norm`` and rows of norm at
-        most ``v_norm``.
+        """A bound on |float32 score - float64 score| for queries of norm at
+        most ``q_norm`` and rows of norm at most ``v_norm``.
 
         With gamma(n) = n u / (1 - n u) and u = 2^-24: a float32 dot product of
         length d, in any summation order and with the query rounded to float32
         first, errs by at most gamma(d+1) |q| |v| (Higham, Accuracy and
-        Stability of Numerical Algorithms, ch. 3). The l2 score 2 q.v - v.v adds
-        the rounding of v.v and of the difference, within gamma(d+3)
-        (|q| + |v|)^2. The float64 re-score errs by about 2^-29 times less, which
-        the step from gamma(d+1) to gamma(d+3) covers. The second term bounds
-        underflow.
+        Stability of Numerical Algorithms, ch. 3). The float64 re-score errs by
+        about 2^-29 times less, which the step from gamma(d+1) to gamma(d+3)
+        covers. The second term bounds underflow.
         """
         n = self.config.dim + 3
         gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-        reach = (q_norm + v_norm) ** 2
-        if not reach < _SAFE_REACH:
+        if not (q_norm + v_norm) ** 2 < _SAFE_REACH:
             # a float32 partial sum may overflow: every candidate is re-scored
             return math.inf
-        scale = q_norm * v_norm if self.config.metric == METRIC_COSINE else reach
-        return gamma * scale + n * _FLOAT32_TINY * (1.0 + v_norm)
+        return gamma * q_norm * v_norm + n * _FLOAT32_TINY * (1.0 + v_norm)
 
     def _exact_scores(self, vecs: np.ndarray, rows: np.ndarray, q64: np.ndarray, qi: np.ndarray) -> np.ndarray:
         """float64 score of vecs[rows[j]] for query q64[qi[j]], one row at a
@@ -372,11 +353,7 @@ class IvfIndex:
                 self._exact_scores(vecs, rows[a : a + step], q64, qi[a : a + step])
                 for a in range(0, len(rows), step)
             ])
-        v = vecs[rows].astype(np.float64)
-        if self.config.metric == METRIC_COSINE:
-            return np.einsum("ij,ij->i", v, q64[qi])
-        v -= q64[qi]
-        return -np.einsum("ij,ij->i", v, v)
+        return np.einsum("ij,ij->i", vecs[rows].astype(np.float64), q64[qi])
 
     # -- persistence ----------------------------------------------------------
 
@@ -387,7 +364,7 @@ class IvfIndex:
                     INDEX_MAGIC,
                     self.config.dim,
                     self.config.nlist,
-                    _METRIC_CODES[self.config.metric],
+                    _COSINE_CODE,
                     self.size,
                 )
             )
@@ -398,21 +375,16 @@ class IvfIndex:
                 fh.write(self._vecs[a:b].astype("<f4").tobytes(order="C"))
 
     @classmethod
-    def load(cls, path: str | Path, nprobe: int | None = None) -> "IvfIndex":
+    def load(cls, path: str | Path, nprobe: int = IvfConfig.nprobe) -> "IvfIndex":
         raw = Path(path).read_bytes()
         if len(raw) < _HEADER.size:
             raise ArgumentError(f"{path}: truncated index file")
         magic, dim, nlist, metric_code, size = _HEADER.unpack_from(raw, 0)
         if magic != INDEX_MAGIC:
             raise ArgumentError(f"{path}: bad magic {magic!r}")
-        if metric_code not in _METRIC_NAMES:
-            raise ArgumentError(f"{path}: unknown metric code {metric_code}")
-        cfg = IvfConfig(
-            dim=dim,
-            nlist=nlist,
-            nprobe=min(nprobe if nprobe is not None else 32, nlist),
-            metric=_METRIC_NAMES[metric_code],
-        )
+        if metric_code != _COSINE_CODE:
+            raise ArgumentError(f"{path}: metric byte {metric_code}, not {_COSINE_CODE} (cosine)")
+        cfg = IvfConfig(dim=dim, nlist=nlist, nprobe=min(nprobe, nlist))
         offset = _HEADER.size
 
         def take(dtype: str, count: int) -> np.ndarray:
@@ -444,9 +416,9 @@ class IvfIndex:
         return index
 
 
-def _row_sq(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise squared norms, accumulated in float64."""
-    return np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
+def _max_norm(matrix: np.ndarray) -> float:
+    """The largest row norm, its squares accumulated in float64; 0 without rows."""
+    return math.sqrt(float(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64).max(initial=0.0)))
 
 
 def _kth_best(approx: np.ndarray, k: int) -> np.ndarray:

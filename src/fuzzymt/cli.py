@@ -12,13 +12,18 @@ DIR/index.ivf and DIR/store.json (provider fingerprint, IVF build config,
 SHA-256 of both files). Wherever a context is named (--context, --index, a
 run config's context_corpus), a directory is loaded as a store and a file is
 a corpus that is embedded and indexed on the spot. A store fixes --provider,
---model, --dim, --no-normalize and --seed (the caller's must match, else
-exit 2) and --nlist, --metric and --kmeans-iters. It does not fix nprobe:
-only the commands that search (index-search, retrieve, prompts,
-export-dataset) take --nprobe. A context corpus of fewer than
-retrieval.FLAT_MAX_ROWS pairs gets the exact flat index (nlist 1, no k-means),
-whatever --nlist and --kmeans-iters say; a larger one needs --nlist at most
-its size.
+--model, --dim and --seed (the caller's must match, else exit 2) and --nlist
+and --kmeans-iters. It does not fix nprobe: only the commands that search
+(index-search, retrieve, prompts, export-dataset) take --nprobe. A context
+corpus of fewer than retrieval.FLAT_MAX_ROWS pairs gets the exact flat index
+(nlist 1, no k-means), whatever --nlist and --kmeans-iters say; a larger one
+needs --nlist at most its size. A fuzzy match's score is the cosine
+similarity of two unit embeddings: every embedding is normalized, and the
+index ranks by inner product.
+
+Two ways of giving one input exclude each other (exit 1): index-search
+--query and --queries, split --out and --validation-out, evaluate --in and
+--hyp/--ref.
 
 translate keeps the generations of every batch that got its reply, in batch
 order, in --out or on stdout, also when another batch fails (exit 3).
@@ -45,7 +50,6 @@ from .errors import (
     ProviderError,
     TransportError,
     UsageError,
-    ValidationError,
 )
 
 EXIT_OK = 0
@@ -65,6 +69,12 @@ def _print(obj) -> None:
 
 def _log(message: str) -> None:
     sys.stderr.write(message + "\n")
+
+
+def _not_both(first: str, first_value, second: str, second_value) -> None:
+    """A UsageError when both flags were given, so neither is silently dropped."""
+    if first_value is not None and second_value is not None:
+        raise UsageError(f"{first} and {second} exclude each other")
 
 
 def _load_corpus_arg(spec: str) -> corpus.ParallelCorpus:
@@ -87,7 +97,6 @@ def _provider_from_args(args) -> embedding.EmbeddingProviderConfig:
         model_name=args.model,
         dim=args.dim,
         batch_size=args.embed_batch_size,
-        normalize=not args.no_normalize,
         seed=args.seed,
     )
 
@@ -104,7 +113,6 @@ def _add_provider_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default=defaults.model_name, help="embedding model name")
     p.add_argument("--dim", type=int, default=defaults.dim, help="embedding dimension")
     p.add_argument("--embed-batch-size", type=int, default=defaults.batch_size)
-    p.add_argument("--no-normalize", action="store_true", help="skip L2 normalization")
     p.add_argument("--seed", type=int, default=defaults.seed, help="seed of the embedding and k-means, "
                    "fixed by a store (export-dataset: also of the mix)")
 
@@ -113,7 +121,6 @@ def _add_ivf_flags(p: argparse.ArgumentParser) -> None:
     defaults = ann_index.IvfConfig
     p.add_argument("--nlist", type=int, default=defaults.nlist, help="number of coarse clusters; a context "
                    f"under {retrieval.FLAT_MAX_ROWS} pairs gets 1 (the exact flat index)")
-    p.add_argument("--metric", default=defaults.metric, choices=[ann_index.METRIC_COSINE, ann_index.METRIC_L2])
     p.add_argument("--kmeans-iters", type=int, default=defaults.kmeans_iters, help="Lloyd iterations; "
                    f"unused under {retrieval.FLAT_MAX_ROWS} pairs (no k-means)")
 
@@ -132,7 +139,6 @@ def _ivf_from_args(args) -> ann_index.IvfConfig:
         dim=args.dim,
         nlist=args.nlist,
         nprobe=min(args.nprobe, args.nlist),
-        metric=args.metric,
         kmeans_iters=args.kmeans_iters,
         seed=args.seed,
     )
@@ -164,7 +170,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("index-build", parents=[common], help="embed and index a context corpus once")
     p.add_argument("--in", dest="inp", required=True,
                    help="context corpus or store directory; --out DIR gets corpus.jsonl, index.ivf and store.json, "
-                   "which fix the provider flags, --seed, --nlist, --metric and --kmeans-iters")
+                   "which fix the provider flags, --seed, --nlist and --kmeans-iters")
     _add_provider_flags(p)
     _add_ivf_flags(p)
     # a store does not fix nprobe (save drops it), so any valid value builds the same bytes
@@ -264,6 +270,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    _not_both("--out", args.out, "--validation-out", args.validation_out)
     c = _load_corpus_arg(args.inp)
     split = corpus.split_corpus(c, args.validation_size, args.seed)
     if args.out is None:
@@ -300,6 +307,7 @@ def _cmd_index_build(args) -> int:
 
 
 def _cmd_index_search(args) -> int:
+    _not_both("--query", args.query, "--queries", args.queries)
     if args.query is not None:
         # argv bytes that are not UTF-8 arrive as lone surrogate escapes
         try:
@@ -431,6 +439,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _not_both("--in", args.inp, "--hyp", args.hyp)
+    _not_both("--in", args.inp, "--ref", args.ref)
     if args.inp is not None:
         pairs = [
             mt_metrics.EvalPair(hypothesis=r["hypothesis"], reference=r["reference"])
@@ -454,10 +464,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        table = eval_harness.report_json_to_table(corpus.read_utf8(args.inp), args.format)
-    except ValidationError as exc:
-        raise ValidationError(f"{args.inp}: {exc}") from exc
+    table = eval_harness.report_json_to_table(args.inp, args.format)
     if args.out is not None:
         Path(args.out).write_text(table, encoding="utf-8")
         _print({"out": args.out})

@@ -4,10 +4,12 @@ A remote HTTP encoder speaks the OpenAI-embedding JSON shape, one request
 per ``batch_size`` texts and ``max_in_flight`` at once, under the one retry
 rule of ``_http``: 4 attempts, 1, 2 and 4 s apart, for a connection error,
 a timeout, a 429 or a 5xx, and one for any other reply. A failure surfaces
-as ``ProviderError`` with the last HTTP status. A fully offline
-deterministic provider builds vectors from signed hashed character n-grams
-and is used wherever tests need stable vectors with meaningful cosine
-structure.
+as ``ProviderError`` with the last HTTP status. Its rows are divided by
+their norms. A fully offline deterministic provider builds vectors from
+signed hashed character n-grams and is used wherever tests need stable
+vectors with meaningful cosine structure. Either way every row is checked
+to be finite and of unit norm (a zero row from the encoder fails), so the
+inner product of two rows is their cosine similarity.
 
 The deterministic vectors are built CHUNK texts at a time. A step encodes
 its lowercased texts as UTF-32, which also rejects a lone surrogate with
@@ -64,7 +66,6 @@ class EmbeddingProviderConfig:
     model_name: str = "deterministic-ngram"
     dim: int = DEFAULT_DIM
     batch_size: int = 64
-    normalize: bool = True
     seed: int = 0
     max_in_flight: int = 4
 
@@ -83,7 +84,7 @@ class EmbeddingProviderConfig:
             raise ArgumentError(f"remote-http needs an http:// or https:// endpoint, got {self.endpoint!r}")
 
 
-def check_vectors(matrix: np.ndarray, dim: int, normalized: bool) -> None:
+def check_vectors(matrix: np.ndarray, dim: int) -> None:
     """Assert the vector contract on every row: length, finiteness, and unit norm."""
     if matrix.ndim != 2 or matrix.shape[1] != dim:
         raise ContractViolationError(f"expected vector of length {dim}, got shape {matrix.shape[1:]}")
@@ -91,10 +92,9 @@ def check_vectors(matrix: np.ndarray, dim: int, normalized: bool) -> None:
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
     if not np.isfinite(norms).all():
         raise ContractViolationError("vector contains non-finite entries")
-    if normalized:
-        off = np.abs(norms - 1.0) > 1e-6
-        if off.any():
-            raise ContractViolationError(f"vector norm {norms[off.argmax()]} outside [1-1e-6, 1+1e-6]")
+    off = np.abs(norms - 1.0) > 1e-6
+    if off.any():
+        raise ContractViolationError(f"vector norm {norms[off.argmax()]} outside [1-1e-6, 1+1e-6]")
 
 
 def _embed_deterministic(texts: Sequence[str], dim: int, seed: int) -> np.ndarray:
@@ -226,9 +226,8 @@ def embed_batch(texts: Sequence[str], cfg: EmbeddingProviderConfig) -> np.ndarra
         matrix = _embed_deterministic(texts, cfg.dim, cfg.seed)
     else:
         matrix = _embed_batch_remote(texts, cfg)
-        if cfg.normalize:
-            norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0
-            matrix = (matrix / norms).astype(np.float32)
-    check_vectors(matrix, cfg.dim, cfg.normalize)
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        matrix = (matrix / norms).astype(np.float32)
+    check_vectors(matrix, cfg.dim)
     return matrix

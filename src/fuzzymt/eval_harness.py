@@ -330,20 +330,17 @@ def render_report(
     return _table(rows, format)
 
 
-def report_json_to_table(json_text: str, format: str = "markdown") -> str:
-    """Re-render a JSON report as a markdown or TSV table.
+def report_json_to_table(path: str | Path, format: str = "markdown") -> str:
+    """Re-render the JSON report at ``path`` as a markdown or TSV table.
 
-    Raises ValidationError when the text is not a report that render_report
-    could have written: an object whose "rows" each hold model and context
-    strings and bleu, chrf_pp and ter numbers.
+    Raises ValidationError naming ``path`` when the file is not a report that
+    render_report could have written: an object whose "rows" each hold model
+    and context strings and bleu, chrf_pp and ter numbers.
     """
-    try:
-        payload = json.loads(json_text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from exc
+    payload = corpus_mod.read_json(path)
     rows = payload.get("rows") if isinstance(payload, dict) else None
     if not isinstance(rows, list) or not all(isinstance(row, dict) and all(
             corpus_mod.fits(row.get(key), tp) for key, tp in _ROW_TYPES.items()) for row in rows):
-        raise ValidationError('not a JSON report: expected {"rows": [{model, context, '
+        raise ValidationError(f'{path}: not a JSON report: expected {{"rows": [{{model, context, '
                               'bleu, chrf_pp, ter}, ...]}')
     return _table(rows, format)

@@ -17,11 +17,14 @@ from .ann_index import IvfConfig, IvfIndex
 from .corpus import ParallelCorpus, SegmentPair, dataclass_from_json, load_any, load_corpus_jsonl
 from .corpus import read_json, write_json, write_jsonl_corpus, write_jsonl_records
 from .embedding import EmbeddingProviderConfig
-from .errors import ArgumentError, DataError, SizeError, StoreError
+from .errors import ArgumentError, DataError, SizeError, StoreError, ValidationError
 
 STORE_CORPUS, STORE_INDEX, STORE_META = "corpus.jsonl", "index.ivf", "store.json"
 # the provider fields that decide the vectors; the others only say how to fetch them
-FINGERPRINT_FIELDS = ("kind", "model_name", "dim", "normalize", "seed")
+FINGERPRINT_FIELDS = ("kind", "model_name", "dim", "seed")
+# keys of stores saved while the metric and normalization were options, with
+# the one value a store may still hold under each
+_RETIRED_KEYS = (("ivf", "metric", "cosine"), ("provider", "normalize", True))
 # The smallest context size measured at which IVF (nlist 4*sqrt(N), nprobe 32)
 # answered one query at a time faster than the flat index; at 5,000 pairs it
 # did not (BENCH_9.json)
@@ -77,16 +80,21 @@ class ContextStore:
         """Read a store written by ``save``; only ``nprobe`` overrides its IVF config.
 
         Raises StoreError when metadata, provider fingerprint, SHA-256 digests,
-        index header, provider dim or corpus ids disagree.
+        index header, provider dim or corpus ids disagree, or when the index
+        file is damaged.
         """
         src = Path(directory)
         try:
             meta = read_json(src / STORE_META)
+            for block, key, only in _RETIRED_KEYS:
+                value = meta[block].pop(key, only)
+                if value != only or type(value) is not type(only):
+                    raise ValidationError(f"{block} key {key!r} must be {only!r}, got {value!r}")
             # nprobe 1 fits any nlist; the caller's nprobe is clamped below
             built = dataclass_from_json(IvfConfig, {**meta["ivf"], "nprobe": 1}, "ivf")
             stored = {name: meta["provider"][name] for name in FINGERPRINT_FIELDS}
             digests = {name: meta["sha256"][name] for name in (STORE_CORPUS, STORE_INDEX)}
-        except (DataError, KeyError, TypeError) as exc:
+        except (DataError, KeyError, TypeError, AttributeError) as exc:
             raise StoreError(f"{src / STORE_META}: malformed store metadata ({exc!r})") from exc
         built = replace(built, nprobe=min(nprobe, built.nlist))
         for name, value in stored.items():
@@ -94,7 +102,10 @@ class ContextStore:
                 raise StoreError(f"{src}: store was built with provider {name}={value!r}, "
                                  f"queries would use {name}={getattr(provider, name)!r}")
         # the index reader names structural damage itself; the digests catch any other edit
-        index = IvfIndex.load(src / STORE_INDEX, nprobe=nprobe)
+        try:
+            index = IvfIndex.load(src / STORE_INDEX, nprobe=nprobe)
+        except ArgumentError as exc:
+            raise StoreError(str(exc)) from exc
         for name, digest in digests.items():
             if _sha256(src / name) != digest:
                 raise StoreError(f"{src / name}: SHA-256 differs from {STORE_META}")

@@ -31,8 +31,6 @@ class TestConfig:
             IvfConfig(dim=0)
         with pytest.raises(ArgumentError):
             IvfConfig(dim=4, nlist=2, nprobe=3)
-        with pytest.raises(ArgumentError):
-            IvfConfig(dim=4, metric="dot")
 
     def test_defaults_match_reference_setup(self):
         cfg = IvfConfig(dim=384)
@@ -69,7 +67,7 @@ class TestTrain:
         cloud_a = rng.normal(loc=0.0, scale=0.01, size=(20, 8))
         cloud_b = rng.normal(loc=10.0, scale=0.01, size=(20, 8))
         vectors = np.concatenate([cloud_a, cloud_b]).astype(np.float32)
-        cfg = IvfConfig(dim=8, nlist=2, nprobe=2, metric="l2", kmeans_iters=10, seed=0)
+        cfg = IvfConfig(dim=8, nlist=2, nprobe=2, kmeans_iters=10, seed=0)
         with pytest.warns(ClusterRangeWarning):
             index = train(vectors, cfg)
         # direct two-mean oracle: each cloud's component-wise mean
@@ -109,9 +107,9 @@ class TestTrain:
 
 @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
 class TestAdd:
-    def _trained(self, n=64, dim=8, nlist=4, metric="cosine"):
+    def _trained(self, n=64, dim=8, nlist=4):
         vectors = unit_rows(n, dim, seed=3)
-        cfg = IvfConfig(dim=dim, nlist=nlist, nprobe=nlist, metric=metric, kmeans_iters=8, seed=0)
+        cfg = IvfConfig(dim=dim, nlist=nlist, nprobe=nlist, kmeans_iters=8, seed=0)
         return train(vectors, cfg), vectors
 
     def test_size_and_list_lengths(self):
@@ -121,7 +119,7 @@ class TestAdd:
         assert sum(index.list_lengths()) == 100
 
     def test_vector_equal_to_centroid_lands_in_its_list(self):
-        index, _ = self._trained(metric="l2")
+        index, _ = self._trained()
         centroid = index.centroids[2].copy()
         index.add([(7, centroid)])
         assert 7 in index._ids[index._offsets[2] : index._offsets[3]]
@@ -163,9 +161,9 @@ class TestAdd:
 
 @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
 class TestSearch:
-    def _built(self, n=200, dim=16, nlist=8, metric="cosine", seed=0):
+    def _built(self, n=200, dim=16, nlist=8, seed=0):
         vectors = unit_rows(n, dim, seed=seed)
-        cfg = IvfConfig(dim=dim, nlist=nlist, nprobe=nlist, metric=metric, kmeans_iters=8, seed=0)
+        cfg = IvfConfig(dim=dim, nlist=nlist, nprobe=nlist, kmeans_iters=8, seed=0)
         index = train(vectors, cfg)
         index.add(zip(range(n), vectors))
         return index, vectors
@@ -226,19 +224,6 @@ class TestSearch:
             previous = recall
         assert previous == pytest.approx(1.0)
 
-    def test_metric_equivalence_for_unit_vectors(self):
-        n, dim = 150, 12
-        vectors = unit_rows(n, dim, seed=8)
-        ids = np.arange(n)
-        query = unit_rows(1, dim, seed=77)[0]
-        rankings = {}
-        for metric in ("cosine", "l2"):
-            cfg = IvfConfig(dim=dim, nlist=4, nprobe=4, metric=metric, kmeans_iters=8, seed=0)
-            index = train(vectors, cfg)
-            index.add(zip(range(n), vectors))
-            rankings[metric] = [h.id for h in index.search(query, k=15)]
-        assert rankings["cosine"] == rankings["l2"]
-
 
 def nudged(rng, rows):
     """Copies of float32 ``rows``, each equal or one ulp apart in one coordinate."""
@@ -249,15 +234,11 @@ def nudged(rng, rows):
     return out
 
 
-def exact_top(vectors, ids, rows, query, k, metric):
+def exact_top(vectors, ids, rows, query, k):
     """Row-wise float64 brute force over ``rows``: higher score first, ties to the lower id."""
     v = np.asarray(vectors, dtype=np.float32)[rows].astype(np.float64)
     q = np.asarray(query, dtype=np.float64)
-    if metric == "cosine":
-        scores = np.einsum("ij,j->i", v, q)
-    else:
-        diff = v - q
-        scores = -np.einsum("ij,ij->i", diff, diff)
+    scores = np.einsum("ij,j->i", v, q)
     row_ids = np.asarray(ids)[rows]
     return [(int(row_ids[i]), float(scores[i])) for i in np.lexsort((row_ids, -scores))[:k]]
 
@@ -267,20 +248,15 @@ def exact_probe_ids(index, query, nprobe):
     row-wise float64 centroid score, ties to the lower list."""
     cents = index.centroids.astype(np.float64)
     q = np.asarray(query, dtype=np.float64)
-    if index.config.metric == "cosine":
-        scores = np.einsum("ij,j->i", cents, q)
-    else:
-        diff = cents - q
-        scores = -np.einsum("ij,ij->i", diff, diff)
+    scores = np.einsum("ij,j->i", cents, q)
     lists = np.lexsort((np.arange(len(cents)), -scores))[:nprobe]
     return np.concatenate([index._ids[index._offsets[c] : index._offsets[c + 1]] for c in lists])
 
 
 @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
 class TestExactTies:
-    @pytest.mark.parametrize("metric", ["cosine", "l2"])
     @pytest.mark.parametrize("tail", [1, 2])
-    def test_duplicates_score_bit_equal_in_ascending_id_order(self, metric, tail):
+    def test_duplicates_score_bit_equal_in_ascending_id_order(self, tail):
         dim, copies, nlist = 48, 7, 4
         originals = unit_rows(5, dim, seed=31)
         filler = unit_rows(140, dim, seed=32)
@@ -289,7 +265,7 @@ class TestExactTies:
         for c in range(copies):
             pieces += [filler[20 + 17 * c : 20 + 17 * c + (17 if c < copies - 1 else tail)], originals]
         rows = np.concatenate(pieces)
-        index = train(rows, IvfConfig(dim=dim, nlist=nlist, nprobe=nlist, metric=metric, kmeans_iters=6, seed=0))
+        index = train(rows, IvfConfig(dim=dim, nlist=nlist, nprobe=nlist, kmeans_iters=6, seed=0))
         # inserted in a shuffled order, so the copies sit at varied positions of their lists
         index.add((i, rows[i]) for i in np.random.default_rng(tail).permutation(len(rows)).tolist())
         copy_ids = [np.flatnonzero((rows == o).all(axis=1)).tolist() for o in originals]
@@ -303,14 +279,13 @@ class TestExactTies:
                 assert len({h.score for h in hits}) == 1
 
     @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
-    @pytest.mark.parametrize("metric", ["cosine", "l2"])
     @pytest.mark.parametrize("nlist", [1, 4])
     # 1: one query per search block and one row per re-score block;
     # 4800: 4 queries per search block and 18 rows per re-score block
     @pytest.mark.parametrize("block_bytes", [1, 4800])
-    def test_small_blocks_give_equal_hits(self, monkeypatch, metric, nlist, block_bytes):
+    def test_small_blocks_give_equal_hits(self, monkeypatch, nlist, block_bytes):
         rows = unit_rows(300, 16, seed=19)
-        index = train(rows, IvfConfig(dim=16, nlist=nlist, nprobe=min(2, nlist), metric=metric, kmeans_iters=6))
+        index = train(rows, IvfConfig(dim=16, nlist=nlist, nprobe=min(2, nlist), kmeans_iters=6))
         index.add(enumerate(rows))
         queries = rows[:40] + 0.05 * np.random.default_rng(20).normal(size=(40, 16))
         default = index.search_many(queries, 5)
@@ -333,10 +308,9 @@ class TestExactTies:
         dim=st.integers(1, 24),
         nlist=st.integers(1, 5),
         k=st.integers(1, 12),
-        metric=st.sampled_from(["cosine", "l2"]),
         ties=st.integers(0, 12),
     )
-    def test_search_many_is_search_and_exact(self, seed, n, dim, nlist, k, metric, ties):
+    def test_search_many_is_search_and_exact(self, seed, n, dim, nlist, k, ties):
         rng = np.random.default_rng(seed)
         base = rng.normal(size=(n, dim)).astype(np.float32)
         vectors = np.concatenate([base, nudged(rng, base[rng.integers(n, size=ties)])])
@@ -345,7 +319,7 @@ class TestExactTies:
         centroids = vectors[rng.integers(len(vectors), size=nlist)]
         for j in np.flatnonzero(rng.random(nlist) < 0.5)[1:]:
             centroids[j] = nudged(rng, centroids[j - 1 : j])[0]
-        index = IvfIndex(IvfConfig(dim=dim, nlist=nlist, nprobe=nlist, metric=metric), centroids)
+        index = IvfIndex(IvfConfig(dim=dim, nlist=nlist, nprobe=nlist), centroids)
         index.add(zip(ids.tolist(), vectors))
         queries = np.concatenate([rng.normal(size=(4, dim)), vectors[rng.integers(len(vectors), size=4)]])
         row_of = {int(i): r for r, i in enumerate(ids)}
@@ -354,7 +328,7 @@ class TestExactTies:
             assert many == [index.search(q, k, nprobe) for q in queries]
             for q, hits in zip(queries, many):
                 rows = [row_of[i] for i in exact_probe_ids(index, q, nprobe).tolist()]
-                assert [(h.id, h.score) for h in hits] == exact_top(vectors, ids, rows, q, k, metric)
+                assert [(h.id, h.score) for h in hits] == exact_top(vectors, ids, rows, q, k)
 
 
 @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
@@ -375,7 +349,7 @@ class TestPersistence:
 
     def test_header_fields_survive(self, tmp_path):
         vectors = unit_rows(50, 8, seed=2)
-        cfg = IvfConfig(dim=8, nlist=2, nprobe=1, metric="l2", kmeans_iters=4, seed=0)
+        cfg = IvfConfig(dim=8, nlist=2, nprobe=1, kmeans_iters=4, seed=0)
         index = train(vectors, cfg)
         index.add(zip(range(50), vectors))
         path = tmp_path / "index.ivf"
@@ -383,7 +357,6 @@ class TestPersistence:
         loaded = IvfIndex.load(path)
         assert loaded.config.dim == 8
         assert loaded.config.nlist == 2
-        assert loaded.config.metric == "l2"
         assert loaded.size == 50
 
     @staticmethod

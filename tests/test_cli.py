@@ -61,8 +61,8 @@ BAD_JSONL_CASES = [
 
 # every option string of every subcommand; a flag added or removed shows up here
 COMMON = "--out --output"
-PROVIDER = "--provider --endpoint --model --dim --embed-batch-size --no-normalize --seed"
-IVF_BUILD = "--nlist --metric --kmeans-iters"
+PROVIDER = "--provider --endpoint --model --dim --embed-batch-size --seed"
+IVF_BUILD = "--nlist --kmeans-iters"
 LANGS = "--source-name --target-name"
 CLI_SURFACE = {
     "filter": f"{COMMON} --in --max-words",
@@ -88,7 +88,7 @@ FLAG_OWNERS = {
         ("--provider", "kind"), ("--endpoint", "endpoint"), ("--model", "model_name"), ("--dim", "dim"),
         ("--embed-batch-size", "batch_size"), ("--seed", "seed")]},
     **{("index-build", flag): (IvfConfig, name) for flag, name in [
-        ("--nlist", "nlist"), ("--metric", "metric"), ("--kmeans-iters", "kmeans_iters")]},
+        ("--nlist", "nlist"), ("--kmeans-iters", "kmeans_iters")]},
     ("retrieve", "--nprobe"): (IvfConfig, "nprobe"),
     ("prompts", "--source-name"): (LanguageNames, "source_name"),
     ("prompts", "--target-name"): (LanguageNames, "target_name"),
@@ -152,6 +152,25 @@ class TestHelpAndUsage:
             code, _, err = run_cli(argv, capsys)
             assert code == 1
             assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv, first, second", [
+        (["index-search", "--index", "{store}", "--query", "q", "--queries", "{lines}", "--dim", "32"],
+         "--query", "--queries"),
+        (["split", "--in", "{corpus}", "--validation-size", "2", "--out", "{out}", "--validation-out", "{out}.v.tsv"],
+         "--out", "--validation-out"),
+        (["evaluate", "--in", "{pairs}", "--hyp", "{lines}", "--ref", "{lines}"], "--in", "--hyp"),
+        (["evaluate", "--in", "{pairs}", "--ref", "{lines}"], "--in", "--ref"),
+    ], ids=["index-search", "split", "evaluate-hyp", "evaluate-ref"])
+    def test_input_given_two_ways_usage_error(self, argv, first, second, store_dir, corpus_tsv, tmp_path, capsys):
+        lines, pairs = tmp_path / "lines.txt", tmp_path / "pairs.jsonl"
+        lines.write_text("paciente dosis\n", encoding="utf-8")
+        pairs.write_bytes(GOOD_LINE)
+        paths = {"store": store_dir, "lines": lines, "corpus": corpus_tsv, "pairs": pairs, "out": tmp_path / "split"}
+        code, stdout, err = run_cli([part.format(**paths) for part in argv], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert f"usage error: {first} and {second} exclude each other" in err
+        assert not list(tmp_path.glob("split*"))
 
     def test_option_strings_per_subcommand(self):
         subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -218,6 +237,18 @@ class TestHelpAndUsage:
             if missing:
                 unread[cls.__name__] = sorted(missing)
         assert unread == {}
+
+    def test_every_imported_name_is_read(self):
+        """Each name a package module imports is read somewhere in that module."""
+        unread = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+                        for alias in node.names}
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
+        assert unread == []
 
     def test_no_module_reads_another_modules_private_names(self):
         """No package module reads another's underscore name, as ``module._name``
@@ -772,6 +803,14 @@ class TestTranslateEvaluateReport:
         assert code == 2
         assert stdout == ""
         assert f"{path}: not a JSON report" in err
+
+    def test_report_truncated_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text('{"rows": [\n', encoding="utf-8")
+        code, stdout, err = run_cli(["report", "--in", str(path)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert f"{path}:2: invalid JSON: Expecting value (column 1)" in err
 
     def test_report_invalid_utf8_exit_2(self, tmp_path, capsys):
         path = tmp_path / "report.json"

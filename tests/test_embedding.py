@@ -247,12 +247,11 @@ class TestRemoteProvider:
             with pytest.raises(ContractViolationError):
                 embed_batch(["texto"], cfg)
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_nan_component_is_contract_violation(self, normalize):
+    def test_nan_component_is_contract_violation(self):
         body = b'{"data": [{"embedding": [0.6, 0.8]}, {"embedding": [NaN, 1.0]}]}'
         with local_endpoint([(200, body)]) as (endpoint, _):
             cfg = EmbeddingProviderConfig(
-                kind="remote-http", endpoint=endpoint, dim=2, normalize=normalize
+                kind="remote-http", endpoint=endpoint, dim=2
             )
             with pytest.raises(ContractViolationError, match="non-finite"):
                 embed_batch(["uno", "dos"], cfg)
@@ -263,9 +262,6 @@ class TestRemoteProvider:
             cfg = EmbeddingProviderConfig(kind="remote-http", endpoint=endpoint, dim=2)
             with pytest.raises(ContractViolationError, match=r"vector norm 0\.0 outside"):
                 embed_batch(["uno", "dos"], cfg)
-            # without normalization a zero row is a valid vector
-            cfg.normalize = False
-            assert embed_batch(["uno", "dos"], cfg).tolist() == [[3.0, 4.0], [0.0, 0.0]]
 
     def test_http_error_after_retries(self):
         with run_mock_server("echo-fuzzy") as server:

@@ -324,9 +324,10 @@ class TestRenderReport:
         assert rows[0] == ["Model", "Context", "BLEU ↑", "chrF++ ↑", "TER ↓"]
         assert rows[1][2] == "42.88"
 
-    def test_json_round_trips_to_same_table(self):
+    def test_json_round_trips_to_same_table(self, tmp_path):
         results = _fake_results()
-        as_json = render_report(results, "json", model_name="m")
+        as_json = tmp_path / "report.json"
+        as_json.write_text(render_report(results, "json", model_name="m"), encoding="utf-8")
         assert report_json_to_table(as_json, "markdown") == render_report(
             results, "markdown", model_name="m"
         )
@@ -388,11 +389,11 @@ class TestConfigLoading:
         [
             ({"seed": 1.0}, "config key 'seed' must be int, got 1.0"),
             ({"ivf": {"dim": "32"}}, "ivf key 'dim' must be int, got \"32\""),
-            ({"provider": {"normalize": 1}}, "provider key 'normalize' must be bool, got 1"),
+            ({"allow_context_overlap": 1}, "config key 'allow_context_overlap' must be bool, got 1"),
             ({"decoding": {"top_p": True}}, "decoding key 'top_p' must be float, got true"),
             ({"conditions": "zero-shot"}, "config key 'conditions' must be list[str], got \"zero-shot\""),
         ],
-        ids=["float-seed", "str-dim", "int-normalize", "bool-top-p", "str-conditions"],
+        ids=["float-seed", "str-dim", "int-allow-context-overlap", "bool-top-p", "str-conditions"],
     )
     def test_value_of_another_type_rejected(self, extra, message, tmp_path):
         path = tmp_path / "exp.json"

@@ -77,15 +77,14 @@ class TestFlatBelowCrossover:
     @given(
         n=st.integers(2, 40),
         nlist=st.integers(2, 6),
-        metric=st.sampled_from(["cosine", "l2"]),
         k=st.integers(1, 5),
         seed=st.integers(0, 1000),
     )
-    def test_same_hits_as_ivf_at_full_nprobe(self, n, nlist, metric, k, seed):
+    def test_same_hits_as_ivf_at_full_nprobe(self, n, nlist, k, seed):
         provider = EmbeddingProviderConfig(kind="deterministic-test", dim=32, seed=seed)
         corpus = synth_corpus(n, seed=seed)
         nlist = min(nlist, n)
-        cfg = IvfConfig(dim=32, nlist=nlist, nprobe=nlist, metric=metric, kmeans_iters=4, seed=seed)
+        cfg = IvfConfig(dim=32, nlist=nlist, nprobe=nlist, kmeans_iters=4, seed=seed)
         queries = corpus.sources()[:5] + synth_corpus(5, seed=seed + 1).sources()
         flat = build_context_store(corpus, provider, cfg)
         with mock.patch.object(retrieval, "FLAT_MAX_ROWS", 0):
@@ -143,11 +142,45 @@ class TestSaveLoad:
         with pytest.raises(StoreError, match=rf"store\.json: malformed store metadata \(.*{key}"):
             ContextStore.load(tmp_path / "store", det_provider, nprobe=1)
 
+    def test_store_with_retired_keys_loads(self, tmp_path, store, small_corpus, det_provider):
+        """A store.json that still records the one metric and the normalization loads as before."""
+        store.save(tmp_path / "store")
+        meta_path = tmp_path / "store" / "store.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["ivf"]["metric"] = "cosine"
+        meta["provider"]["normalize"] = True
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        loaded = ContextStore.load(tmp_path / "store", det_provider, nprobe=1)
+        assert loaded.index.config == store.index.config
+        assert ranked(loaded, small_corpus.sources(), 3) == ranked(store, small_corpus.sources(), 3)
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("ivf", "metric", "l2"), ("provider", "normalize", False), ("provider", "normalize", 1),
+    ], ids=["l2", "no-normalize", "int-normalize"])
+    def test_retired_key_with_another_value_names_it(self, tmp_path, store, det_provider, block, key, value):
+        store.save(tmp_path / "store")
+        meta_path = tmp_path / "store" / "store.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta[block][key] = value
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(StoreError, match=rf"store\.json: malformed store metadata \(.*{block} key '{key}'"):
+            ContextStore.load(tmp_path / "store", det_provider, nprobe=1)
+
+    def test_metric_byte_other_than_cosine_rejected(self, tmp_path, store, det_provider):
+        store.save(tmp_path / "store")
+        index_path = tmp_path / "store" / "index.ivf"
+        raw = bytearray(index_path.read_bytes())
+        assert raw[12] == 1  # magic, dim and nlist come first
+        raw[12] = 0
+        index_path.write_bytes(bytes(raw))
+        with pytest.raises(StoreError, match=r"index\.ivf: metric byte 0, not 1 \(cosine\)"):
+            ContextStore.load(tmp_path / "store", det_provider, nprobe=1)
+
     def test_index_header_must_match_metadata(self, tmp_path, store, det_provider):
         store.save(tmp_path / "store")
         meta_path = tmp_path / "store" / "store.json"
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        meta["ivf"]["metric"] = "l2"
+        meta["ivf"]["dim"] = 32
         meta_path.write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(StoreError, match="does not match store.json"):
             ContextStore.load(tmp_path / "store", det_provider, nprobe=1)
