@@ -17,20 +17,28 @@ CorpusEncodingError, and gives every gram of size n in 3..5 an integer key
 in numpy: a 3-gram's key is its three code points in base 0x110000, and a
 longer gram's key is the id of its (n-1)-gram prefix in base 0x110000 and
 its last code point, so no key can overflow a uint64. One table per gram
-size lives for the whole call: its distinct keys in ascending order, a
-stable id for each, and the seed-keyed 8-byte BLAKE2b digest of each id.
-The step looks up its distinct keys there, hashes only the grams the table
-lacks, so each distinct gram of a call is hashed once, and gathers the
-digests by id. It then adds each gram's +/-1 to bucket ``hash % dim`` of
-its text's row with one ``np.bincount`` over ``row * dim + bucket``. Only
-the tables, O(distinct grams), outlive a step; the per-gram arrays are a
-step's own. A row whose sum is zero (no gram, or grams that cancel)
+size lives for the whole call: sorted runs of distinct keys, each key with
+a stable id and the seed-keyed 8-byte BLAKE2b digest of its gram. The step
+looks up its distinct keys there, hashes only the grams the table lacks,
+so each distinct gram of a call is hashed once, and adds those as a new
+run, merged into the run before it while that one is smaller than
+RUN_FLOOR or at most twice its size, so upkeep is amortized. It then adds
+each gram's +/-1 to bucket ``hash % dim`` of its text's row with one
+``np.bincount`` over ``row * dim + bucket``. Only the tables, O(distinct
+grams), outlive a step; the per-gram arrays are a step's own. A call
+given an empty ``GramTables`` as ``base`` leaves its tables there, one run
+per gram size at 24 bytes a gram: that is how a context store keeps its
+corpus's grams. A later call given the filled tables looks each key up
+there first, its own ids going on from theirs, hashes only the grams they
+lack and keeps those in tables of its own; the filled tables are never
+written again. A row whose sum is zero (no gram, or grams that cancel)
 becomes the unit basis vector e_0; every other row is divided by the
-float64 square root of its sum of squares and cast to float32. The result
-does not depend on the chunking, the gram order or the batch a text
-arrives in: every bucket sum is a sum of +/-1 and every sum of squares a
-sum of integer squares, both exact in float64 in any order, so each row is
-bit for bit the vector of the same text embedded on its own
+float64 square root of its sum of squares and cast to float32. A digest
+depends only on the seed and the gram, so the result does not depend on
+the chunking, the gram order, the batch a text arrives in or the tables
+a call starts from: every bucket sum is a sum of +/-1 and every sum of
+squares a sum of integer squares, both exact in float64 in any order, so
+each row is bit for bit the vector of the same text embedded on its own
 (``tests/oracles.py`` keeps that per-text loop as the reference).
 """
 
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,6 +63,12 @@ CHUNK = 64
 # Code points are below this, so a 3-gram key c0*A^2 + c1*A + c2 and an
 # n-gram key id(prefix)*A + c fit a uint64.
 _ALPHABET = 0x110000
+# A call's run of fewer grams than this takes in the next run whatever that
+# one's size: copying so few costs about what searching one more run in
+# every later step would. A context of a few thousand segments (about 17k
+# grams a size) then keeps one run a size, while a corpus of millions of
+# grams copies each gram O(log grams) times rather than once a step.
+RUN_FLOOR = 16384
 
 
 @dataclass
@@ -97,7 +111,7 @@ def check_vectors(matrix: np.ndarray, dim: int) -> None:
         raise ContractViolationError(f"vector norm {norms[off.argmax()]} outside [1-1e-6, 1+1e-6]")
 
 
-def _embed_deterministic(texts: Sequence[str], dim: int, seed: int) -> np.ndarray:
+def _embed_deterministic(texts: Sequence[str], dim: int, seed: int, base: GramTables | None) -> np.ndarray:
     """Signed hashed character n-grams (n = 3..5) of each lowercased text, L2-normalized.
 
     Each gram is hashed (keyed by the seed) to a bucket in [0, dim) with a
@@ -106,8 +120,11 @@ def _embed_deterministic(texts: Sequence[str], dim: int, seed: int) -> np.ndarra
     a (len(texts), dim) float32 matrix. A text holding a lone surrogate
     raises CorpusEncodingError.
     """
+    if base is not None and base.filled and base.seed != seed:
+        raise ArgumentError(f"gram tables were filled with seed {base.seed}, not {seed}")
     keyed = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=True))
-    tables = [_GramTable(n, keyed) for n in NGRAM_SIZES]
+    frozen = base.runs if base is not None and base.filled else (None,) * len(NGRAM_SIZES)
+    tables = [_GramTable(n, keyed, run) for n, run in zip(NGRAM_SIZES, frozen)]
     out = np.empty((len(texts), dim), dtype=np.float32)
     for start in range(0, len(texts), CHUNK):
         lowered = [text.lower() for text in texts[start : start + CHUNK]]
@@ -128,8 +145,7 @@ def _embed_deterministic(texts: Sequence[str], dim: int, seed: int) -> np.ndarra
         for table in tables:
             longer = starts + (table.n - 1) < ends[row_of[starts]]
             starts = starts[longer]
-            ids = table.ids_of(ids[longer] * _ALPHABET + points[starts + (table.n - 1)], starts, joined)
-            hashes = table.digests[ids]
+            ids, hashes = table.lookup(ids[longer] * _ALPHABET + points[starts + (table.n - 1)], starts, joined)
             flat = row_of[starts] * dim + (hashes % dim).astype(np.intp)
             sums += np.bincount(flat, weights=1.0 - 2.0 * (hashes >> 63), minlength=rows * dim)
         sums = sums.reshape(rows, dim)
@@ -138,43 +154,120 @@ def _embed_deterministic(texts: Sequence[str], dim: int, seed: int) -> np.ndarra
         sums[empty, 0] = 1.0
         squares[empty] = 1.0
         out[start : start + rows] = sums / np.sqrt(squares)[:, None]
+    if base is not None and not base.filled:
+        base.runs = tuple(table.merged() for table in tables)
+        for array in (a for run in base.runs if run is not None for a in run):
+            array.setflags(write=False)
+        base.seed = seed
     return out
 
 
-class _GramTable:
-    """The distinct n-grams met so far in one call: their uint64 keys in
-    ascending order with the id of each, and the keyed digest of each id."""
+class _Run(NamedTuple):
+    """Distinct grams in ascending key order: the key, id and keyed digest of each."""
 
-    def __init__(self, n: int, keyed):
+    keys: np.ndarray
+    ids: np.ndarray
+    digests: np.ndarray
+
+
+def _merge(older: _Run, newer: _Run) -> _Run:
+    """One run of the grams of two runs that share no key."""
+    # one position mask for all three arrays; np.insert sorts the positions
+    # and builds a mask for each array it is called on
+    at = np.searchsorted(older.keys, newer.keys) + np.arange(len(newer.keys))
+    kept = np.ones(len(older.keys) + len(at), dtype=bool)
+    kept[at] = False
+    merged = []
+    for old, new in zip(older, newer):
+        both = np.empty(len(kept), dtype=old.dtype)
+        both[at] = new
+        both[kept] = old
+        merged.append(both)
+    return _Run(*merged)
+
+
+class GramTables:
+    """The distinct character n-grams of one embedded corpus with their digests.
+
+    Empty until the first deterministic ``embed_batch`` call given it as
+    ``base``, which fills it with one run per gram size holding every gram
+    of that call's texts; read-only from then on. A later call looks its
+    grams up here first and hashes only those missing, into tables of its
+    own, so no call adds to a filled one and concurrent calls may share it.
+    A call with another seed raises ArgumentError. A remote provider neither
+    fills nor reads it.
+    """
+
+    def __init__(self):
+        self.seed: int | None = None
+        self.runs: tuple[_Run | None, ...] = ()
+
+    @property
+    def filled(self) -> bool:
+        return self.seed is not None
+
+
+class _GramTable:
+    """The distinct n-grams one call has met, layered over a read-only base run.
+
+    The call's grams sit in sorted runs after the base's. A step's fresh grams
+    form a new run, merged into the run before it while that one is smaller
+    than RUN_FLOOR or at most twice its size, so a call keeps O(log grams)
+    runs and copies each gram O(log grams) times. Ids go on from the base's,
+    so a key names one gram in the base and the call alike."""
+
+    def __init__(self, n: int, keyed, base: _Run | None):
         self.n = n
         self.keyed = keyed
-        # a last key above every gram key, so a search always lands on an entry
-        self.keys = np.array([2**64 - 1], dtype=np.uint64)
-        self.ids = np.zeros(1, dtype=np.uint64)
-        self.digests = np.empty(0, dtype="<u8")
+        self.runs = [] if base is None else [base]
+        self.own = 0 if base is None else 1  # runs[:own] belong to the base
+        self.count = 0 if base is None else len(base.keys)
 
-    def ids_of(self, keys: np.ndarray, starts: np.ndarray, joined: str) -> np.ndarray:
-        """The id of each key, where the gram of ``keys[i]`` is
-        ``joined[starts[i]:][:n]``; each key not yet in the table is hashed
-        once and added."""
+    def lookup(self, keys: np.ndarray, starts: np.ndarray, joined: str) -> tuple[np.ndarray, np.ndarray]:
+        """The id and the digest of each key, where the gram of ``keys[i]`` is
+        ``joined[starts[i]:][:n]``; each key in no run is hashed once and
+        added as a new run."""
         distinct, inverse = np.unique(keys, return_inverse=True)
-        at = np.searchsorted(self.keys, distinct)
-        fresh = self.keys[at] != distinct
-        start_of = np.empty(len(distinct), dtype=np.intp)
-        start_of[inverse] = starts
-        grams = [joined[s : s + self.n] for s in start_of[fresh].tolist()]
-        new_ids = np.arange(len(self.digests), len(self.digests) + len(grams), dtype=np.uint64)
-        ids = self.ids[at]
-        ids[fresh] = new_ids
-        # One array of known size: b"".join(...) would first grow a list,
-        # whose small freed blocks stay in glibc's per-thread cache and split
-        # the heap's free space (tm-build peak RSS 4 MB higher in 10 of 10
-        # benchmark runs with the join, in 4 of 10 without).
-        digests = np.fromiter(_digests(self.keyed, grams), dtype="S8", count=len(grams))
-        self.digests = np.concatenate([self.digests, digests.view("<u8")])
-        self.keys = np.insert(self.keys, at[fresh], distinct[fresh])
-        self.ids = np.insert(self.ids, at[fresh], new_ids)
-        return ids[inverse]
+        ids = np.empty(len(distinct), dtype=np.uint64)
+        digests = np.empty(len(distinct), dtype="<u8")
+        missing = np.arange(len(distinct))
+        for run in self.runs:
+            wanted = distinct[missing]
+            at = np.searchsorted(run.keys, wanted).clip(max=len(run.keys) - 1)
+            hit = run.keys[at] == wanted
+            at, found = at[hit], missing[hit]
+            ids[found] = run.ids[at]
+            digests[found] = run.digests[at]
+            missing = missing[~hit]
+        if len(missing):
+            start_of = np.empty(len(distinct), dtype=np.intp)
+            start_of[inverse] = starts
+            grams = [joined[s : s + self.n] for s in start_of[missing].tolist()]
+            # One array of known size: b"".join(...) would first grow a list,
+            # whose small freed blocks stay in glibc's per-thread cache and split
+            # the heap's free space (tm-build peak RSS 4 MB higher in 10 of 10
+            # benchmark runs with the join, in 4 of 10 without).
+            fresh = _Run(
+                distinct[missing],
+                np.arange(self.count, self.count + len(grams), dtype=np.uint64),
+                np.fromiter(_digests(self.keyed, grams), dtype="S8", count=len(grams)).view("<u8"),
+            )
+            self.count += len(grams)
+            ids[missing] = fresh.ids
+            digests[missing] = fresh.digests
+            self.runs.append(fresh)
+            while len(self.runs) - self.own > 1:
+                older, newer = self.runs[-2:]
+                if len(older.keys) >= RUN_FLOOR and len(older.keys) > 2 * len(newer.keys):
+                    break
+                self.runs[-2:] = [_merge(older, newer)]
+        return ids[inverse], digests[inverse]
+
+    def merged(self) -> _Run | None:
+        """The call's own grams as one run (None if it met none)."""
+        while len(self.runs) - self.own > 1:
+            self.runs[-2:] = [_merge(*self.runs[-2:])]
+        return self.runs[-1] if len(self.runs) > self.own else None
 
 
 def _digests(keyed, grams: list[str]):
@@ -216,14 +309,18 @@ def _embed_batch_remote(texts: Sequence[str], cfg: EmbeddingProviderConfig) -> n
     return np.concatenate(parts, axis=0)
 
 
-def embed_batch(texts: Sequence[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
-    """Embed texts in order; returns a (len(texts), cfg.dim) float32 matrix."""
+def embed_batch(texts: Sequence[str], cfg: EmbeddingProviderConfig, base: GramTables | None = None) -> np.ndarray:
+    """Embed texts in order; returns a (len(texts), cfg.dim) float32 matrix.
+
+    The deterministic provider reads the grams a filled ``base`` holds
+    instead of hashing them again, and fills an empty one (see GramTables).
+    """
     if len(texts) == 0:
         raise ArgumentError("embed_batch requires a non-empty text list")
     if cfg.kind == "deterministic-test":
         # rows are unit-normalized by construction; renormalizing would
         # perturb low-order bits and break bit-level determinism
-        matrix = _embed_deterministic(texts, cfg.dim, cfg.seed)
+        matrix = _embed_deterministic(texts, cfg.dim, cfg.seed, base)
     else:
         matrix = _embed_batch_remote(texts, cfg)
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)

@@ -3,6 +3,12 @@
 A context corpus of fewer than FLAT_MAX_ROWS pairs is indexed flat: an IVF
 index with nlist 1, searched exactly, whatever nlist the caller asks for.
 Its store.json then reads ``ivf.nlist: 1``.
+
+A store built in this process keeps the character n-grams of its corpus
+with their digests (``embedding.GramTables``), so embedding a query with
+the deterministic provider hashes only the grams the corpus lacks. The
+vectors are the same either way. A store loaded from disk or built with a
+remote provider keeps no grams, and its queries are embedded in full.
 """
 
 from __future__ import annotations
@@ -45,11 +51,17 @@ class FuzzyMatch:
 
 @dataclass
 class ContextStore:
-    """Read-only bundle of a context corpus and its filled vector index."""
+    """Read-only bundle of a context corpus and its filled vector index.
+
+    ``grams`` holds the corpus's n-grams and digests when the store was built
+    here with the deterministic provider, and is None when it was loaded or
+    built with a remote one; no query adds to it.
+    """
 
     corpus: ParallelCorpus
     index: IvfIndex
     provider: EmbeddingProviderConfig
+    grams: embedding.GramTables | None = None
 
     def __post_init__(self):
         self._by_id = {p.id: p for p in self.corpus.pairs}
@@ -138,10 +150,11 @@ def build_context_store(
         raise SizeError(
             f"context corpus ({len(corpus)} pairs) smaller than nlist={ivf.nlist}"
         )
-    vectors = embedding.embed_batch(corpus.sources(), provider)
+    grams = embedding.GramTables()
+    vectors = embedding.embed_batch(corpus.sources(), provider, base=grams)
     index = ann_index.train(vectors, ivf)
     index.add(zip(corpus.ids(), vectors))
-    return ContextStore(corpus=corpus, index=index, provider=provider)
+    return ContextStore(corpus=corpus, index=index, provider=provider, grams=grams if grams.filled else None)
 
 
 def open_context_store(spec: str, provider: EmbeddingProviderConfig, ivf: IvfConfig) -> ContextStore:
@@ -153,12 +166,17 @@ def open_context_store(spec: str, provider: EmbeddingProviderConfig, ivf: IvfCon
 
 
 def retrieve_fuzzy_many(store: ContextStore, sources: Sequence[str], k: int = 1) -> list[list[FuzzyMatch]]:
-    """Top-k most similar context pairs for each source segment, in query order."""
+    """Top-k most similar context pairs for each source segment, in query order.
+
+    A store built in this process lends its n-gram digests to the query
+    embedding, so only grams absent from its corpus are hashed; a loaded or
+    remote store embeds every query in full.
+    """
     if k <= 0:
         raise ArgumentError(f"k must be positive, got {k}")
     if len(sources) == 0:
         return []
-    queries = embedding.embed_batch(sources, store.provider)
+    queries = embedding.embed_batch(sources, store.provider, base=store.grams)
     return [
         [FuzzyMatch(pair=store.pair(h.id), score=h.score) for h in hits]
         for hits in store.index.search_many(queries, k)

@@ -18,15 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 
-def brute_force_ids(matrix: np.ndarray, ids: np.ndarray, query: np.ndarray, k: int, metric: str):
+def brute_force_ids(matrix: np.ndarray, ids: np.ndarray, query: np.ndarray, k: int):
     """Exact top-k ids by scanning every vector; ties broken by ascending id."""
     m = matrix.astype(np.float64)
     q = query.astype(np.float64)
-    if metric == "cosine":
-        scores = m @ q
-    else:
-        diff = m - q
-        scores = -np.einsum("ij,ij->i", diff, diff)
+    scores = m @ q
     order = np.lexsort((ids, -scores))[:k]
     return [int(ids[i]) for i in order]
 

@@ -151,7 +151,7 @@ def test_04_ivf_exhaustive_equivalence():
             queries = rng.normal(size=(50, dim)).astype(np.float32)
             for q in queries:
                 got = [h.id for h in index.search(q, k=10)]
-                want = brute_force_ids(vectors, ids, q, 10, "cosine")
+                want = brute_force_ids(vectors, ids, q, 10)
                 assert got == want
 
 
@@ -170,7 +170,7 @@ def test_05_ivf_recall_monotonicity():
         index.add(zip(ids.tolist(), vectors))
         query_texts = [f"consulta de prueba {i} con ruido {i % 7}" for i in range(50)]
         queries = embed_batch(query_texts, provider)
-        exact = [set(brute_force_ids(vectors, ids, q, 10, "cosine")) for q in queries]
+        exact = [set(brute_force_ids(vectors, ids, q, 10)) for q in queries]
         previous = -1.0
         for nprobe in (1, 2, 4, 8, 16, 32):
             found = 0

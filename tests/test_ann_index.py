@@ -179,7 +179,7 @@ class TestSearch:
         ids = np.arange(len(vectors))
         query = unit_rows(1, 16, seed=99)[0]
         got = [h.id for h in index.search(query, k=20)]
-        want = brute_force_ids(vectors, ids, query, 20, "cosine")
+        want = brute_force_ids(vectors, ids, query, 20)
         assert got == want
 
     def test_k_must_be_positive(self):
@@ -216,7 +216,7 @@ class TestSearch:
         for nprobe in (1, 2, 4, 8):
             hits_found = 0
             for q in queries:
-                exact = set(brute_force_ids(vectors, ids, q, 10, "cosine"))
+                exact = set(brute_force_ids(vectors, ids, q, 10))
                 got = {h.id for h in index.search(q, k=10, nprobe_override=nprobe)}
                 hits_found += len(exact & got)
             recall = hits_found / (10 * len(queries))

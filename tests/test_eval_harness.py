@@ -453,9 +453,9 @@ class TestContextStoreDirectory:
         embedded: list[str] = []
         embed_batch = embedding.embed_batch
 
-        def recording_embed(texts, cfg):
+        def recording_embed(texts, cfg, base=None):
             embedded.extend(texts)
-            return embed_batch(texts, cfg)
+            return embed_batch(texts, cfg, base=base)
 
         monkeypatch.setattr(ann_index, "train", no_training)
         monkeypatch.setattr(embedding, "embed_batch", recording_embed)

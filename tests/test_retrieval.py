@@ -1,17 +1,23 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzymt import retrieval
+from fuzzymt import embedding, retrieval
 from fuzzymt.ann_index import IvfConfig
-from fuzzymt.corpus import ParallelCorpus, read_jsonl
-from fuzzymt.embedding import EmbeddingProviderConfig
-from fuzzymt.errors import ArgumentError, SizeError, StateError, StoreError
+from fuzzymt.corpus import ParallelCorpus, SegmentPair, read_jsonl
+from fuzzymt.embedding import CHUNK, NGRAM_SIZES, EmbeddingProviderConfig
+from fuzzymt.errors import ArgumentError, CorpusEncodingError, SizeError, StateError, StoreError
+from fuzzymt.llm_client import run_mock_server
 from fuzzymt.retrieval import (
     ContextStore,
     build_context_store,
@@ -20,6 +26,8 @@ from fuzzymt.retrieval import (
 )
 
 from conftest import synth_corpus
+from oracles import deterministic_embed_reference
+from test_embedding import _CountingBlake2b
 
 
 @pytest.fixture
@@ -246,3 +254,175 @@ class TestRetrievalDump:
     def test_length_mismatch(self, tmp_path):
         with pytest.raises(ArgumentError):
             write_retrieval_dump(tmp_path / "x.jsonl", [1, 2], [[]])
+
+
+def pairs_of(sources):
+    return ParallelCorpus([SegmentPair(id=i, source=s, target=s) for i, s in enumerate(sources)])
+
+
+def grams_of(texts):
+    """The distinct character n-grams the deterministic provider hashes for ``texts``."""
+    return {t.lower()[i : i + n] for t in texts for n in NGRAM_SIZES for i in range(len(t.lower()) - n + 1)}
+
+
+def frozen_copy(grams):
+    return [None if run is None else [a.copy() for a in run] for run in grams.runs]
+
+
+def same_tables(grams, copy):
+    return len(grams.runs) == len(copy) and all(
+        (run is None and kept is None) or all(np.array_equal(a, b) for a, b in zip(run, kept))
+        for run, kept in zip(grams.runs, copy)
+    )
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """Counts the keyed digests the deterministic provider computes from here on."""
+    counter = _CountingBlake2b(embedding.hashlib)
+    monkeypatch.setattr(embedding, "hashlib", counter)
+    return counter
+
+
+# accented and plain letters, a letter whose lowercase is longer (İ -> i̇)
+# and an astral character, so that grams repeat across corpus and queries
+_ACCENTED = st.text(st.sampled_from("abcİıßñéáü \U0001F600"), max_size=16) | st.text(max_size=24)
+
+_CONTEXT = [
+    "El paciente presenta una mejoría notable tras el tratamiento.",
+    "La dosis recomendada es de dos comprimidos al día.",
+    "Consulte a su médico antes de interrumpir la medicación.",
+    "Conservar en lugar fresco y seco, lejos de la luz.",
+]
+_NEAR = ["El paciente presenta una mejoría leve tras la cirugía.", "La dosis máxima es de tres comprimidos al día."]
+_OTHER = ["Mantener fuera de la vista y del alcance de los niños.", "No se han descrito interacciones con otros fármacos."]
+
+
+class TestStoreGrams:
+    """A store built here lends its corpus's n-gram digests to the query embedding."""
+
+    @pytest.fixture
+    def built(self):
+        provider = EmbeddingProviderConfig(kind="deterministic-test", dim=64, seed=7)
+        return build_context_store(pairs_of(_CONTEXT), provider, IvfConfig(dim=64, nlist=1, nprobe=1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        context=st.lists(_ACCENTED, min_size=1, max_size=CHUNK + 5),
+        queries=st.lists(_ACCENTED, min_size=1, max_size=CHUNK + 5),
+        picks=st.lists(st.integers(0, 10**6), max_size=CHUNK),
+        dim=st.sampled_from([1, 7, 64]),
+        seed=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    )
+    def test_query_rows_match_reference(self, context, queries, picks, dim, seed):
+        # corpus texts, and corpus texts with a query text appended, among the queries
+        queries = queries + [context[p % len(context)] + queries[p % len(queries)][: p % 5] for p in picks]
+        provider = EmbeddingProviderConfig(kind="deterministic-test", dim=dim, seed=seed)
+        store = build_context_store(pairs_of(context), provider, IvfConfig(dim=dim, nlist=1, nprobe=1))
+        expected = np.stack([deterministic_embed_reference(t, dim, seed) for t in queries])
+        assert embedding.embed_batch(queries, provider, base=store.grams).tobytes() == expected.tobytes()
+
+    def test_wide_alphabet_query_rows_match_reference(self):
+        pool = [chr(c) for c in [*range(0x4E00, 0xA000), *range(0x20000, 0x30000)]]
+        random.Random(1).shuffle(pool)
+        context = ["".join(pool[i : i + 200]) for i in range(0, 2 * CHUNK * 200, 200)]
+        # every other query is a corpus text with one character changed, so
+        # known and fresh grams meet in every step, across three steps
+        queries = [t[:100] + pool[-1 - i] + t[101:] if i % 2 else t for i, t in enumerate(context + context[:CHUNK])]
+        provider = EmbeddingProviderConfig(kind="deterministic-test", dim=384, seed=9)
+        store = build_context_store(pairs_of(context), provider, IvfConfig(dim=384, nlist=1, nprobe=1))
+        expected = np.stack([deterministic_embed_reference(t, 384, 9) for t in queries])
+        assert embedding.embed_batch(queries, provider, base=store.grams).tobytes() == expected.tobytes()
+
+    def test_query_hashes_only_grams_the_corpus_lacks(self, built, counting):
+        queries = _NEAR + _OTHER + _CONTEXT[:1]
+        retrieve_fuzzy_many(built, queries, k=1)
+        assert counting.copies == len(grams_of(queries) - grams_of(_CONTEXT)) > 0
+
+    def test_table_frozen_across_calls(self, built, counting):
+        kept = frozen_copy(built.grams)
+        first = ranked(built, _NEAR, 2)
+        near_fresh = counting.copies
+        second = ranked(built, _OTHER, 2)
+        other_fresh = counting.copies - near_fresh
+        # no call learns from another: the same queries hash the same grams again
+        assert ranked(built, _NEAR, 2) == first
+        assert (near_fresh, other_fresh) == (len(grams_of(_NEAR) - grams_of(_CONTEXT)),
+                                             len(grams_of(_OTHER) - grams_of(_CONTEXT)))
+        assert counting.copies == 2 * near_fresh + other_fresh
+        assert same_tables(built.grams, kept)
+
+        # more threads than cores, switching often, each on a query set of its own
+        calls = [(_NEAR, first), (_OTHER, second)] * 3
+        results, barrier = [None] * len(calls), threading.Barrier(len(calls))
+
+        def call(i):
+            barrier.wait(timeout=60)
+            results[i] = ranked(built, calls[i][0], 2)
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(calls))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [want for _, want in calls]
+        assert same_tables(built.grams, kept)
+        assert not any(a.flags.writeable for run in built.grams.runs for a in run)
+
+    def test_loaded_store_hashes_every_query_gram(self, tmp_path, built, counting):
+        built.save(tmp_path / "store")
+        loaded = ContextStore.load(tmp_path / "store", built.provider, nprobe=1)
+        assert loaded.grams is None
+        queries = _NEAR + _CONTEXT
+        before = counting.copies
+        assert ranked(loaded, queries, 2) == ranked(built, queries, 2)
+        assert counting.copies - before == len(grams_of(queries)) + len(grams_of(queries) - grams_of(_CONTEXT))
+
+    def test_remote_store_sends_every_query(self):
+        def sent(server):
+            return [t for r in server.state.request_log if r["path"] == "/v1/embeddings" for t in r["payload"]["input"]]
+
+        with run_mock_server("echo-fuzzy", embed_dim=16, embed_seed=7) as server:
+            provider = EmbeddingProviderConfig(kind="remote-http", endpoint=server.endpoint + "/v1/embeddings", dim=16)
+            store = build_context_store(pairs_of(_CONTEXT), provider, IvfConfig(dim=16, nlist=1, nprobe=1))
+            assert store.grams is None and sent(server) == _CONTEXT
+            retrieve_fuzzy_many(store, _CONTEXT + _NEAR, k=1)
+            assert sent(server) == _CONTEXT + _CONTEXT + _NEAR
+
+    @pytest.mark.parametrize("queries, index", [
+        (["uno", "dos\ud800"], 1), (_CONTEXT * (CHUNK // 4) + _NEAR + ["x\udc00"], CHUNK + 2),
+    ], ids=["first-step", "later-step"])
+    def test_lone_surrogate_names_query(self, built, queries, index):
+        kept = frozen_copy(built.grams)
+        with pytest.raises(CorpusEncodingError, match=f"text {index} holds a lone surrogate"):
+            retrieve_fuzzy_many(built, queries, k=1)
+        assert same_tables(built.grams, kept)
+
+    def test_other_seed_rejected(self, built):
+        with pytest.raises(ArgumentError, match="seed 7, not 8"):
+            embedding.embed_batch(["texto"], replace(built.provider, seed=8), base=built.grams)
+
+    def test_table_memory_per_gram(self):
+        rng = random.Random(0)
+        letters = "abcdefghijklmnopqrstuvwxyzáéíóúñü"
+        words = ["".join(rng.choice(letters) for _ in range(rng.randint(3, 9))) for _ in range(3000)]
+        sources = [" ".join(rng.sample(words, 8)) for _ in range(800)]
+        provider = EmbeddingProviderConfig(kind="deterministic-test", dim=64, seed=0)
+        tracemalloc.start()
+        try:
+            store = build_context_store(pairs_of(sources), provider, IvfConfig(dim=64, nlist=1, nprobe=1))
+            held = tracemalloc.get_traced_memory()[0]
+            store.grams = None
+            table = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        distinct = len(grams_of(sources))
+        assert distinct > 50_000
+        # the store keeps its table, at most 32 bytes a gram (keys, ids and digests take 8 each)
+        assert 8 * distinct <= table <= 32 * distinct
