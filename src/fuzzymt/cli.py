@@ -25,8 +25,9 @@ Two ways of giving one input exclude each other (exit 1): index-search
 --query and --queries, split --out and --validation-out, evaluate --in and
 --hyp/--ref.
 
-translate keeps the generations of every batch that got its reply, in batch
-order, in --out or on stdout, also when another batch fails (exit 3).
+translate reads the language names from the prompt dump itself and takes no
+name flags. It keeps the generations of every batch that got its reply, in
+batch order, in --out or on stdout, also when another batch fails (exit 3).
 
 --seed goes to the commands that draw random numbers: split (the validation
 sample) and the five that take the provider flags (index-build, index-search,
@@ -226,7 +227,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lora-dropout", type=float, default=lora.dropout)
 
     p = sub.add_parser("translate", parents=[common], help="drive a completion endpoint over a prompt dump")
-    p.add_argument("--in", dest="inp", required=True, help="prompt dump JSONL")
+    p.add_argument("--in", dest="inp", required=True, help="prompt dump JSONL; language names are read from it")
     p.add_argument("--endpoint", required=True)
     p.add_argument("--model", default=eval_harness.ExperimentConfig.model_name)
     p.add_argument("--batch-size", type=int, default=llm_client.DEFAULT_BATCH_SIZE)
@@ -237,7 +238,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-concurrent-batches", type=int,
                    default=eval_harness.ExperimentConfig.max_concurrent_batches)
     p.add_argument("--trace", default=None, help="JSONL request/response trace file")
-    _add_lang_flags(p)
 
     p = sub.add_parser("evaluate", parents=[common], help="score hypotheses with BLEU/chrF++/TER")
     p.add_argument("--in", dest="inp", default=None, help="JSONL with {id, hypothesis, reference}")
@@ -405,13 +405,12 @@ def _cmd_manifest(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    langs = _langs_from_args(args)
-    prompts, sources, ids = [], [], []
+    prompts, ids = [], []
     first_line: dict[int, int] = {}
     for lineno, record in corpus.iter_jsonl(args.inp, required={"id": int, "prompt": str}):
         corpus.check_new_id(args.inp, lineno, record["id"], first_line)
         try:
-            sources.append(prompting.parse_prompt(record["prompt"], langs)[1])
+            prompting.parse_prompt(record["prompt"])
         except ArgumentError as exc:
             raise ArgumentError(f"{args.inp}:{lineno}: {exc}") from exc
         prompts.append(prompting.RenderedPrompt(text=record["prompt"]))
@@ -419,7 +418,6 @@ def _cmd_translate(args) -> int:
     params = llm_client.DecodingParams(temperature=args.temperature, top_p=args.top_p)
     batches = llm_client.make_batches(
         prompts,
-        sources,
         batch_size=args.batch_size,
         token_multiplier=args.token_multiplier,
         params=params,

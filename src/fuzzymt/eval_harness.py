@@ -197,7 +197,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
         with _stage(f"translate-{condition}", stages) as stage:
             batches = llm_client.make_batches(
                 prompts,
-                test.sources(),
                 batch_size=cfg.batch_size,
                 token_multiplier=cfg.token_multiplier,
                 params=cfg.decoding,

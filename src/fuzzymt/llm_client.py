@@ -5,8 +5,8 @@ POST {endpoint}/v1/completions with {"model", "prompt" (array), "temperature",
 "top_p", "max_tokens", "stop"} returning {"choices": [{"index", "text"}]}.
 The user chooses only ``temperature`` (0, the default, is greedy decoding)
 and ``top_p``. The stop is always ``prompting.STOP``, the newline that ends
-every line of the prompt format, and each batch's ``max_tokens`` is set by
-``make_batches`` from the batch's own sources.
+every line of the prompt format, and ``make_batches`` sets each batch's
+``max_tokens`` from the query sources its prompts hold.
 Each batch is one request under the one retry rule of ``_http``: 4
 attempts, 1, 2 and 4 s apart, for a connection error, a timeout, a 429 or a
 5xx, and one for any other reply. A batch without a 200 reply raises
@@ -17,9 +17,12 @@ per batch sent with its status, attempts and latency, and the generations,
 one record {id, text} per prompt of every batch that got its reply. The
 bundled mock server speaks the same protocol (and the embeddings shape) for
 offline end-to-end runs, and each reply depends only on the request's
-content: ``echo-fuzzy`` answers each prompt's last completed target line, and
-``dictionary`` looks each query source up in a lexicon, answering 400, with
-the first source it lacks, to a request that holds one.
+content. Both read each prompt with ``prompting.parse_prompt`` and answer 400
+to a request holding one it rejects. ``echo-fuzzy`` answers each prompt's last
+example target, even a blank one (never an earlier example's), or nothing
+without an example, and ``dictionary`` looks each query source up in a
+lexicon, answering 400, with the first source it lacks, to a request that
+holds one.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from . import _http
 from . import embedding as embedding_mod
 from .corpus import write_jsonl_records
 from .errors import ArgumentError, ContractViolationError, CorpusEncodingError, StateError, TransportError
-from .prompting import STOP, RenderedPrompt
+from .prompting import STOP, RenderedPrompt, parse_prompt
 
 DEFAULT_BATCH_SIZE = 20
 DEFAULT_TOKEN_MULTIPLIER = 4
@@ -68,24 +71,18 @@ class TranslationResult:
     text: str
 
 
-def max_source_words(sources: Sequence[str]) -> int:
-    return max((len(s.split()) for s in sources), default=0)
-
-
 def make_batches(
     prompts: Sequence[RenderedPrompt],
-    sources: Sequence[str],
     batch_size: int = DEFAULT_BATCH_SIZE,
     token_multiplier: int = DEFAULT_TOKEN_MULTIPLIER,
     params: DecodingParams | None = None,
     ids: Sequence[int] | None = None,
 ) -> list[TranslationRequestBatch]:
-    """Chunk prompts in order; each batch's max_tokens comes from its own sources.
+    """Chunk prompts in order; each batch's max_tokens comes from its own prompts.
 
-    max_tokens = (largest source word count in the batch) * token_multiplier.
+    max_tokens = (largest query source word count in the batch) * token_multiplier,
+    each query source as ``parse_prompt`` reads it (ArgumentError if it cannot).
     """
-    if len(prompts) != len(sources):
-        raise ArgumentError(f"{len(prompts)} prompts vs {len(sources)} sources")
     if batch_size <= 0:
         raise ArgumentError(f"batch_size must be positive, got {batch_size}")
     if token_multiplier <= 0:
@@ -95,12 +92,13 @@ def make_batches(
     elif len(ids) != len(prompts):
         raise ArgumentError(f"{len(prompts)} prompts vs {len(ids)} ids")
     params = params if params is not None else DecodingParams()
+    words = [len(parse_prompt(p.text)[1].split()) for p in prompts]
     return [
         TranslationRequestBatch(
             prompts=list(prompts[start : start + batch_size]),
             params=params,
             ids=list(ids[start : start + batch_size]),
-            max_tokens=max_source_words(sources[start : start + batch_size]) * token_multiplier,
+            max_tokens=max(words[start : start + batch_size]) * token_multiplier,
         )
         for start in range(0, len(prompts), batch_size)
     ]
@@ -189,19 +187,6 @@ def translate_all(
 MOCK_MODES = ("echo-fuzzy", "dictionary")
 
 
-def _echo_fuzzy_completion(prompt_text: str) -> str:
-    """The last completed target-label line of the prompt, or empty."""
-    lines = prompt_text.split("\n")
-    stub = lines[-1]
-    if not stub.endswith(":"):
-        return ""
-    prefix = stub + " "
-    for line in reversed(lines[:-1]):
-        if line.startswith(prefix) and line[len(prefix):].strip():
-            return line[len(prefix):]
-    return ""
-
-
 class _MockState:
     def __init__(self, mode: str, fixtures, provider: embedding_mod.EmbeddingProviderConfig):
         self.mode = mode
@@ -246,13 +231,17 @@ class _MockHandler(BaseHTTPRequestHandler):
         prompts = payload.get("prompt", [])
         if isinstance(prompts, str):
             prompts = [prompts]
+        try:
+            parsed = [parse_prompt(p) for p in prompts]
+        except ArgumentError as exc:
+            self._reply(400, {"error": str(exc)})
+            return
         state = self.state
         if state.mode == "echo-fuzzy":
-            texts = [_echo_fuzzy_completion(p) for p in prompts]
+            texts = [examples[-1][1] if examples else "" for examples, _ in parsed]
         else:  # dictionary
             lexicon = state.fixtures or {}
-            # the text after "<name>: " on the query line, the one before the target stub
-            sources = [p.split("\n")[-2:][0].split(": ", 1)[-1] for p in prompts]
+            sources = [query for _, query in parsed]
             missing = next((s for s in sources if s not in lexicon), None)
             if missing is not None:
                 self._reply(400, {"error": f"no lexicon entry for source {missing!r}"})

@@ -10,6 +10,11 @@ the newline, ends every translation: the client sends it as the stop
 sequence and fine-tuning completions end with it. Segment-internal newlines
 are therefore always normalized to spaces, and the prompt ends exactly at
 "<target_name>:" with no trailing whitespace.
+
+A language name is non-empty and holds no line break and no ": ", so
+``parse_prompt``, the one reader of the format, reads both names from the
+prompt: the target name is the stub line less its ":", the source name is
+the query line up to its first ": ".
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ class LanguageNames:
         for label, value in (("source_name", self.source_name), ("target_name", self.target_name)):
             if not value:
                 raise ArgumentError(f"{label} must be non-empty")
+            if "\n" in value or "\r" in value or ": " in value:
+                raise ArgumentError(f"{label} must hold no line break and no ': ', got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,31 +84,29 @@ def render_few_shot(
     return RenderedPrompt(text=text, shots=len(ordered))
 
 
-def parse_prompt(text: str, langs: LanguageNames = LanguageNames()) -> tuple[list[tuple[str, str]], str]:
+def parse_prompt(text: str) -> tuple[list[tuple[str, str]], str]:
     """Split a rendered prompt back into its example pairs and the query.
 
-    Returns (examples, query_source). Raises ArgumentError when the text does
-    not follow the rendered line structure or its query source is blank, a
-    source that the renderers reject too.
+    Returns (examples, query_source), with the language names read from the
+    prompt. Raises ArgumentError when the text does not follow the rendered
+    line structure or its query source is blank, which the renderers reject too.
     """
-    src_prefix = f"{langs.source_name}: "
-    tgt_prefix = f"{langs.target_name}: "
-    lines = text.split("\n")
-    if not lines or lines[-1] != f"{langs.target_name}:":
+    *body, stub = text.split("\n")
+    if not stub.endswith(":"):
         raise ArgumentError("prompt must end with the bare target stub line")
-    body = lines[:-1]
     if not body or len(body) % 2 == 0:
         raise ArgumentError("prompt body must hold N example pairs plus one query line")
+    source_name, sep, query = body[-1].partition(": ")
+    if not sep:
+        raise ArgumentError("query line must carry the source-language prefix")
+    LanguageNames(source_name, stub[:-1])  # names a prompt can be rendered with
+    src_prefix, tgt_prefix = source_name + ": ", stub + " "
     examples = []
     for i in range(0, len(body) - 1, 2):
         src_line, tgt_line = body[i], body[i + 1]
         if not src_line.startswith(src_prefix) or not tgt_line.startswith(tgt_prefix):
             raise ArgumentError(f"malformed example pair at lines {i}/{i + 1}")
         examples.append((src_line[len(src_prefix):], tgt_line[len(tgt_prefix):]))
-    query_line = body[-1]
-    if not query_line.startswith(src_prefix):
-        raise ArgumentError("query line must carry the source-language prefix")
-    query = query_line[len(src_prefix):]
     if not query.strip():
         raise ArgumentError("query source must be non-empty")
     return examples, query

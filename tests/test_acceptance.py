@@ -295,7 +295,7 @@ def test_10_batching_rule():
     with criterion(10, "batch chunking and max_tokens rule", 1.0):
         sources = [f"palabra {i}" for i in range(45)]
         prompts = [render_zero_shot(s, LANGS) for s in sources]
-        batches = make_batches(prompts, sources, batch_size=20, token_multiplier=4)
+        batches = make_batches(prompts, batch_size=20, token_multiplier=4)
         assert [len(b.prompts) for b in batches] == [20, 20, 5]
         rng = random.Random(512)
         for _ in range(50):
@@ -306,7 +306,7 @@ def test_10_batching_rule():
                 " ".join("w" for _ in range(rng.randint(1, 15))) for _ in range(n)
             ]
             prompts = [render_zero_shot(s, LANGS) for s in sources]
-            batches = make_batches(prompts, sources, batch_size=batch_size,
+            batches = make_batches(prompts, batch_size=batch_size,
                                    token_multiplier=multiplier)
             assert sum(len(b.prompts) for b in batches) == n
             cursor = 0

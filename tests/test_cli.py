@@ -76,7 +76,7 @@ CLI_SURFACE = {
     "manifest": f"{COMMON} --epochs --train-batch-size --learning-rate --warmup-ratio --lora-r --lora-alpha "
                 "--lora-dropout",
     "translate": f"{COMMON} --in --endpoint --model --batch-size --token-multiplier --temperature --top-p "
-                 f"--max-concurrent-batches --trace {LANGS}",
+                 "--max-concurrent-batches --trace",
     "evaluate": f"{COMMON} --in --hyp --ref",
     "report": f"{COMMON} --in --format",
     "run": f"{COMMON} --config",
@@ -581,6 +581,24 @@ class TestRetrieveAndPrompts:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("name", ["Fr\nench", "Fr\rench", "French: FR"], ids=["lf", "cr", "label-end"])
+    @pytest.mark.parametrize("field", ["source_name", "target_name"])
+    @pytest.mark.parametrize("path", ["cli", "config"])
+    def test_language_name_the_parser_cannot_read_exit_2(self, path, field, name, corpus_tsv, tmp_path, capsys):
+        # such a name would render prompts that translate and the mock could not read back
+        out = tmp_path / "out"
+        if path == "cli":
+            argv = ["prompts", "--in", corpus_tsv, f"--{field.replace('_', '-')}", name, "--out", str(out)]
+        else:
+            cfg_path = tmp_path / "exp.json"
+            cfg_path.write_text(json.dumps({"test_corpus": corpus_tsv, "context_corpus": corpus_tsv,
+                                            "langs": {field: name}, "output_dir": str(out)}), encoding="utf-8")
+            argv = ["run", "--config", str(cfg_path)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert f"{field} must hold no line break and no ': '" in err
+        assert not out.exists()
+
 
 class TestDumps:
     @pytest.mark.parametrize("sub", ["filter", "retrieve", "prompts", "translate"])
@@ -658,6 +676,20 @@ class TestTranslateEvaluateReport:
             )
         assert code == 0
         assert len(stdout.splitlines()) == 12
+
+    def test_translate_reads_language_names_from_the_dump(self, corpus_tsv, tmp_path, capsys):
+        prompts_path = str(tmp_path / "prompts.jsonl")
+        code, _, err = run_cli(["prompts", "--in", corpus_tsv, "--source-name", "French", "--target-name", "German",
+                                "--out", prompts_path], capsys)
+        assert code == 0, err
+        pairs = synth_corpus(12, seed=3).pairs
+        with run_mock_server("dictionary", fixtures={p.source: p.target for p in pairs}) as server:
+            code, stdout, err = run_cli(["translate", "--in", prompts_path, "--endpoint", server.endpoint], capsys)
+            [request] = [entry["payload"] for entry in server.state.request_log]
+        assert code == 0, err
+        assert [json.loads(line) for line in stdout.splitlines()] == [{"id": p.id, "text": p.target} for p in pairs]
+        assert request["prompt"][0].startswith("French: ") and request["prompt"][0].endswith("\nGerman:")
+        assert request["max_tokens"] == max(len(p.source.split()) for p in pairs) * 4
 
     def test_transport_failure_exit_3(self, corpus_tsv, tmp_path, capsys, sleeps):
         prompts_path = str(tmp_path / "prompts.jsonl")

@@ -69,7 +69,7 @@ class TestBuildDataset:
         mix = MixSpec(total=2, one_shot_ratio=1.0, validation_size=1, seed=0)
         train, validation = build_finetune_dataset(corpus, context_store, mix, LANGS)
         for example in train + validation:
-            examples, _ = parse_prompt(example.prompt, LANGS)
+            examples, _ = parse_prompt(example.prompt)
             assert len(examples) == 1
 
     def test_deterministic(self, context_store):
@@ -85,7 +85,7 @@ class TestBuildDataset:
         mix = MixSpec(total=10, one_shot_ratio=1.0, validation_size=2, seed=1)
         train, validation = build_finetune_dataset(corpus, store, mix, LANGS)
         for example in train + validation:
-            [shot], query = parse_prompt(example.prompt, LANGS)
+            [shot], query = parse_prompt(example.prompt)
             assert shot != (query, example.completion.strip())
 
     def test_trailing_whitespace_variant_is_not_a_shot(self, det_provider):
@@ -97,7 +97,7 @@ class TestBuildDataset:
         mix = MixSpec(total=12, one_shot_ratio=1.0, validation_size=0, seed=0)
         train, _ = build_finetune_dataset(corpus, store, mix, LANGS)
         for example in train:
-            [(shot_source, _)], query = parse_prompt(example.prompt, LANGS)
+            [(shot_source, _)], query = parse_prompt(example.prompt)
             assert shot_source.rstrip() != query
 
     def test_store_holding_only_the_training_pair(self, det_provider):
@@ -124,7 +124,7 @@ class TestBuildDataset:
         mix = MixSpec(total=4, one_shot_ratio=0.5, validation_size=1, seed=2)
         train, validation = build_finetune_dataset(corpus, context_store, mix, LANGS)
         for ex in train + validation:
-            shots = parse_prompt(ex.prompt, LANGS)[0]
+            shots = parse_prompt(ex.prompt)[0]
             full = ex.prompt + ex.completion
             completed = [
                 line

@@ -38,7 +38,7 @@ RETRY_RULE = [
 
 def _call(client: str, endpoint: str, trace: list) -> None:
     if client == "translate_batch":
-        [batch] = make_batches([render_zero_shot("a")], ["a"])
+        [batch] = make_batches([render_zero_shot("a")])
         translate_batch(batch, endpoint, trace=trace)
     else:
         embed_batch(["a"], EmbeddingProviderConfig(kind="remote-http", endpoint=endpoint, dim=2))
@@ -109,7 +109,7 @@ from fuzzymt.embedding import EmbeddingProviderConfig, embed_batch
 from fuzzymt.llm_client import make_batches, run_mock_server, translate_batch
 from fuzzymt.prompting import render_zero_shot
 with run_mock_server("dictionary", fixtures={"uno": "one"}, embed_dim=2) as server:
-    [batch] = make_batches([render_zero_shot("uno")], ["uno"])
+    [batch] = make_batches([render_zero_shot("uno")])
     print(translate_batch(batch, server.endpoint)[0].text)
     provider = EmbeddingProviderConfig(kind="remote-http", endpoint=server.endpoint + "/v1/embeddings", dim=2)
     print(embed_batch(["uno"], provider).shape)
