@@ -19,13 +19,18 @@ score matrix stays near _BLOCK_BYTES whatever the query count:
 1. One float32 matmul against the centroids picks each query's lists.
 2. One float32 matmul scores the block against the rows of every list that
    some query of the block probes; rows of lists a query does not probe are
-   masked out for that query.
+   set to -inf for that query. A block whose queries probe the same lists,
+   such as any block of the flat index, has no such mask.
 3. Each query keeps a shortlist: every row whose float32 score is within twice
    a proven error bound of its k-th best float32 score. The bound follows from
    d and the row norms (``_error_bound``), so no row left out could reach the
-   top k once the scores are exact.
-4. Only the shortlist is re-scored in float64 and ordered by score, ties to the
-   lower id.
+   top k once the scores are exact. Up to k = _ARGMAX_MAX_K the k-th best is
+   read by k row-wise max passes over the scores, beyond it by a partition;
+   one row-major ``flatnonzero`` then lists the shortlist query by query.
+4. Only the shortlist is re-scored in float64, each (query, row) pair lifted
+   from float32 on its own, and ordered by score, ties to the lower id. Queries
+   given as float32, as ``embedding.embed_batch`` returns them, are never
+   copied to float64 whole.
 
 The lists are picked by the same rule: lists within the error bound of the
 nprobe-th best are decided by their float64 scores, ties to the lower
@@ -68,6 +73,8 @@ _UNIT_ROUNDOFF = 2.0**-24  # of float32
 _FLOAT32_TINY = float(np.finfo(np.float32).tiny)
 # (|q| + max |v|)^2 below this keeps every float32 partial sum finite
 _SAFE_REACH = 1e37
+# the largest k whose k-th best score is found by k row-wise max passes
+_ARGMAX_MAX_K = 4
 
 
 class ClusterRangeWarning(UserWarning):
@@ -259,54 +266,60 @@ class IvfIndex:
             raise ArgumentError(f"k must be positive, got {k}")
         if nprobe is not None and nprobe <= 0:
             raise ArgumentError(f"nprobe must be positive, got {nprobe}")
-        q64 = _as_matrix(queries, self.config.dim)
+        # float32 queries, as embed_batch gives them, stay float32: only the
+        # shortlisted (query, row) pairs are lifted to float64
+        dtype = np.float32 if getattr(queries, "dtype", None) == np.float32 else np.float64
+        queries = _as_matrix(queries, self.config.dim, dtype)
         nprobe = min(nprobe or self.config.nprobe, self.config.nlist)
-        hits: list[list[SearchHit]] = [[] for _ in range(len(q64))]
+        hits: list[list[SearchHit]] = [[] for _ in range(len(queries))]
         if self.size == 0:
             return hits
         step = max(1, _BLOCK_BYTES // (4 * max(len(self._ids), self.config.nlist)))
-        for start in range(0, len(q64), step):
-            block = q64[start : start + step]
+        for start in range(0, len(queries), step):
+            block = queries[start : start + step]
             qi, ids, scores = self._search_block(block, k, nprobe)
             for q, i, s in zip(qi.tolist(), ids.tolist(), scores.tolist()):
                 hits[start + q].append(SearchHit(id=i, score=s))
         return hits
 
-    def _search_block(self, q64: np.ndarray, k: int, nprobe: int):
+    def _search_block(self, queries: np.ndarray, k: int, nprobe: int):
         """(query row, id, score) of every hit of the block, best first per row."""
-        q32 = q64.astype(np.float32)
-        q_norm = math.sqrt(float(np.einsum("ij,ij->i", q64, q64).max()))
+        q32 = queries.astype(np.float32, copy=False)
+        q_norm = _max_norm(queries)
         rows, vecs = None, self._vecs
         keep = None  # (queries, scored rows): the query probes the row's list
         if nprobe < self.config.nlist:
-            probed = self._probe(q64, q32, q_norm, nprobe)
+            probed = self._probe(queries, q32, q_norm, nprobe)
             used = probed.any(axis=0)
             n_used = np.count_nonzero(used)
             if n_used < len(used):
                 # score only the rows of the lists that some query of the block probes
                 rows = np.flatnonzero(used[self._row_list])
                 vecs = self._vecs[rows]
-            if np.count_nonzero(probed) < len(q64) * n_used:
+            if np.count_nonzero(probed) < len(queries) * n_used:
                 keep = probed[:, self._row_list if rows is None else self._row_list[rows]]
         if len(vecs) == 0:
             return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
-        if keep is None:
-            keep = np.ones((len(q64), len(vecs)), dtype=bool)
         # with at most 2k rows the float32 pass would keep nearly all of them
         if len(vecs) > 2 * k:
             approx = q32 @ vecs.T
-            approx[~keep] = -np.inf
-            keep = keep & _within(approx, k, 2.0 * self._error_bound(q_norm, self._vec_norm))
-        qi, col = np.nonzero(keep)
+            if keep is not None:
+                approx[~keep] = -np.inf
+            within = _within(approx, k, 2.0 * self._error_bound(q_norm, self._vec_norm))
+            keep = within if keep is None else keep & within
+        elif keep is None:
+            keep = np.ones((len(queries), len(vecs)), dtype=bool)
+        # row-major, so each query's entries are contiguous and qi ascends
+        qi, col = np.divmod(np.flatnonzero(keep), len(vecs))
         if rows is not None:
             col = rows[col]
-        scores = self._exact_scores(self._vecs, col, q64, qi)
+        scores = self._exact_scores(self._vecs, col, queries, qi)
         ids = self._ids[col]
         order, rank = _rank_per_query(qi, ids, scores)
         best = order[rank < k]
         return qi[best], ids[best], scores[best]
 
-    def _probe(self, q64, q32, q_norm: float, nprobe: int) -> np.ndarray:
+    def _probe(self, queries, q32, q_norm: float, nprobe: int) -> np.ndarray:
         """Boolean (queries, nlist): each query's nprobe best lists by exact
         float64 score, ties to the lower centroid index."""
         approx = q32 @ self.centroids.T
@@ -315,12 +328,12 @@ class IvfIndex:
         maybe = ~(approx < kth - margin)
         # each query has at least nprobe lists that may be among its best;
         # when it has exactly nprobe, they are
-        if np.count_nonzero(maybe) == nprobe * len(q64):
+        if np.count_nonzero(maybe) == nprobe * len(queries):
             return maybe
         # only lists within the error bound of the boundary need their exact score
         probed = approx > kth + margin
         qi, cent = np.nonzero(maybe & ~probed)
-        scores = self._exact_scores(self.centroids, cent, q64, qi)
+        scores = self._exact_scores(self.centroids, cent, queries, qi)
         order, rank = _rank_per_query(qi, cent, scores)
         best = order[rank < (nprobe - probed.sum(axis=1))[qi]]
         probed[qi[best], cent[best]] = True
@@ -344,16 +357,16 @@ class IvfIndex:
             return math.inf
         return gamma * q_norm * v_norm + n * _FLOAT32_TINY * (1.0 + v_norm)
 
-    def _exact_scores(self, vecs: np.ndarray, rows: np.ndarray, q64: np.ndarray, qi: np.ndarray) -> np.ndarray:
-        """float64 score of vecs[rows[j]] for query q64[qi[j]], one row at a
-        time, so a score does not depend on which other rows are scored."""
+    def _exact_scores(self, vecs: np.ndarray, rows: np.ndarray, queries: np.ndarray, qi: np.ndarray) -> np.ndarray:
+        """float64 score of vecs[rows[j]] for query queries[qi[j]], one row at
+        a time, so a score does not depend on which other rows are scored."""
         step = max(1, _BLOCK_BYTES // (16 * self.config.dim))
         if len(rows) > step:
             return np.concatenate([
-                self._exact_scores(vecs, rows[a : a + step], q64, qi[a : a + step])
+                self._exact_scores(vecs, rows[a : a + step], queries, qi[a : a + step])
                 for a in range(0, len(rows), step)
             ])
-        return np.einsum("ij,ij->i", vecs[rows].astype(np.float64), q64[qi])
+        return np.einsum("ij,ij->i", vecs[rows].astype(np.float64), queries[qi].astype(np.float64, copy=False))
 
     # -- persistence ----------------------------------------------------------
 
@@ -422,11 +435,28 @@ def _max_norm(matrix: np.ndarray) -> float:
 
 
 def _kth_best(approx: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k-th largest entry, as a column. Selecting the k-th smallest
-    of the negated scores stays fast when most entries are a masked -inf."""
-    neg = -approx
-    neg.partition(k - 1, axis=1)
-    return -neg[:, k - 1, None]
+    """Each row's k-th largest entry, as a column.
+
+    Up to _ARGMAX_MAX_K, k - 1 row-wise argmax passes each set the row's best
+    entry to -inf, in place, and a row-wise max reads the k-th; the entries
+    are restored before returning. Beyond it, selecting the k-th smallest of
+    the negated scores stays fast when most entries are a masked -inf.
+    """
+    if k > _ARGMAX_MAX_K:
+        neg = -approx
+        neg.partition(k - 1, axis=1)
+        return -neg[:, k - 1, None]
+    rows = np.arange(len(approx))
+    taken = []
+    for _ in range(k - 1):
+        col = approx.argmax(axis=1)
+        taken.append((col, approx[rows, col]))
+        approx[rows, col] = -np.inf
+    kth = approx.max(axis=1, keepdims=True)
+    # in reverse, so an entry taken twice (a row of -inf) gets its first value back
+    for col, value in reversed(taken):
+        approx[rows, col] = value
+    return kth
 
 
 def _within(approx: np.ndarray, k: int, margin: float) -> np.ndarray:
@@ -438,7 +468,7 @@ def _within(approx: np.ndarray, k: int, margin: float) -> np.ndarray:
 def _rank_per_query(qi: np.ndarray, tie: np.ndarray, scores: np.ndarray):
     """The entries ordered by query, then best first (higher score, then lower
     ``tie``), and each one's 0-based rank within its query; ``qi`` ascends,
-    as np.nonzero gives it, so the order keeps each query's entries in place."""
+    as a row-major scan gives it, so the order keeps each query's entries in place."""
     order = np.lexsort((tie, -scores, qi))
     return order, np.arange(len(qi)) - np.searchsorted(qi, qi)
 

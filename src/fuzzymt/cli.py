@@ -48,6 +48,7 @@ from .errors import (
     ContractViolationError,
     DataError,
     FuzzyMtError,
+    PromptError,
     ProviderError,
     TransportError,
     UsageError,
@@ -405,24 +406,24 @@ def _cmd_manifest(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    prompts, ids = [], []
+    prompts, ids, lines = [], [], []
     first_line: dict[int, int] = {}
     for lineno, record in corpus.iter_jsonl(args.inp, required={"id": int, "prompt": str}):
         corpus.check_new_id(args.inp, lineno, record["id"], first_line)
-        try:
-            prompting.parse_prompt(record["prompt"])
-        except ArgumentError as exc:
-            raise ArgumentError(f"{args.inp}:{lineno}: {exc}") from exc
         prompts.append(prompting.RenderedPrompt(text=record["prompt"]))
         ids.append(record["id"])
+        lines.append(lineno)
     params = llm_client.DecodingParams(temperature=args.temperature, top_p=args.top_p)
-    batches = llm_client.make_batches(
-        prompts,
-        batch_size=args.batch_size,
-        token_multiplier=args.token_multiplier,
-        params=params,
-        ids=ids,
-    )
+    try:
+        batches = llm_client.make_batches(
+            prompts,
+            batch_size=args.batch_size,
+            token_multiplier=args.token_multiplier,
+            params=params,
+            ids=ids,
+        )
+    except PromptError as exc:
+        raise ArgumentError(f"{args.inp}:{lines[exc.index]}: {exc.reason}") from exc
     results = llm_client.translate_all(
         batches,
         args.endpoint,

@@ -11,35 +11,40 @@ vectors with meaningful cosine structure. Either way every row is checked
 to be finite and of unit norm (a zero row from the encoder fails), so the
 inner product of two rows is their cosine similarity.
 
-The deterministic vectors are built CHUNK texts at a time. A step encodes
-its lowercased texts as UTF-32, which also rejects a lone surrogate with
-CorpusEncodingError, and gives every gram of size n in 3..5 an integer key
-in numpy: a 3-gram's key is its three code points in base 0x110000, and a
-longer gram's key is the id of its (n-1)-gram prefix in base 0x110000 and
-its last code point, so no key can overflow a uint64. One table per gram
-size lives for the whole call: sorted runs of distinct keys, each key with
-a stable id and the seed-keyed 8-byte BLAKE2b digest of its gram. The step
-looks up its distinct keys there, hashes only the grams the table lacks,
-so each distinct gram of a call is hashed once, and adds those as a new
-run, merged into the run before it while that one is smaller than
-RUN_FLOOR or at most twice its size, so upkeep is amortized. It then adds
-each gram's +/-1 to bucket ``hash % dim`` of its text's row with one
-``np.bincount`` over ``row * dim + bucket``. Only the tables, O(distinct
-grams), outlive a step; the per-gram arrays are a step's own. A call
-given an empty ``GramTables`` as ``base`` leaves its tables there, one run
-per gram size at 24 bytes a gram: that is how a context store keeps its
-corpus's grams. A later call given the filled tables looks each key up
-there first, its own ids going on from theirs, hashes only the grams they
-lack and keeps those in tables of its own; the filled tables are never
-written again. A row whose sum is zero (no gram, or grams that cancel)
-becomes the unit basis vector e_0; every other row is divided by the
-float64 square root of its sum of squares and cast to float32. A digest
-depends only on the seed and the gram, so the result does not depend on
-the chunking, the gram order, the batch a text arrives in or the tables
-a call starts from: every bucket sum is a sum of +/-1 and every sum of
-squares a sum of integer squares, both exact in float64 in any order, so
-each row is bit for bit the vector of the same text embedded on its own
-(``tests/oracles.py`` keeps that per-text loop as the reference).
+The deterministic vectors are built in steps, each of as many texts as fit
+_STEP_BYTES at _POINT_BYTES a code point and 8 * dim bytes a row (and at
+least one text), so a step of short segments holds more texts than one of
+long segments, and one of empty texts is bounded by its rows. A step
+encodes its lowercased texts as UTF-32, which also rejects a lone surrogate
+with CorpusEncodingError, and gives every gram of size n in 3..5 an integer
+key in numpy: a 3-gram's key is its three code points in base 0x110000,
+and a longer gram's key is the id of its (n-1)-gram prefix in base
+0x110000 and its last code point, so no key can overflow a uint64. One
+table per gram size lives for the whole call: sorted runs of distinct
+keys, each key with the seed-keyed 8-byte BLAKE2b digest of its gram and,
+below the largest size, a stable uint32 id. The step looks up its distinct
+keys there, hashes only the grams the table lacks, so each distinct gram
+of a call is hashed once, and adds those as a new run, merged into the run
+before it while that one is smaller than RUN_FLOOR or at most twice its
+size, so upkeep is amortized. It then adds each gram's +/-1 to bucket
+``hash % dim`` of its text's row with one ``np.bincount`` over
+``row * dim + bucket`` for all three sizes. Only the tables, O(distinct
+grams), outlive a step; the per-gram arrays and the sums are a step's own.
+A call given an empty ``GramTables`` as ``base`` leaves its tables there,
+one run per gram size at 20 bytes a gram, 16 for the largest size: that is
+how a context store keeps its corpus's grams. A later call given the
+filled tables looks each key up there first, its own ids going on from
+theirs, hashes only the grams they lack and keeps those in tables of its
+own; the filled tables are never written again. A row whose sum is zero
+(no gram, or grams that cancel) becomes the unit basis vector e_0; every
+other row is divided by the float64 square root of its sum of squares and
+cast to float32. A digest depends only on the seed and the gram, so the
+result does not depend on the steps, the gram order, the batch a text
+arrives in or the tables a call starts from: every bucket sum is a sum of
++/-1 and every sum of squares a sum of integer squares, both exact in
+float64 in any order, so each row is bit for bit the vector of the same
+text embedded on its own (``tests/oracles.py`` keeps that per-text loop as
+the reference).
 """
 
 from __future__ import annotations
@@ -55,11 +60,14 @@ from .errors import ArgumentError, ContractViolationError, CorpusEncodingError, 
 
 DEFAULT_DIM = 384
 NGRAM_SIZES = (3, 4, 5)
-# Texts per step, which bounds the gram strings and arrays alive at once.
-# On the long-segments benchmark (500 texts of 15-40 words) one gram size
-# of 64 texts a step keeps peak RSS within about 1 MB of a per-text loop;
-# all three sizes in one step added 11 MB.
-CHUNK = 64
+# Bytes a step may hold, which bounds the gram strings and arrays alive at
+# once: _POINT_BYTES for each code point of its texts, about what its
+# per-gram arrays and fresh gram strings take, and 8 * dim for each row of
+# its float64 sums. At dim 384 a step holds about 75 texts of 15-40 words
+# (about 200 code points) or about 220 of 4-12 words. A 16 MiB bound raised
+# the long-segments benchmark's peak RSS from about 47.5 to 57 MB.
+_STEP_BYTES = 4 << 20
+_POINT_BYTES = 256
 # Code points are below this, so a 3-gram key c0*A^2 + c1*A + c2 and an
 # n-gram key id(prefix)*A + c fit a uint64.
 _ALPHABET = 0x110000
@@ -124,36 +132,11 @@ def _embed_deterministic(texts: Sequence[str], dim: int, seed: int, base: GramTa
         raise ArgumentError(f"gram tables were filled with seed {base.seed}, not {seed}")
     keyed = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=True))
     frozen = base.runs if base is not None and base.filled else (None,) * len(NGRAM_SIZES)
-    tables = [_GramTable(n, keyed, run) for n, run in zip(NGRAM_SIZES, frozen)]
+    tables = [_GramTable(n, keyed, run, n < NGRAM_SIZES[-1]) for n, run in zip(NGRAM_SIZES, frozen)]
     out = np.empty((len(texts), dim), dtype=np.float32)
-    for start in range(0, len(texts), CHUNK):
-        lowered = [text.lower() for text in texts[start : start + CHUNK]]
-        rows = len(lowered)
-        lengths = np.fromiter(map(len, lowered), dtype=np.intp, count=rows)
-        ends = np.cumsum(lengths)
-        joined = "".join(lowered)
-        try:
-            points = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.uint64)
-        except UnicodeEncodeError as exc:
-            index = start + int(np.searchsorted(ends, exc.start, side="right"))
-            raise CorpusEncodingError(f"text {index} holds a lone surrogate {joined[exc.start]!r}") from None
-        row_of = np.repeat(np.arange(rows), lengths)
-        # the start of every 2-gram and its key, the prefix of the 3-gram keys
-        starts = np.flatnonzero(np.arange(len(points)) + 1 < ends[row_of])
-        ids = points[starts] * _ALPHABET + points[starts + 1]
-        sums = np.zeros(rows * dim)
-        for table in tables:
-            longer = starts + (table.n - 1) < ends[row_of[starts]]
-            starts = starts[longer]
-            ids, hashes = table.lookup(ids[longer] * _ALPHABET + points[starts + (table.n - 1)], starts, joined)
-            flat = row_of[starts] * dim + (hashes % dim).astype(np.intp)
-            sums += np.bincount(flat, weights=1.0 - 2.0 * (hashes >> 63), minlength=rows * dim)
-        sums = sums.reshape(rows, dim)
-        squares = np.einsum("ij,ij->i", sums, sums)
-        empty = squares == 0.0
-        sums[empty, 0] = 1.0
-        squares[empty] = 1.0
-        out[start : start + rows] = sums / np.sqrt(squares)[:, None]
+    for start, stop in _steps(texts, dim):
+        # a step's arrays are the helper's locals, so none outlives its step
+        out[start:stop] = _step_rows(texts[start:stop], start, dim, tables)
     if base is not None and not base.filled:
         base.runs = tuple(table.merged() for table in tables)
         for array in (a for run in base.runs if run is not None for a in run):
@@ -162,17 +145,78 @@ def _embed_deterministic(texts: Sequence[str], dim: int, seed: int, base: GramTa
     return out
 
 
+def _step_rows(texts: Sequence[str], first: int, dim: int, tables: list[_GramTable]) -> np.ndarray:
+    """The float64 unit rows of one step's texts, ``texts[0]`` being text
+    ``first`` of the call."""
+    lowered = [text.lower() for text in texts]
+    rows = len(lowered)
+    lengths = np.fromiter(map(len, lowered), dtype=np.intp, count=rows)
+    ends = np.cumsum(lengths)
+    joined = "".join(lowered)
+    try:
+        points = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.uint64)
+    except UnicodeEncodeError as exc:
+        index = first + int(np.searchsorted(ends, exc.start, side="right"))
+        raise CorpusEncodingError(f"text {index} holds a lone surrogate {joined[exc.start]!r}") from None
+    row_of = np.repeat(np.arange(rows), lengths)
+    # the start of every 2-gram and its key, the prefix of the 3-gram keys
+    starts = np.flatnonzero(np.arange(len(points)) + 1 < ends[row_of])
+    ids = points[starts] * _ALPHABET + points[starts + 1]
+    flat, signs = [], []
+    for table in tables:
+        longer = starts + (table.n - 1) < ends[row_of[starts]]
+        starts = starts[longer]
+        keys = ids[longer].astype(np.uint64, copy=False) * _ALPHABET + points[starts + (table.n - 1)]
+        ids, hashes = table.lookup(keys, starts, joined)
+        flat.append(row_of[starts] * dim + (hashes % dim).astype(np.intp))
+        signs.append(hashes >> 63)
+    # one bincount for all three sizes; over no grams it would give int64 zeros
+    flat = np.concatenate(flat)
+    if len(flat):
+        sums = np.bincount(flat, weights=1.0 - 2.0 * np.concatenate(signs), minlength=rows * dim)
+    else:
+        sums = np.zeros(rows * dim)
+    sums = sums.reshape(rows, dim)
+    squares = np.einsum("ij,ij->i", sums, sums)
+    empty = squares == 0.0
+    sums[empty, 0] = 1.0
+    squares[empty] = 1.0
+    sums /= np.sqrt(squares)[:, None]
+    return sums
+
+
+def _steps(texts: Sequence[str], dim: int):
+    """(start, stop) of each step: as many texts as fit _STEP_BYTES at
+    _POINT_BYTES a code point and 8 * dim bytes a row, and at least one."""
+    cost = np.cumsum(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) * _POINT_BYTES + 8 * dim)
+    start, spent = 0, 0
+    while start < len(texts):
+        stop = max(start + 1, int(np.searchsorted(cost, spent + _STEP_BYTES, side="right")))
+        yield start, stop
+        start, spent = stop, int(cost[stop - 1])
+
+
 class _Run(NamedTuple):
-    """Distinct grams in ascending key order: the key, id and keyed digest of each."""
+    """Distinct grams of the largest size in ascending key order: the key
+    and keyed digest of each."""
 
     keys: np.ndarray
-    ids: np.ndarray
     digests: np.ndarray
 
 
-def _merge(older: _Run, newer: _Run) -> _Run:
+class _IdRun(NamedTuple):
+    """Distinct grams of a smaller size in ascending key order: the key,
+    keyed digest and uint32 id of each; an id is the prefix of the keys of
+    the next size's grams."""
+
+    keys: np.ndarray
+    digests: np.ndarray
+    ids: np.ndarray
+
+
+def _merge(older, newer):
     """One run of the grams of two runs that share no key."""
-    # one position mask for all three arrays; np.insert sorts the positions
+    # one position mask for every array; np.insert sorts the positions
     # and builds a mask for each array it is called on
     at = np.searchsorted(older.keys, newer.keys) + np.arange(len(newer.keys))
     kept = np.ones(len(older.keys) + len(at), dtype=bool)
@@ -183,7 +227,7 @@ def _merge(older: _Run, newer: _Run) -> _Run:
         both[at] = new
         both[kept] = old
         merged.append(both)
-    return _Run(*merged)
+    return type(older)(*merged)
 
 
 class GramTables:
@@ -200,7 +244,7 @@ class GramTables:
 
     def __init__(self):
         self.seed: int | None = None
-        self.runs: tuple[_Run | None, ...] = ()
+        self.runs: tuple[_Run | _IdRun | None, ...] = ()
 
     @property
     def filled(self) -> bool:
@@ -213,22 +257,25 @@ class _GramTable:
     The call's grams sit in sorted runs after the base's. A step's fresh grams
     form a new run, merged into the run before it while that one is smaller
     than RUN_FLOOR or at most twice its size, so a call keeps O(log grams)
-    runs and copies each gram O(log grams) times. Ids go on from the base's,
-    so a key names one gram in the base and the call alike."""
+    runs and copies each gram O(log grams) times. With ``with_ids`` each
+    gram gets an id, going on from the base's, so a key names one gram in
+    the base and the call alike; the largest size keeps none, as no longer
+    gram's key is built from it."""
 
-    def __init__(self, n: int, keyed, base: _Run | None):
+    def __init__(self, n: int, keyed, base: _Run | _IdRun | None, with_ids: bool):
         self.n = n
         self.keyed = keyed
+        self.with_ids = with_ids
         self.runs = [] if base is None else [base]
         self.own = 0 if base is None else 1  # runs[:own] belong to the base
         self.count = 0 if base is None else len(base.keys)
 
-    def lookup(self, keys: np.ndarray, starts: np.ndarray, joined: str) -> tuple[np.ndarray, np.ndarray]:
-        """The id and the digest of each key, where the gram of ``keys[i]`` is
-        ``joined[starts[i]:][:n]``; each key in no run is hashed once and
-        added as a new run."""
+    def lookup(self, keys: np.ndarray, starts: np.ndarray, joined: str) -> tuple[np.ndarray | None, np.ndarray]:
+        """The id (None without ids) and the digest of each key, where the
+        gram of ``keys[i]`` is ``joined[starts[i]:][:n]``; each key in no run
+        is hashed once and added as a new run."""
         distinct, inverse = np.unique(keys, return_inverse=True)
-        ids = np.empty(len(distinct), dtype=np.uint64)
+        ids = np.empty(len(distinct), dtype=np.uint32) if self.with_ids else None
         digests = np.empty(len(distinct), dtype="<u8")
         missing = np.arange(len(distinct))
         for run in self.runs:
@@ -236,8 +283,9 @@ class _GramTable:
             at = np.searchsorted(run.keys, wanted).clip(max=len(run.keys) - 1)
             hit = run.keys[at] == wanted
             at, found = at[hit], missing[hit]
-            ids[found] = run.ids[at]
             digests[found] = run.digests[at]
+            if ids is not None:
+                ids[found] = run.ids[at]
             missing = missing[~hit]
         if len(missing):
             start_of = np.empty(len(distinct), dtype=np.intp)
@@ -249,21 +297,23 @@ class _GramTable:
             # benchmark runs with the join, in 4 of 10 without).
             fresh = _Run(
                 distinct[missing],
-                np.arange(self.count, self.count + len(grams), dtype=np.uint64),
                 np.fromiter(_digests(self.keyed, grams), dtype="S8", count=len(grams)).view("<u8"),
             )
-            self.count += len(grams)
-            ids[missing] = fresh.ids
             digests[missing] = fresh.digests
+            if ids is not None:
+                # past 2**32 grams of one size (some 80 GB of tables) np.arange raises OverflowError
+                fresh = _IdRun(*fresh, np.arange(self.count, self.count + len(grams), dtype=np.uint32))
+                self.count += len(grams)
+                ids[missing] = fresh.ids
             self.runs.append(fresh)
             while len(self.runs) - self.own > 1:
                 older, newer = self.runs[-2:]
                 if len(older.keys) >= RUN_FLOOR and len(older.keys) > 2 * len(newer.keys):
                     break
                 self.runs[-2:] = [_merge(older, newer)]
-        return ids[inverse], digests[inverse]
+        return None if ids is None else ids[inverse], digests[inverse]
 
-    def merged(self) -> _Run | None:
+    def merged(self) -> _Run | _IdRun | None:
         """The call's own grams as one run (None if it met none)."""
         while len(self.runs) - self.own > 1:
             self.runs[-2:] = [_merge(*self.runs[-2:])]

@@ -35,6 +35,15 @@ class ArgumentError(DataError):
     """An operation argument is out of its valid domain."""
 
 
+class PromptError(ArgumentError):
+    """A prompt of a sequence does not parse: ``index`` names it, ``reason`` says why."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"prompt {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
 class StateError(DataError):
     """Operation called on an object in the wrong state."""
 

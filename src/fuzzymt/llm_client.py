@@ -18,11 +18,11 @@ one record {id, text} per prompt of every batch that got its reply. The
 bundled mock server speaks the same protocol (and the embeddings shape) for
 offline end-to-end runs, and each reply depends only on the request's
 content. Both read each prompt with ``prompting.parse_prompt`` and answer 400
-to a request holding one it rejects. ``echo-fuzzy`` answers each prompt's last
-example target, even a blank one (never an earlier example's), or nothing
-without an example, and ``dictionary`` looks each query source up in a
-lexicon, answering 400, with the first source it lacks, to a request that
-holds one.
+to a request holding one it rejects, or a prompt or embedding input that is
+not a string. ``echo-fuzzy`` answers each prompt's last example target, even
+a blank one (never an earlier example's), or nothing without an example, and
+``dictionary`` looks each query source up in a lexicon, answering 400, with
+the first source it lacks, to a request that holds one.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Sequence, TextIO
 from . import _http
 from . import embedding as embedding_mod
 from .corpus import write_jsonl_records
-from .errors import ArgumentError, ContractViolationError, CorpusEncodingError, StateError, TransportError
+from .errors import ArgumentError, ContractViolationError, CorpusEncodingError, PromptError, StateError, TransportError
 from .prompting import STOP, RenderedPrompt, parse_prompt
 
 DEFAULT_BATCH_SIZE = 20
@@ -81,7 +81,8 @@ def make_batches(
     """Chunk prompts in order; each batch's max_tokens comes from its own prompts.
 
     max_tokens = (largest query source word count in the batch) * token_multiplier,
-    each query source as ``parse_prompt`` reads it (ArgumentError if it cannot).
+    each query source as ``parse_prompt`` reads it; PromptError names the
+    index of the first prompt it cannot read.
     """
     if batch_size <= 0:
         raise ArgumentError(f"batch_size must be positive, got {batch_size}")
@@ -92,7 +93,12 @@ def make_batches(
     elif len(ids) != len(prompts):
         raise ArgumentError(f"{len(prompts)} prompts vs {len(ids)} ids")
     params = params if params is not None else DecodingParams()
-    words = [len(parse_prompt(p.text)[1].split()) for p in prompts]
+    words = []
+    for i, prompt in enumerate(prompts):
+        try:
+            words.append(len(parse_prompt(prompt.text)[1].split()))
+        except ArgumentError as exc:
+            raise PromptError(i, str(exc)) from None
     return [
         TranslationRequestBatch(
             prompts=list(prompts[start : start + batch_size]),
@@ -227,10 +233,11 @@ class _MockHandler(BaseHTTPRequestHandler):
         else:
             self._reply(404, {"error": f"unknown path {self.path}"})
 
-    def _completions(self, payload: dict) -> None:
-        prompts = payload.get("prompt", [])
-        if isinstance(prompts, str):
-            prompts = [prompts]
+    def _completions(self, payload) -> None:
+        prompts = _texts(payload, "prompt")
+        if prompts is None:
+            self._reply(400, {"error": "'prompt' must be a string or a list of strings"})
+            return
         try:
             parsed = [parse_prompt(p) for p in prompts]
         except ArgumentError as exc:
@@ -250,10 +257,11 @@ class _MockHandler(BaseHTTPRequestHandler):
         choices = [{"index": i, "text": t} for i, t in enumerate(texts)]
         self._reply(200, {"choices": choices})
 
-    def _embeddings(self, payload: dict) -> None:
-        inputs = payload.get("input", [])
-        if isinstance(inputs, str):
-            inputs = [inputs]
+    def _embeddings(self, payload) -> None:
+        inputs = _texts(payload, "input")
+        if inputs is None:
+            self._reply(400, {"error": "'input' must be a string or a list of strings"})
+            return
         try:
             matrix = embedding_mod.embed_batch(inputs, self.state.provider)
         except (ArgumentError, CorpusEncodingError) as exc:  # no input, or a lone surrogate
@@ -261,6 +269,18 @@ class _MockHandler(BaseHTTPRequestHandler):
             return
         data = [{"index": i, "embedding": row} for i, row in enumerate(matrix.tolist())]
         self._reply(200, {"data": data})
+
+
+def _texts(payload, key: str) -> list[str] | None:
+    """``payload[key]`` as a list of strings, one string as a list of one and
+    a missing key as none; None for any other value or a payload that is no
+    JSON object."""
+    texts = payload.get(key, []) if isinstance(payload, dict) else None
+    if isinstance(texts, str):
+        return [texts]
+    if isinstance(texts, list) and all(isinstance(t, str) for t in texts):
+        return texts
+    return None
 
 
 class MockServerHandle:

@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from fuzzymt import _http
+from fuzzymt import _http, embedding
 from fuzzymt.ann_index import IvfConfig
 from fuzzymt.corpus import ParallelCorpus, SegmentPair
 from fuzzymt.embedding import EmbeddingProviderConfig
@@ -36,6 +36,13 @@ def synth_pair(i: int, rng: random.Random) -> SegmentPair:
 def synth_corpus(n: int, seed: int = 0, id_offset: int = 0) -> ParallelCorpus:
     rng = random.Random(seed)
     return ParallelCorpus([synth_pair(i + id_offset, rng) for i in range(n)])
+
+
+def step_texts(length: int, dim: int) -> int:
+    """The texts of ``length`` code points that one step of the deterministic
+    provider holds: the most for texts at least that long."""
+    most = embedding._STEP_BYTES // (8 * dim) + 1
+    return next(embedding._steps(["x" * length] * most, dim))[1]
 
 
 @pytest.fixture

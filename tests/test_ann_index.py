@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -329,6 +330,120 @@ class TestExactTies:
             for q, hits in zip(queries, many):
                 rows = [row_of[i] for i in exact_probe_ids(index, q, nprobe).tolist()]
                 assert [(h.id, h.score) for h in hits] == exact_top(vectors, ids, rows, q, k)
+
+
+def partition_kth_best(approx, k):
+    """Each row's k-th largest entry, as a column, by a partition of the negated scores."""
+    neg = -approx
+    neg.partition(k - 1, axis=1)
+    return -neg[:, k - 1, None]
+
+
+def partition_search_block(self, queries, k, nprobe):
+    """``IvfIndex._search_block`` as it selected before its row-max passes: a
+    float64 copy of the queries, an all-true mask filled with -inf, the
+    k-th best by ``partition_kth_best`` and a 2-D nonzero."""
+    q64 = np.asarray(queries, dtype=np.float64)
+    q32 = q64.astype(np.float32)
+    q_norm = math.sqrt(float(np.einsum("ij,ij->i", q64, q64).max()))
+    rows, vecs = None, self._vecs
+    keep = None
+    if nprobe < self.config.nlist:
+        probed = self._probe(q64, q32, q_norm, nprobe)
+        used = probed.any(axis=0)
+        n_used = np.count_nonzero(used)
+        if n_used < len(used):
+            rows = np.flatnonzero(used[self._row_list])
+            vecs = self._vecs[rows]
+        if np.count_nonzero(probed) < len(q64) * n_used:
+            keep = probed[:, self._row_list if rows is None else self._row_list[rows]]
+    if len(vecs) == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+    if keep is None:
+        keep = np.ones((len(q64), len(vecs)), dtype=bool)
+    if len(vecs) > 2 * k:
+        approx = q32 @ vecs.T
+        approx[~keep] = -np.inf
+        margin = 2.0 * self._error_bound(q_norm, self._vec_norm)
+        keep = keep & ~(approx < partition_kth_best(approx, k) - margin)
+    qi, col = np.nonzero(keep)
+    if rows is not None:
+        col = rows[col]
+    scores = self._exact_scores(self._vecs, col, q64, qi)
+    ids = self._ids[col]
+    order = np.lexsort((ids, -scores, qi))
+    best = order[(np.arange(len(qi)) - np.searchsorted(qi, qi)) < k]
+    return qi[best], ids[best], scores[best]
+
+
+# float32 scores with many ties and many masked (-inf) entries, so that rows
+# hold fewer than k finite entries, or none
+_TIED = st.sampled_from([-np.inf] * 5 + [-2.5, -1.0, 0.0, 0.0, 1e-30, 0.5, 1.0, 1.0, 3.0, float(np.finfo(np.float32).max)])
+
+
+class TestSelection:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 12)),
+        data=st.data(),
+    )
+    def test_kth_best_is_partition(self, shape, data):
+        values = data.draw(st.lists(_TIED, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        approx = np.array(values, dtype=np.float32).reshape(shape)
+        kept = approx.copy()
+        for k in range(1, min(ann_index._ARGMAX_MAX_K + 1, shape[1]) + 1):
+            got = ann_index._kth_best(approx, k)
+            assert got.shape == (shape[0], 1) and got.dtype == np.float32
+            assert got.tobytes() == partition_kth_best(kept, k).tobytes()
+            # the found entries are restored
+            assert approx.tobytes() == kept.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nlist=st.sampled_from([1, 3]),
+        k=st.integers(1, ann_index._ARGMAX_MAX_K + 2),
+        float32_queries=st.booleans(),
+    )
+    def test_hits_equal_partition_selection_on_duplicates(self, seed, nlist, k, float32_queries):
+        rng = np.random.default_rng(seed)
+        base = unit_rows(12, 8, seed=seed % 1000)
+        # every row recurs: exact copies and copies one ulp apart
+        rows = np.concatenate([base, base, nudged(rng, base), base[rng.integers(12, size=20)]])
+        ids = rng.permutation(len(rows)) * 2 + 5
+        index = train(rows, IvfConfig(dim=8, nlist=nlist, nprobe=nlist, kmeans_iters=4, seed=0))
+        index.add(zip(ids.tolist(), rows))
+        queries = np.concatenate([rows[rng.integers(len(rows), size=6)], rng.normal(size=(4, 8))])
+        queries = queries.astype(np.float32 if float32_queries else np.float64)
+        for nprobe in range(1, nlist + 1):
+            got = index.search_many(queries, k, nprobe)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ann_index, "_kth_best", partition_kth_best)
+                patch.setattr(IvfIndex, "_search_block", partition_search_block)
+                want = index.search_many(queries, k, nprobe)
+            assert [[(h.id, h.score) for h in hits] for hits in got] == [[(h.id, h.score) for h in hits] for hits in want]
+
+    @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
+    # the float32 matmul reports its overflow, and inf - inf at the k-th best score
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("nlist", [1, 3])
+    def test_overflowing_float32_scores_rescored_exactly(self, nlist):
+        # entries of 1e19: float32 partial sums overflow to +/-inf, and to NaN where they
+        # meet, so the error bound is infinite and every candidate is re-scored in float64
+        rng = np.random.default_rng(5)
+        rows = (rng.choice([-1e19, 1e19], size=(30, 6)) * rng.integers(0, 2, size=(30, 6))).astype(np.float32)
+        rows[10:20] = rows[:10]
+        index = train(rows, IvfConfig(dim=6, nlist=nlist, nprobe=nlist, kmeans_iters=4, seed=0))
+        index.add(enumerate(rows))
+        queries = rows[:5] + np.float32(1e18)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(queries @ rows.T).all()
+        assert (index._error_bound(ann_index._max_norm(queries), index._vec_norm) == math.inf)
+        for k in (1, 2, 7):
+            for q, hits in zip(queries, index.search_many(queries, k)):
+                assert [(h.id, h.score) for h in hits] == exact_top(rows, np.arange(30), np.arange(30), q, k)
 
 
 @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")

@@ -8,18 +8,19 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from fuzzymt import cli, retrieval
+from fuzzymt import cli, llm_client, retrieval
 from fuzzymt.ann_index import IvfConfig
 from fuzzymt.corpus import write_tsv
 from fuzzymt.embedding import EmbeddingProviderConfig
 from fuzzymt.eval_harness import ExperimentConfig
 from fuzzymt.finetune_export import LoraConfig, MixSpec, TrainingArgs
 from fuzzymt.llm_client import DecodingParams, run_mock_server
-from fuzzymt.prompting import LanguageNames
+from fuzzymt.prompting import LanguageNames, parse_prompt
 
 from conftest import local_endpoint, synth_corpus
 
@@ -690,6 +691,26 @@ class TestTranslateEvaluateReport:
         assert [json.loads(line) for line in stdout.splitlines()] == [{"id": p.id, "text": p.target} for p in pairs]
         assert request["prompt"][0].startswith("French: ") and request["prompt"][0].endswith("\nGerman:")
         assert request["max_tokens"] == max(len(p.source.split()) for p in pairs) * 4
+
+    def test_translate_parses_each_prompt_once(self, corpus_tsv, tmp_path, capsys, monkeypatch):
+        prompts_path = str(tmp_path / "prompts.jsonl")
+        code, _, _ = run_cli(["prompts", "--in", corpus_tsv, "--condition", "zero-shot", "--out", prompts_path], capsys)
+        assert code == 0
+        parsed = []
+        # the mock server's thread parses the prompts it receives too; only this thread counts
+        main = threading.current_thread()
+
+        def counted(text):
+            if threading.current_thread() is main:
+                parsed.append(text)
+            return parse_prompt(text)
+
+        for module in (cli.prompting, llm_client):
+            monkeypatch.setattr(module, "parse_prompt", counted)
+        with run_mock_server("echo-fuzzy") as server:
+            code, stdout, _ = run_cli(["translate", "--in", prompts_path, "--endpoint", server.endpoint], capsys)
+        assert code == 0 and len(stdout.splitlines()) == 12
+        assert len(parsed) == len(set(parsed)) == 12
 
     def test_transport_failure_exit_3(self, corpus_tsv, tmp_path, capsys, sleeps):
         prompts_path = str(tmp_path / "prompts.jsonl")

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzymt import _http, embedding
-from fuzzymt.embedding import CHUNK, NGRAM_SIZES, EmbeddingProviderConfig, embed_batch
+from fuzzymt.embedding import NGRAM_SIZES, EmbeddingProviderConfig, embed_batch
 from fuzzymt.errors import ArgumentError, ContractViolationError, CorpusEncodingError, ProviderError
 from fuzzymt.llm_client import run_mock_server
 
-from conftest import local_endpoint
+from conftest import local_endpoint, step_texts
 from oracles import deterministic_embed_reference
 
 
@@ -79,14 +79,18 @@ _ORACLE_TEXTS = st.text(st.sampled_from("abcİıß ñé\U0001F600\U00010400"), m
 class TestOracle:
     @settings(max_examples=60, deadline=None)
     @given(
-        texts=st.lists(_ORACLE_TEXTS, min_size=1, max_size=2 * CHUNK + 3),
+        texts=st.lists(_ORACLE_TEXTS, min_size=1, max_size=131),
         dim=st.sampled_from([1, 2, 7, 384]),
         seed=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        # from one text a step to steps of dozens of short texts
+        step_bytes=st.integers(1, 40_000),
     )
-    def test_batch_bytes_match_frozen_per_text(self, texts, dim, seed):
+    def test_batch_bytes_match_frozen_per_text(self, texts, dim, seed, step_bytes):
         cfg = EmbeddingProviderConfig(kind="deterministic-test", dim=dim, seed=seed)
         expected = np.stack([deterministic_embed_reference(t, dim, seed) for t in texts])
-        assert embed_batch(texts, cfg).tobytes() == expected.tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedding, "_STEP_BYTES", step_bytes)
+            assert embed_batch(texts, cfg).tobytes() == expected.tobytes()
 
     def test_cancelling_rows_take_basis_vector(self):
         # at dim 1 every gram lands in bucket 0; a 5-character text has six
@@ -97,7 +101,9 @@ class TestOracle:
         assert embed_batch(texts, cfg).tobytes() == expected.tobytes()
 
     def test_rows_cross_chunk_boundary(self, det_provider):
-        texts = [f"segmento número {i} del lote" for i in range(2 * CHUNK + 1)]
+        per_step = step_texts(len("segmento número 0 del lote"), det_provider.dim)
+        texts = [f"segmento número {i} del lote" for i in range(2 * per_step + 1)]
+        assert len(list(embedding._steps(texts, det_provider.dim))) >= 3
         expected = np.stack([deterministic_embed_reference(t, det_provider.dim, det_provider.seed) for t in texts])
         assert embed_batch(texts, det_provider).tobytes() == expected.tobytes()
 
@@ -138,9 +144,10 @@ class TestCallWideTable:
         # not fit a uint64 packed side by side
         pool = [chr(c) for c in [*range(0x4E00, 0xA000), *range(0x20000, 0x30000)]]
         random.Random(0).shuffle(pool)
-        texts = ["".join(pool[i : i + 260]) for i in range(0, 4 * CHUNK * 260, 260)]
-        texts += texts[:CHUNK]  # a fifth chunk of grams already in the table
-        # two 3-grams, four chunks apart, with one key if code points had 16 bits each
+        per_step = step_texts(260, 384)
+        texts = ["".join(pool[i : i + 260]) for i in range(0, 5 * per_step * 260, 260)]
+        texts += texts[:per_step]  # a sixth step of grams already in the table
+        # two 3-grams, five steps apart, with one key if code points had 16 bits each
         texts[0] += "\u4e00\U00020005\u4e10"
         texts[-1] += "\u4e01\U00010005\u4e10"
         assert len(set("".join(texts))) > 2**16
@@ -168,14 +175,58 @@ class TestCallWideTable:
                 tracemalloc.stop()
             return peak - matrix.nbytes
 
-        assert peak_beyond_output(64 * CHUNK) <= 2 * peak_beyond_output(CHUNK)
+        per_step = step_texts(min(map(len, _SENTENCES)), EmbeddingProviderConfig().dim)
+        assert peak_beyond_output(64 * per_step) <= 2 * peak_beyond_output(per_step)
+
+
+_WORDS = " ".join(_SENTENCES).split()
+
+
+class TestSteps:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 3000), min_size=1, max_size=300),
+        dim=st.sampled_from([1, 64, 384]),
+        step_bytes=st.integers(1, 1 << 20),
+    )
+    def test_steps_cover_texts_within_the_bound(self, lengths, dim, step_bytes):
+        texts = ["x" * n for n in lengths]
+        cost = [n * embedding._POINT_BYTES + 8 * dim for n in lengths]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedding, "_STEP_BYTES", step_bytes)
+            steps = list(embedding._steps(texts, dim))
+        assert [start for start, _ in steps] == [0] + [stop for _, stop in steps[:-1]]
+        assert steps[-1][1] == len(texts)
+        for start, stop in steps:
+            # a step of more than one text fits the bound, and the next text would not have
+            assert stop - start == 1 or sum(cost[start:stop]) <= step_bytes
+            assert stop == len(texts) or sum(cost[start : stop + 1]) > step_bytes
+
+    @pytest.mark.parametrize(
+        "texts",
+        [[chr(0x61 + i % 26) for i in range(20_000)],
+         [" ".join(_WORDS[(i + j) % len(_WORDS)] for j in range(40)) for i in range(2_000)]],
+        ids=["one-character", "forty-words"],
+    )
+    def test_peak_beyond_output_within_step_bytes(self, texts):
+        # one-character texts have no gram: only their rows bound a step
+        tracemalloc.start()
+        try:
+            matrix = embed_batch(texts, EmbeddingProviderConfig(kind="deterministic-test"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - matrix.nbytes <= 1.25 * embedding._STEP_BYTES
+
+
+_CLEAN_STEP = step_texts(len("texto limpio"), 64)  # the texts a step of det_provider holds
 
 
 class TestLoneSurrogate:
     @pytest.mark.parametrize(
         "texts, index",
         [(["ab\ud800cd"], 0), (["\ud800"], 0), (["uno", "dos\udfff"], 1),
-         (["texto limpio"] * (CHUNK + 3) + ["x\udc00"], CHUNK + 3)],
+         (["texto limpio"] * (_CLEAN_STEP + 3) + ["x\udc00"], _CLEAN_STEP + 3)],
         ids=["inside", "alone", "second", "later-chunk"],
     )
     def test_typed_error_names_index(self, det_provider, texts, index):

@@ -6,7 +6,7 @@ import pytest
 
 from fuzzymt import _http
 from fuzzymt.embedding import EmbeddingProviderConfig, embed_batch
-from fuzzymt.errors import ArgumentError, ContractViolationError, TransportError
+from fuzzymt.errors import ArgumentError, ContractViolationError, PromptError, TransportError
 from fuzzymt.llm_client import (
     DecodingParams,
     TranslationRequestBatch,
@@ -71,6 +71,11 @@ class TestMakeBatches:
         with pytest.raises(ArgumentError, match="target stub"):
             make_batches(_prompts(["a"]) + [RenderedPrompt("Spanish: b")])
 
+    def test_prompt_that_does_not_parse_named_by_index(self):
+        with pytest.raises(PromptError, match="prompt 2: prompt must end") as err:
+            make_batches(_prompts(["a", "b"]) + [RenderedPrompt("Spanish: b")] + _prompts(["c"]))
+        assert (err.value.index, err.value.reason) == (2, "prompt must end with the bare target stub line")
+
     def test_ids_preserved_in_order(self):
         sources = ["x", "y", "z"]
         batches = make_batches(_prompts(sources), batch_size=2, ids=[7, 8, 9])
@@ -105,6 +110,21 @@ class TestMockServerModes:
         with run_mock_server(mode, fixtures={"a": "b"}) as server:
             reply = _http.post_json(server.endpoint + "/v1/completions", {"prompt": ["Spanish: a"]})
         assert reply.status == 400 and "target stub" in reply.error
+
+    @pytest.mark.parametrize("path, payload", [
+        ("/v1/completions", {"prompt": [5]}),
+        ("/v1/completions", {"prompt": ["Spanish: a\nEnglish:", None]}),
+        ("/v1/completions", {"prompt": 5}),
+        ("/v1/embeddings", {"input": [5]}),
+        ("/v1/embeddings", {"input": {"text": "a"}}),
+        ("/v1/completions", [1, 2]),
+    ], ids=["int-prompt", "null-prompt", "prompt-not-a-list", "int-input", "object-input", "not-an-object"])
+    def test_value_that_is_no_text_400_once(self, sleeps, path, payload):
+        with run_mock_server("echo-fuzzy", embed_dim=16) as server:
+            reply = _http.post_json(server.endpoint + path, payload)
+        assert (reply.status, reply.attempts) == (400, 1)
+        assert "must be a string or a list of strings" in reply.error
+        assert sleeps == []
 
     def test_dictionary_lookup(self):
         with run_mock_server("dictionary", fixtures={"Hola.": "Hello."}) as server:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from fuzzymt import embedding, retrieval
 from fuzzymt.ann_index import IvfConfig
 from fuzzymt.corpus import ParallelCorpus, SegmentPair, read_jsonl
-from fuzzymt.embedding import CHUNK, NGRAM_SIZES, EmbeddingProviderConfig
+from fuzzymt.embedding import NGRAM_SIZES, EmbeddingProviderConfig
 from fuzzymt.errors import ArgumentError, CorpusEncodingError, SizeError, StateError, StoreError
 from fuzzymt.llm_client import run_mock_server
 from fuzzymt.retrieval import (
@@ -25,7 +25,7 @@ from fuzzymt.retrieval import (
     write_retrieval_dump,
 )
 
-from conftest import synth_corpus
+from conftest import step_texts, synth_corpus
 from oracles import deterministic_embed_reference
 from test_embedding import _CountingBlake2b
 
@@ -294,6 +294,8 @@ _CONTEXT = [
     "Consulte a su médico antes de interrumpir la medicación.",
     "Conservar en lugar fresco y seco, lejos de la luz.",
 ]
+# the most texts of _CONTEXT that a step at dim 64 holds
+_CONTEXT_STEP = step_texts(min(map(len, _CONTEXT)), 64)
 _NEAR = ["El paciente presenta una mejoría leve tras la cirugía.", "La dosis máxima es de tres comprimidos al día."]
 _OTHER = ["Mantener fuera de la vista y del alcance de los niños.", "No se han descrito interacciones con otros fármacos."]
 
@@ -308,27 +310,32 @@ class TestStoreGrams:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        context=st.lists(_ACCENTED, min_size=1, max_size=CHUNK + 5),
-        queries=st.lists(_ACCENTED, min_size=1, max_size=CHUNK + 5),
-        picks=st.lists(st.integers(0, 10**6), max_size=CHUNK),
+        context=st.lists(_ACCENTED, min_size=1, max_size=69),
+        queries=st.lists(_ACCENTED, min_size=1, max_size=69),
+        picks=st.lists(st.integers(0, 10**6), max_size=64),
         dim=st.sampled_from([1, 7, 64]),
         seed=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        # from one text a step to steps of dozens of short texts
+        step_bytes=st.integers(1, 20_000),
     )
-    def test_query_rows_match_reference(self, context, queries, picks, dim, seed):
+    def test_query_rows_match_reference(self, context, queries, picks, dim, seed, step_bytes):
         # corpus texts, and corpus texts with a query text appended, among the queries
         queries = queries + [context[p % len(context)] + queries[p % len(queries)][: p % 5] for p in picks]
         provider = EmbeddingProviderConfig(kind="deterministic-test", dim=dim, seed=seed)
-        store = build_context_store(pairs_of(context), provider, IvfConfig(dim=dim, nlist=1, nprobe=1))
         expected = np.stack([deterministic_embed_reference(t, dim, seed) for t in queries])
-        assert embedding.embed_batch(queries, provider, base=store.grams).tobytes() == expected.tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedding, "_STEP_BYTES", step_bytes)
+            store = build_context_store(pairs_of(context), provider, IvfConfig(dim=dim, nlist=1, nprobe=1))
+            assert embedding.embed_batch(queries, provider, base=store.grams).tobytes() == expected.tobytes()
 
     def test_wide_alphabet_query_rows_match_reference(self):
         pool = [chr(c) for c in [*range(0x4E00, 0xA000), *range(0x20000, 0x30000)]]
         random.Random(1).shuffle(pool)
-        context = ["".join(pool[i : i + 200]) for i in range(0, 2 * CHUNK * 200, 200)]
+        per_step = step_texts(200, 384)
+        context = ["".join(pool[i : i + 200]) for i in range(0, 2 * per_step * 200, 200)]
         # every other query is a corpus text with one character changed, so
         # known and fresh grams meet in every step, across three steps
-        queries = [t[:100] + pool[-1 - i] + t[101:] if i % 2 else t for i, t in enumerate(context + context[:CHUNK])]
+        queries = [t[:100] + pool[-1 - i] + t[101:] if i % 2 else t for i, t in enumerate(context + context[:per_step])]
         provider = EmbeddingProviderConfig(kind="deterministic-test", dim=384, seed=9)
         store = build_context_store(pairs_of(context), provider, IvfConfig(dim=384, nlist=1, nprobe=1))
         expected = np.stack([deterministic_embed_reference(t, 384, 9) for t in queries])
@@ -396,7 +403,7 @@ class TestStoreGrams:
             assert sent(server) == _CONTEXT + _CONTEXT + _NEAR
 
     @pytest.mark.parametrize("queries, index", [
-        (["uno", "dos\ud800"], 1), (_CONTEXT * (CHUNK // 4) + _NEAR + ["x\udc00"], CHUNK + 2),
+        (["uno", "dos\ud800"], 1), (_CONTEXT * (_CONTEXT_STEP // 4) + _NEAR + ["x\udc00"], 4 * (_CONTEXT_STEP // 4) + 2),
     ], ids=["first-step", "later-step"])
     def test_lone_surrogate_names_query(self, built, queries, index):
         kept = frozen_copy(built.grams)
@@ -424,5 +431,6 @@ class TestStoreGrams:
             tracemalloc.stop()
         distinct = len(grams_of(sources))
         assert distinct > 50_000
-        # the store keeps its table, at most 32 bytes a gram (keys, ids and digests take 8 each)
-        assert 8 * distinct <= table <= 32 * distinct
+        # the store keeps its table, at most 20 bytes a gram (keys and digests take 8
+        # each, and ids 4, but none for the largest size)
+        assert 8 * distinct <= table <= 20 * distinct
