@@ -302,7 +302,9 @@ class IvfIndex:
             return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
         # with at most 2k rows the float32 pass would keep nearly all of them
         if len(vecs) > 2 * k:
-            approx = q32 @ vecs.T
+            # float32 may overflow; then the error bound is infinite and every row is re-scored
+            with np.errstate(over="ignore"):
+                approx = q32 @ vecs.T
             if keep is not None:
                 approx[~keep] = -np.inf
             within = _within(approx, k, 2.0 * self._error_bound(q_norm, self._vec_norm))
@@ -322,16 +324,18 @@ class IvfIndex:
     def _probe(self, queries, q32, q_norm: float, nprobe: int) -> np.ndarray:
         """Boolean (queries, nlist): each query's nprobe best lists by exact
         float64 score, ties to the lower centroid index."""
-        approx = q32 @ self.centroids.T
         margin = 2.0 * self._error_bound(q_norm, self._centroid_norm)
-        kth = _kth_best(approx, nprobe)
-        maybe = ~(approx < kth - margin)
-        # each query has at least nprobe lists that may be among its best;
-        # when it has exactly nprobe, they are
-        if np.count_nonzero(maybe) == nprobe * len(queries):
-            return maybe
-        # only lists within the error bound of the boundary need their exact score
-        probed = approx > kth + margin
+        # float32 may overflow, and inf - inf is NaN: an infinite bound keeps every list
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx = q32 @ self.centroids.T
+            kth = _kth_best(approx, nprobe)
+            maybe = ~(approx < kth - margin)
+            # each query has at least nprobe lists that may be among its best;
+            # when it has exactly nprobe, they are
+            if np.count_nonzero(maybe) == nprobe * len(queries):
+                return maybe
+            # only lists within the error bound of the boundary need their exact score
+            probed = approx > kth + margin
         qi, cent = np.nonzero(maybe & ~probed)
         scores = self._exact_scores(self.centroids, cent, queries, qi)
         order, rank = _rank_per_query(qi, cent, scores)
@@ -462,7 +466,8 @@ def _kth_best(approx: np.ndarray, k: int) -> np.ndarray:
 def _within(approx: np.ndarray, k: int, margin: float) -> np.ndarray:
     """Entries whose float32 score may still be among the row's k best once
     every score is exact: within ``margin`` of the k-th best. NaN is kept."""
-    return ~(approx < _kth_best(approx, k) - margin)
+    with np.errstate(invalid="ignore"):  # inf - inf, with an infinite margin
+        return ~(approx < _kth_best(approx, k) - margin)
 
 
 def _rank_per_query(qi: np.ndarray, tie: np.ndarray, scores: np.ndarray):

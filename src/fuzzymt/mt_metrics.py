@@ -19,12 +19,25 @@ rounds. Hypotheses are padded on the left to one length and references on
 the right, and each hypothesis word has a cost row against its own
 reference, so one int32 DP table holds every unfinished pair. Each round
 computes that table, walks one backtrace per pair to flag its misaligned
-words, lists every allowed block move of every pair as one batch, and
-scores the moves in one DP that runs in blocks of bounded size; a move's DP
-starts at the table row where the prefix it shares with its hypothesis
-ends. Each pair then applies its largest positive gain or drops out. Pairs
-never mix, so each pair's edit count is that of a search run on it alone;
-a corpus whose table would exceed the byte bound runs as two halves.
+words and lists every allowed block move. The moves are listed and scored
+in chunks whose working arrays stay under a byte bound, as does the table:
+a corpus whose table would exceed it runs as two halves. Each pair then
+applies its first largest positive gain or drops out; one whose distance
+reaches |n - m| is done, since no shift brings it lower. Pairs never mix,
+so each pair's edit count is that of a search run on it alone.
+
+A move is scored with Myers' bit-parallel edit distance (J. ACM 46(3),
+1999) in Hyyrö's form for a global distance, which keeps a DP row as the
+bit vectors of its +1 and -1 steps along the reference, 64 tokens to a
+uint64 word. Each hypothesis word gets its match mask, bit j set where it
+equals reference token j, once per call. A move's result shares its first
+lo rows with its hypothesis, so its DP starts from that row of the table:
+VP where F[j + 1] - F[j] is 0 and VN where it is -2 (F as in ``_dp_step``).
+Each later word costs about a dozen word operations; a reference past 64
+tokens spans several words, and the sum's carry and the bits shifted out
+of each word pass to the next. F at column m is the sum of its first m
+differences: the VP bits below m less the VN bits, less m, so each move's
+edit count equals that of the row DP.
 
 Fixed settings, chosen to match dominant community defaults:
 
@@ -230,8 +243,10 @@ def chrf_pp(pairs: Sequence[EvalPair]) -> MetricScore:
 # -- TER ------------------------------------------------------------------------
 
 # bound in bytes on a chunk of pairs' DP table and on the working arrays of a
-# block of shift candidates
+# chunk of shift candidates
 _TER_BLOCK_BYTES = 1 << 18
+# the number of set bits of each byte
+_BYTE_ONES = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _dp_step(prev: np.ndarray, cost: np.ndarray, out: np.ndarray) -> None:
@@ -249,52 +264,122 @@ def _dp_step(prev: np.ndarray, cost: np.ndarray, out: np.ndarray) -> None:
     np.minimum.accumulate(out, axis=1, out=out)
 
 
-def _block_moves(table: np.ndarray, costs: np.ndarray, n: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every allowed block move of every pair, in (pair, start, length, dest) order.
+def _bit_words(values: np.ndarray, *keys) -> np.ndarray:
+    """For each of ``keys``, the rows of ``values == key`` as uint64 words:
+    bit j of a row is bit j % 64 of its word j // 64, and bits past the
+    row's end are 0."""
+    width = values.shape[-1]
+    bits = np.zeros((len(keys),) + values.shape[:-1] + (-(-width // 8) * 8,), dtype=bool)
+    for key, out in zip(keys, bits):
+        np.equal(values, key, out=out[..., :width])
+    packed = np.packbits(bits, bitorder="little").reshape(bits.shape[:-1] + (-1,))
+    words = np.zeros(bits.shape[:-1] + (-(-width // 64) * 8,), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view("<u8")
+
+
+def _bit_step(vp: np.ndarray, vn: np.ndarray, eq: np.ndarray) -> None:
+    """Advance the bit-vector DP row of each entry by one word, in place.
+
+    Bit j of a row of ``vp`` (``vn``) is set where D[j + 1] - D[j] is +1
+    (-1) in the entry's DP row, and bit j of ``eq`` where the word equals
+    reference token j. The step is Myers' (J. ACM 46(3), 1999) in Hyyrö's
+    form for a global distance, written with NH = ~HP: D[0] grows by one per
+    word, so a 0 enters NH at bit 0. The words of a row run from the lowest,
+    each passing its sum's carry and its shifted-out bits to the next. Bits
+    past a reference's end hold garbage, which moves only upwards.
+    """
+    words = vp.shape[1]
+    for w in range(words):
+        p, q = vp[:, w], vn[:, w]
+        x = eq[:, w] | q
+        match = x & p
+        d0 = match + p
+        if w:
+            d0 += carry
+        if w + 1 < words:
+            carry = (match | (p & ~d0)) >> 63
+        d0 ^= p
+        d0 |= x  # D[i][j] == D[i-1][j-1]
+        nh = d0 | p
+        nh ^= q  # D[i][j] - D[i-1][j] < 1
+        hn = p & d0  # D[i][j] - D[i-1][j] == -1
+        top = (nh >> 63, hn >> 63) if w + 1 < words else None
+        nh += nh  # a shift up by one bit
+        hn += hn
+        if w:
+            nh |= low[0]
+            hn |= low[1]
+        low = top
+        np.bitwise_and(d0, nh, out=x)
+        np.bitwise_xor(d0, x, out=q)
+        np.bitwise_xor(nh, x, out=x)
+        np.bitwise_or(hn, x, out=p)
+
+
+def _block_moves(table: np.ndarray, costs: np.ndarray, match: np.ndarray, n: np.ndarray,
+                 m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every allowed block move of every pair, grouped by block in (pair,
+    start, length) order, and the running count of moves after each block.
 
     ``costs`` are the (depth, pairs, width) cost rows of the left-padded
-    hypotheses, so a pair's words sit in its last ``n`` rows. A block of
+    hypotheses, so a pair's words sit in its last ``n`` rows, and ``match``
+    is (width, depth, pairs) where they are -2. A block of
     1..TER_MAX_SHIFT_SIZE words holds a misaligned word and is found in the
     reference; it moves at most TER_MAX_SHIFT_DIST positions. A word is
     misaligned unless its pair's one DP backtrace, from the last row and
-    column m, aligns it with an equal reference word; all walks step
-    together over the flattened table, ties preferring a diagonal step, then
-    a hypothesis-side deletion. A move is returned as int32 (pair, lo, span,
-    turn): it turns the words lo..lo + span - 1 left by ``turn``.
+    column m, aligns it with an equal reference word. Within a row the walk
+    runs left to the first cell that steps up, preferring a diagonal step,
+    then a hypothesis-side deletion; all walks climb one row per step over
+    the flattened table. A block is returned as int64 (pair, start, length,
+    offset): its moves are numbered on from the previous block's running
+    count, and move g lands the block at dest = g + offset, counted in the
+    hypothesis without the block, so that one at its own start is skipped.
     """
-    match = costs == -2
-    diag = table[1:, :, 1:] == table[:-1, :, :-1] + costs
-    plane = table[0].size
-    back = np.full(table.shape, -1, dtype=np.int32)
-    back[1:][table[1:] == table[:-1]] = -plane
-    back[1:, :, 1:][diag] = -plane - 1
-    back[0, :, 0] = 0
-    path = np.empty((int((n + m).max()) + 1, len(n)), dtype=np.intp)
-    path[0], back = (len(table) - 1) * plane + np.arange(len(n)) * table.shape[2] + m, back.ravel()
-    for k in range(len(path) - 1):
-        np.add(path[k], back[path[k]], out=path[k + 1])
-    seen = np.zeros(table.size, dtype=bool)
-    seen[path] = True
-    herr = ~(seen.reshape(table.shape)[1:, :, 1:] & diag & match).any(axis=2)
-    depth = match.shape[0]
-    valid = np.zeros((match.shape[1], depth, TER_MAX_SHIFT_SIZE), dtype=bool)
-    block, err = match, herr
-    for size in range(min(TER_MAX_SHIFT_SIZE, depth, match.shape[2])):
+    depth, pairs, cols = costs.shape[0], costs.shape[1], table.shape[2]
+    diag = np.zeros((depth, pairs, cols), dtype=bool)
+    np.equal(table[1:, :, 1:], table[:-1, :, :-1] + costs, out=diag[:, :, 1:])
+    # the flat index of the cell where a walk that enters a row at a cell
+    # leaves it; column 0 steps up, so the running maximum stays in its row
+    cell = np.arange(diag.size, dtype=np.int32)
+    stop = np.maximum.accumulate(np.where((diag | (table[1:] == table[:-1])).ravel(), cell, 0))
+    # and of the cell where it enters the row above
+    up = stop - diag.ravel()[stop] - pairs * cols
+    diag[:, :, 1:] &= match.transpose(1, 2, 0)
+    aligned = diag.ravel()[stop]
+    path = np.empty((depth, pairs), dtype=np.int32)
+    np.add(cell[-pairs * cols :: cols], m, out=path[0])
+    for k in range(1, depth):
+        up.take(path[k - 1], out=path[k])
+    word = np.arange(depth)[:, None]
+    # the first misaligned word at or after each word, and the longest block from it found in the reference
+    misaligned = np.minimum.accumulate(np.where(aligned[path[::-1]], depth, word)[::-1], axis=0)[::-1]
+    longest = np.zeros((depth, pairs), dtype=np.intp)
+    found = match
+    for size in range(min(TER_MAX_SHIFT_SIZE, depth, cols - 1)):
         if size:
-            block, err = block[:-1, :, :-1] & match[size:, :, size:], err[:-1] | herr[size:]
-        found = block.any(axis=2)
-        if not found.any():
+            found = found[:-1, :-1] & match[size:, size:]
+        hit = np.logical_or.reduce(found, axis=0)
+        if not np.logical_or.reduce(hit, axis=None):
             break
-        valid[:, : depth - size, size] = (found & err).T
-    pair, start, length = np.array(np.nonzero(valid), dtype=np.int32)
+        longest[: depth - size] += hit
+    size = np.arange(1, TER_MAX_SHIFT_SIZE + 1)
+    pair, start, length = (((misaligned - word).T[..., None] < size) & (size <= longest.T[..., None])).nonzero()
     length += 1
     lo = np.maximum(start - TER_MAX_SHIFT_DIST, depth - n[pair])
     count = np.minimum(depth - length, start + TER_MAX_SHIFT_DIST) - lo
-    move = np.repeat(np.arange(len(pair), dtype=np.int32), count)
-    dest = np.arange(len(move), dtype=np.int32) - np.repeat((np.cumsum(count) - count - lo).astype(np.int32), count)
-    pair, start, length = pair[move], start[move], length[move]
+    ends = count.cumsum()
+    return np.array((pair, start, length, lo - ends + count)), ends
+
+
+def _listed_moves(blocks: np.ndarray, ends: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Moves ``index`` of ``_block_moves`` as int32 rows (pair, lo, span, turn):
+    a move turns the words lo..lo + span - 1 left by ``turn``."""
+    pair, start, length, offset = blocks[:, ends.searchsorted(index, side="right")]
+    dest = index + offset
     dest += dest >= start
-    return pair, np.minimum(start, dest), np.abs(dest - start) + length, np.where(dest > start, length, start - dest)
+    turn = np.where(dest > start, length, start - dest)
+    return np.array((pair, np.minimum(start, dest), np.abs(dest - start) + length, turn), dtype=np.int32)
 
 
 def _rotated(lo: np.ndarray, span: np.ndarray, turn: np.ndarray, width: int) -> np.ndarray:
@@ -305,27 +390,47 @@ def _rotated(lo: np.ndarray, span: np.ndarray, turn: np.ndarray, width: int) -> 
     return np.where(inside, (t + turn[:, None]) % span[:, None], t) + lo[:, None]
 
 
-def _moved_distances(table: np.ndarray, cost: np.ndarray, hyp: np.ndarray, m: np.ndarray,
-                     moves: tuple[np.ndarray, ...]) -> np.ndarray:
+def _moved_distances(state: np.ndarray, eqs: np.ndarray, mask: np.ndarray, m: np.ndarray,
+                     moves: np.ndarray) -> np.ndarray:
     """F at the last row and column m of each move's result, as in ``_dp_step``.
 
     A move's result shares its first lo rows with its hypothesis, so its DP
-    starts from that row of ``table``. Moves run in blocks, bounded by
-    ``_TER_BLOCK_BYTES``, in order of that row, each joining once its block
-    reaches the row.
+    starts from the bit vectors of that row in ``state`` (VP where F[j + 1]
+    - F[j] is 0, VN where it is -2) and takes one ``_bit_step`` per later
+    word, with the word's match mask from ``eqs``, the masks of the
+    hypotheses' words in turn. Moves run in order of lo, each joining once
+    the steps reach its row. F at column m is the sum of the first m
+    differences: the VP bits under ``mask`` less the VN bits, less m.
     """
-    pair, lo, span, turn = moves
-    order = np.argsort(lo, kind="stable")
+    order = moves[1].argsort(kind="stable")
+    pair, lo, span, turn = moves[:, order]
+    depth, live = state.shape[1] - 1, state.shape[2]
+    # the index in eqs of each move's word at each step, as a running sum: the
+    # first word at row lo, then one word on, less span where the turned
+    # block wraps and plus span - turn where it ends
+    at = np.empty((depth + 1, len(order)), dtype=np.int32)
+    at.fill(1)
+    move = np.arange(len(order))
+    at[lo, move] = pair * depth + turn
+    at[lo + span - turn, move] = 1 - span
+    at[lo + span, move] = 1 + span - turn
+    at.cumsum(axis=0, out=at)
+    joined = lo.searchsorted(np.arange(depth), side="right").tolist()
+    rows = state.reshape(2, -1, state.shape[3]).take(lo * live + pair, axis=1)
+    vp, vn = rows
+    for i in range(int(lo[0]), depth):
+        k = joined[i]
+        _bit_step(vp[:k], vn[:k], eqs.take(at[i, :k], axis=0))
+    rows &= mask.take(pair, axis=0)
+    ones = np.add.reduce(_BYTE_ONES[rows.view(np.uint8)], axis=2, dtype=np.int32)
     out = np.empty(len(order), dtype=np.int32)
-    step = max(1, _TER_BLOCK_BYTES // (4 * (4 * hyp.shape[1] + 3 * table.shape[2])))
-    for sel in (order[b : b + step] for b in range(0, len(order), step)):
-        words = hyp[pair[sel, None], _rotated(lo[sel], span[sel], turn[sel], hyp.shape[1])].T.copy()
-        joined = np.searchsorted(lo[sel], np.arange(hyp.shape[1]), side="right").tolist()
-        rows = table[lo[sel], pair[sel]]
-        for i in range(int(lo[sel[0]]), hyp.shape[1]):
-            _dp_step(rows[: joined[i]], cost.take(words[i, : joined[i]], axis=0), rows[: joined[i]])
-        out[sel] = rows[np.arange(len(sel)), m[pair[sel]]]
+    out[order] = ones[0] - ones[1] - m[pair]
     return out
+
+
+def _first_largest(gain: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """The index of each pair's first largest gain, for ``pair`` in order."""
+    return np.lexsort((-gain, pair))[np.concatenate(([True], pair[1:] != pair[:-1]))]
 
 
 def _ter_edits(sides: Sequence[tuple[Sequence[str], Sequence[str]]]) -> np.ndarray:
@@ -336,43 +441,79 @@ def _ter_edits(sides: Sequence[tuple[Sequence[str], Sequence[str]]]) -> np.ndarr
     Pairs whose padded DP table exceeds ``_TER_BLOCK_BYTES`` run as two
     halves. A padding word's cost row is zeros, so every pair's DP ends in
     the table's last row. Every live pair has made ``shifts`` shifts, and
-    rows up to ``redo`` of its table still hold from the round before. An
-    empty hypothesis has no block to move.
+    rows up to ``redo`` of its table still hold from the round before. A
+    round lists and scores its moves in chunks whose working arrays stay
+    under the same bound, each pair keeping its first largest gain. An
+    applied move's distance is the pair's less its gain, and a pair whose
+    distance reaches |n - m| is done: no shift brings it lower.
     """
     hyps, refs = zip(*sides)
     units, lengths = _unit_ids(hyps + refs)
     n, m = lengths.reshape(2, -1)
-    pairs, words, width, depth = len(n), int(n.sum()), int(m.max()), int(n.max())
+    pairs, words, width, depth = len(n), int(np.add.reduce(n)), int(np.maximum.reduce(m)), int(np.maximum.reduce(n))
     if pairs > 1 and 4 * pairs * (depth + 1) * (width + 1) > _TER_BLOCK_BYTES:
         return np.concatenate([_ter_edits(sides[: pairs // 2]), _ter_edits(sides[pairs // 2 :])])
-    ref = np.full((pairs, width), -1)
+    ref = np.empty((pairs, width), dtype=np.int64)
+    ref.fill(-1)
     ref[np.arange(width) < m[:, None]] = units[words:]
     # cost - 2 of every hypothesis word against its reference; the last row pads
     cost = np.zeros((words + 1, width), dtype=np.int32)
-    cost[:-1] = (units[:words, None] != ref[np.repeat(np.arange(pairs), n)]) - 2
-    hyp = np.full((pairs, depth), words, dtype=np.int32)
+    cost[:-1] = (units[:words, None] != ref[np.arange(pairs).repeat(n)]) - 2
+    # the match mask of each word, the first m bits of each pair, and each
+    # reference token's matches
+    equal = cost == -2
+    masks = _bit_words(np.concatenate((equal, np.arange(width) < m[:, None])), True)[0]
+    peq, mask, matches = masks[: words + 1], masks[words + 1 :], np.ascontiguousarray(equal.T)
+    # a pair's distance is final + size; at |n - m| it is final == floor
+    size, floor = n + m, -2 * np.minimum(n, m)
+    hyp = np.empty((pairs, depth), dtype=np.int32)
+    hyp.fill(words)
     hyp[np.arange(depth) >= depth - n[:, None]] = np.arange(words)
-    edits, live, shifts, redo = np.zeros(pairs, dtype=np.int64), np.arange(pairs), 0, 0
+    live, shifts, redo = np.arange(pairs), 0, 0
     table = np.zeros((depth + 1, pairs, width + 1), dtype=np.int32)
+    # bytes of a listed move, its bit-vector rows and its word indices
+    step = max(1, _TER_BLOCK_BYTES // (160 + 112 * len(peq[0]) + 4 * depth))
     while True:
-        n_live, m_live, hyp_live = n[live], m[live], hyp[live]
+        hyp_live, m_live = hyp[live], m[live]
+        costs = cost.take(hyp_live.T, axis=0)
         for i in range(redo, depth):
-            _dp_step(table[i], cost.take(hyp_live[:, i], axis=0), table[i + 1])
+            _dp_step(table[i], costs[i], table[i + 1])
         final = table[depth, np.arange(len(live)), m_live]
-        edits[live] = shifts + final + n_live + m_live
-        if shifts == TER_MAX_SHIFT_ITERS:
+        if not shifts:
+            edits = final + size
+            if not TER_MAX_SHIFT_ITERS or not np.logical_or.reduce(final > floor):
+                return edits
+        blocks, ends = _block_moves(table, costs, matches.take(hyp_live.T, axis=1),
+                                    n[live], m_live)
+        total = int(ends[-1]) if len(ends) else 0
+        if not total:
             return edits
-        moves = _block_moves(table, cost.take(hyp_live.T, axis=0), n_live, m_live)
-        if not len(moves[0]):
+        diff = table[:, :, 1:] - table[:, :, :-1]
+        state, eqs, mask_live = _bit_words(diff, 0, -2), peq.take(hyp_live.ravel(), axis=0), mask[live]
+        # each chunk's first largest gain of each pair, with its move
+        gains, moves = [], []
+        for a in range(0, total, step):
+            chunk = _listed_moves(blocks, ends, np.arange(a, min(a + step, total)))
+            gain = final[chunk[0]] - _moved_distances(state, eqs, mask_live, m_live, chunk)
+            top = _first_largest(gain, chunk[0])
+            gains.append(gain[top])
+            moves.append(chunk[:, top])
+        if len(moves) > 1:
+            gain, chunk = np.concatenate(gains), np.concatenate(moves, axis=1)
+            top = _first_largest(gain, chunk[0])
+            gains, moves = [gain[top]], [chunk[:, top]]
+        win = gains[0] > 0
+        if not np.logical_or.reduce(win):
             return edits
-        gain = final[moves[0]] - _moved_distances(table, cost, hyp_live, m_live, moves)
-        # each pair's first largest gain in (start, length, dest) order, if positive
-        best = np.lexsort((-gain, moves[0]))[np.concatenate(([True], moves[0][1:] != moves[0][:-1]))]
-        pair, lo, span, turn = (col[best[gain[best] > 0]] for col in moves)
-        if not len(pair):
+        gain, chosen, shifts = gains[0][win], moves[0][:, win], shifts + 1
+        final, done = final[chosen[0]] - gain, live[chosen[0]]
+        edits[done] = final + size[done] + shifts
+        keep = final > floor[done]
+        if shifts == TER_MAX_SHIFT_ITERS or not np.logical_or.reduce(keep):
             return edits
+        pair, lo, span, turn = chosen[:, keep]
         hyp[live[pair]] = hyp_live[pair[:, None], _rotated(lo, span, turn, depth)]
-        live, table, shifts, redo = live[pair], table[:, pair], shifts + 1, int(lo.min())
+        live, table, redo = live[pair], table[:, pair], int(np.minimum.reduce(lo))
 
 
 def ter_segment_edits(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> int:

@@ -425,9 +425,6 @@ class TestSelection:
             assert [[(h.id, h.score) for h in hits] for hits in got] == [[(h.id, h.score) for h in hits] for hits in want]
 
     @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
-    # the float32 matmul reports its overflow, and inf - inf at the k-th best score
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     @pytest.mark.parametrize("nlist", [1, 3])
     def test_overflowing_float32_scores_rescored_exactly(self, nlist):
         # entries of 1e19: float32 partial sums overflow to +/-inf, and to NaN where they

@@ -6,7 +6,9 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,6 +41,7 @@ def frozen_values():
 
 import oracles
 from oracles import (
+    _ref_edit_distance,
     _ref_ngram_stats,
     _ref_tokenize_13a,
     bleu_reference,
@@ -289,6 +292,137 @@ class TestTerLockstep:
         # about 2 MiB; the per-pair search peaked at 3.8 MiB here, and with
         # _TER_BLOCK_BYTES lifted the lockstep peaks at 23 MiB
         assert peak < 3 << 20
+
+    def test_move_lists_are_bounded(self):
+        # 40 words over two letters: most blocks are found in the reference, so a
+        # round holds some 36,000 moves
+        rng = random.Random(24)
+        pairs = [EvalPair(" ".join(rng.choices("ab", k=40)), " ".join(rng.choices("ab", k=40))) for _ in range(16)]
+        for pair in pairs:
+            pair.tokens
+        tracemalloc.start()
+        try:
+            ter(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1.1 MiB; listing every move of a round at once peaked at 3.8 MiB
+        assert peak < 6 * mt_metrics._TER_BLOCK_BYTES
+
+
+def _lev_bits(hyp: list[str], ref: list[str]) -> int:
+    """Word edit distance by Hyyrö's bit-vector recurrence on one Python
+    integer, which has no machine words and so no carries between them: a
+    fast stand-in for the frozen row DP, and checked against it."""
+    if not ref:
+        return len(hyp)
+    peq: dict[str, int] = {}
+    for j, token in enumerate(ref):
+        peq[token] = peq.get(token, 0) | 1 << j
+    full, top = (1 << len(ref)) - 1, 1 << (len(ref) - 1)
+    vp, vn, score = full, 0, len(ref)
+    for token in hyp:
+        x = peq.get(token, 0) | vn
+        d0 = (((x & vp) + vp) ^ vp) | x
+        hp = vn | (full & ~(d0 | vp))
+        hn = vp & d0
+        score += bool(hp & top) - bool(hn & top)
+        hp = (hp << 1 | 1) & full
+        hn = (hn << 1) & full
+        vp = hn | (full & ~(d0 | hp))
+        vn = hp & d0
+    return score
+
+
+@st.composite
+def _long_moved_block_pairs(draw):
+    """A 50-140-word reference over 2-6 words and a copy of it with one block
+    moved and a few words replaced: most blocks are found in the reference."""
+    vocab = [f"w{i}" for i in range(draw(st.integers(2, 6)))]
+    ref = draw(st.lists(st.sampled_from(vocab), min_size=50, max_size=140))
+    hyp = list(ref)
+    start = draw(st.integers(0, len(hyp) - 1))
+    block = hyp[start : start + draw(st.integers(1, 10))]
+    del hyp[start : start + len(block)]
+    dest = draw(st.integers(max(0, start - 50), min(len(hyp), start + 50)))
+    hyp[dest:dest] = block
+    for _ in range(draw(st.integers(0, 3))):
+        hyp[draw(st.integers(0, len(hyp) - 1))] = draw(st.sampled_from(vocab))
+    return hyp, ref
+
+
+class TestBitParallelCandidates:
+    """Shift candidates are scored on uint64 words, so a reference past 64
+    tokens spans several words with carries between them."""
+
+    def test_references_across_word_boundaries(self):
+        rng = random.Random(64)
+        corpus = []
+        for m in (63, 64, 65, 128, 129):
+            ref = [f"w{rng.randrange(40)}" for _ in range(m)]
+            hyp = list(ref)
+            start = rng.randrange(m - 4)
+            hyp.insert(start + rng.randint(5, 20), hyp.pop(start))
+            hyp[rng.randrange(m)] = "x"
+            corpus.append((hyp, ref))
+        expected = [greedy_ter_reference(hyp, ref) for hyp, ref in corpus]
+        assert [ter_segment_edits(hyp, ref) for hyp, ref in corpus] == expected
+        assert mt_metrics._ter_edits(corpus).tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from("abcd"), max_size=30),
+        st.lists(st.sampled_from("abcde"), max_size=70),
+    )
+    def test_integer_levenshtein_equals_frozen_row_dp(self, hyp, ref):
+        assert _lev_bits(hyp, ref) == _ref_edit_distance(hyp, ref)
+
+    @settings(max_examples=4, deadline=None)
+    @given(_long_moved_block_pairs(), st.lists(_small_alphabet_pairs(), max_size=5))
+    def test_long_references_equal_frozen_greedy_search(self, pair, others):
+        corpus = [pair] + [(hyp, ref) for hyp, ref in others if ref]
+        with mock.patch.object(oracles, "_ref_edit_distance", _lev_bits):
+            expected = [greedy_ter_reference(hyp, ref) for hyp, ref in corpus]
+        assert ter_segment_edits(*pair) == expected[0]
+        assert mt_metrics._ter_edits(corpus).tolist() == expected
+        # many chunks of candidates per round
+        with mock.patch.object(mt_metrics, "_TER_BLOCK_BYTES", 4096):
+            assert mt_metrics._ter_edits(corpus).tolist() == expected
+
+    def test_moved_distances_equal_plain_levenshtein(self):
+        rng = random.Random(24)
+        sides = [(rng.choices("abc", k=n), rng.choices("abc", k=m))
+                 for n, m in ((70, 1), (60, 63), (65, 64), (20, 65), (66, 128), (40, 129), (3, 5))]
+        n, m = np.array([[len(hyp), len(ref)] for hyp, ref in sides]).T
+        pairs, depth, width = len(sides), int(n.max()), int(m.max())
+        # left-padded hypotheses; a padding word costs zeros, as in _ter_edits
+        hyp = np.full((pairs, depth), "", dtype=object)
+        ref = np.full((pairs, width), "", dtype=object)
+        for p, (h, r) in enumerate(sides):
+            hyp[p, depth - len(h) :], ref[p, : len(r)] = h, r
+        costs = np.where(hyp.T[:, :, None] == "", 0, (hyp.T[:, :, None] != ref) - 2).astype(np.int32)
+        table = np.zeros((depth + 1, pairs, width + 1), dtype=np.int32)
+        for i in range(depth):
+            mt_metrics._dp_step(table[i], costs[i], table[i + 1])
+        diff = table[:, :, 1:] - table[:, :, :-1]
+        state = mt_metrics._bit_words(diff, 0, -2)
+        eqs = mt_metrics._bit_words(costs.transpose(1, 0, 2).reshape(pairs * depth, width), -2)[0]
+        mask = mt_metrics._bit_words(np.arange(width) < m[:, None], True)[0]
+        moves, expected = [], []
+        for _ in range(120):
+            p = rng.randrange(pairs)
+            if n[p] < 2:
+                continue
+            lo = rng.randint(depth - n[p], depth - 2)
+            span = rng.randint(2, min(60, depth - lo))
+            turn = rng.randint(1, span - 1)
+            words = list(sides[p][0])
+            at = lo - (depth - n[p])
+            words[at : at + span] = words[at + turn : at + span] + words[at : at + turn]
+            moves.append((p, lo, span, turn))
+            expected.append(_ref_edit_distance(words, sides[p][1]) - n[p] - m[p])
+        moves = np.array(moves, dtype=np.int32).T
+        assert mt_metrics._moved_distances(state, eqs, mask, m, moves).tolist() == expected
 
 
 # -- cross-metric properties --------------------------------------------------------
