@@ -25,7 +25,7 @@ from .corpus import ParallelCorpus, SegmentPair, pair_key, pair_keys
 from .embedding import EmbeddingProviderConfig
 from .errors import DataError, FuzzyMtError, LeakageError, ValidationError
 from .llm_client import DecodingParams, TranslationResult
-from .mt_metrics import EvalPair, MetricScore, score_all
+from .mt_metrics import EvalPair, MetricScore, References, score_all
 from .prompting import LanguageNames, RenderedPrompt, render_few_shot, render_zero_shot, write_prompt_dump
 
 CONDITION_ZERO = "zero-shot"
@@ -185,10 +185,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
             )
 
     results: list[ConditionResult] = []
+    references = None
     for condition in CONDITION_ORDER:
         if condition not in cfg.conditions:
             continue
         with _stage(f"prompts-{condition}", stages) as stage:
+            # read once for every condition; a reference without a token fails before any request
+            references = references or References(test.targets())
             prompts = condition_prompts(condition, test.pairs, match_lists, cfg.langs)
             stage["items"] = len(prompts)
             write_prompt_dump(
@@ -217,7 +220,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
                 EvalPair(hypothesis=r.text, reference=t)
                 for r, t in zip(translations, test.targets())
             ]
-            scores = score_all(pairs)
+            scores = score_all(pairs, references)
             stage["items"] = len(pairs)
         results.append(
             ConditionResult(

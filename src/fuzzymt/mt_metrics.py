@@ -2,17 +2,23 @@
 
 Each metric reduces every pair to integer statistics, sums them over the
 corpus, and applies one float formula to the sums (the sacreBLEU design,
-arXiv:1804.08771). An ``EvalPair`` tokenizes its two sides once; BLEU, TER
-and the check that every reference holds a token all read those tokens.
+arXiv:1804.08771). The reference side of a test set is a ``References``:
+it tokenizes each reference once, checks that each holds a token, and
+builds the n-gram tables of BLEU and chrF++ on first use. Every condition
+of a run is scored against the one ``References`` of its test set, and an
+``EvalPair`` tokenizes only its hypothesis, once.
 
-BLEU and chrF++ share one n-gram counter, which counts the whole corpus in
-one numpy pass per order. Units become integers (a character its code
-point, a token a dense id). An n-gram's key is the id of its (n-1)-gram
-prefix times a base above every unit, plus its last unit; a unigram's
-prefix is its pair index, so a key names one gram of one pair.
-``np.unique`` re-densifies the keys at each order, which keeps them far
-inside int64, and a pair's matches are clipped as min(hypothesis count,
-reference count) per key.
+A table holds, for each order, the sorted distinct n-gram keys of the
+references and their counts. Units become integers (a character its code
+point, a token its id among the references' tokens). An n-gram's key is
+the index of its (n-1)-gram prefix in the table of order n - 1 times a base
+above every reference unit, plus its last unit; a unigram's prefix is its
+pair index, so a key names one gram of one pair. A hypothesis gram is
+looked up with ``searchsorted`` only when its prefix was found, since no
+other gram can match: a unit that no reference holds drops out at order 1,
+and with it every gram that spans it. An order's clipped matches are the
+sum over the table of min(hypothesis count, reference count), and the
+n-gram totals follow from the lengths.
 
 TER runs the greedy shift search of every pair of the corpus in lockstep
 rounds. Hypotheses are padded on the left to one length and references on
@@ -62,8 +68,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import chain, count, repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -90,26 +96,21 @@ class EvalPair:
     reference: str
 
     @cached_property
-    def tokens(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """The 13a tokens of the hypothesis and of the reference."""
-        return tuple(tokenize_13a(self.hypothesis)), tuple(tokenize_13a(self.reference))
-
-
-def _require_pairs(pairs: Sequence[EvalPair]) -> None:
-    if not pairs:
-        raise ArgumentError("metric requires a non-empty corpus")
-    for i, pair in enumerate(pairs):
-        if not pair.tokens[1]:
-            raise ArgumentError(f"pair {i}: reference must hold at least one token")
+    def tokens(self) -> tuple[str, ...]:
+        """The 13a tokens of the hypothesis; a ``References`` holds the reference's."""
+        return tuple(tokenize_13a(self.hypothesis))
 
 
 # -- tokenization ---------------------------------------------------------------
 
+# Each replacement is a function: given a template with group references,
+# CPython 3.11's re.sub calls into Python on every call to look it up and on
+# every match to expand it.
 _13A_RULES = [
-    (re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])"), r" \1 "),
-    (re.compile(r"([^0-9])([\.,])"), r"\1 \2 "),
-    (re.compile(r"([\.,])([^0-9])"), r" \1 \2"),
-    (re.compile(r"([0-9])(-)"), r"\1 \2 "),
+    (re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])"), lambda m: f" {m[1]} "),
+    (re.compile(r"([^0-9])([\.,])"), lambda m: f"{m[1]} {m[2]} "),
+    (re.compile(r"([\.,])([^0-9])"), lambda m: f" {m[1]} {m[2]}"),
+    (re.compile(r"([0-9])(-)"), lambda m: f"{m[1]} {m[2]} "),
 ]
 # the first rule pads single ASCII characters, which one translate table does in C
 _13A_PAD = str.maketrans({c: f" {c} " for c in map(chr, range(128)) if _13A_RULES[0][0].fullmatch(c)})
@@ -132,68 +133,152 @@ def tokenize_13a(line: str) -> list[str]:
     return norm.split()
 
 
-def _pooled_ngram_stats(sides: Iterable[tuple[Sequence, Sequence]], orders: range) -> list[list[int]]:
-    """[hypothesis n-grams, reference n-grams, clipped matches] for each n in
-    ``orders``, a range 1..k, summed over the (hypothesis, reference) sides,
-    which are all strings (units are characters) or all token sequences.
+def _unit_ids(
+    segments: Sequence[Sequence], vocab: dict | None = None
+) -> tuple[np.ndarray, np.ndarray, dict | None]:
+    """The int64 unit ids of all ``segments``, concatenated, each one's
+    length, and the token vocabulary (None for characters).
 
-    All hypotheses, then all references, become one array of unit ids
-    (``_unit_ids``). The gram of size n at position i has a key: its pair
-    index (for n = 1) or the id of the (n-1)-gram at i (for n > 1), times
-    ``base``, plus the unit at i + n - 1, where ``base`` exceeds every
-    unit. ``np.unique`` maps the keys of an order to dense ids, so two
-    grams share an id exactly when they are the same gram of the same
-    pair, and a pair's grams never meet another pair's. With N the number
-    of pairs plus units, ids and pair indices are below N and ``base`` is
-    at most max(N, 0x110000), so a key stays far inside int64 for any
-    corpus that fits in memory. The clipped matches of an order are the
-    sum over ids of min(hypothesis count, reference count), each side
-    counted with ``np.bincount``.
-    """
-    hyps, refs = zip(*sides)
-    units, lengths = _unit_ids(hyps + refs)
-    pairs = len(hyps)
-    segment = np.repeat(np.arange(2 * pairs), lengths)
-    end = np.cumsum(lengths)[segment]
-    base = int(units.max(initial=0)) + 1
-    starts = np.arange(len(units))
-    ids = segment % pairs
-    stats = []
-    for n in orders:
-        keep = starts + (n - 1) < end[starts]
-        starts = starts[keep]
-        distinct, ids = np.unique(ids[keep] * base + units[starts + (n - 1)], return_inverse=True)
-        in_hyp = segment[starts] < pairs
-        hyp_counts = np.bincount(ids[in_hyp], minlength=len(distinct))
-        ref_counts = np.bincount(ids[~in_hyp], minlength=len(distinct))
-        hyp_total = int(np.count_nonzero(in_hyp))
-        matches = int(np.minimum(hyp_counts, ref_counts).sum())
-        stats.append([hyp_total, len(starts) - hyp_total, matches])
-    return stats
-
-
-def _unit_ids(segments: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 unit ids of all ``segments``, concatenated, and each one's length.
-
-    A character's id is its code point (a lone surrogate's too); a token's
-    is its index among the distinct tokens of ``segments``.
+    A character's id is its code point (a lone surrogate's too). A token's
+    is its index in ``vocab``, and len(vocab) for a token it lacks; by
+    default ``vocab`` holds the distinct tokens of ``segments`` in order.
     """
     lengths = np.fromiter(map(len, segments), dtype=np.intp, count=len(segments))
     if isinstance(segments[0], str):
         points = "".join(segments).encode("utf-32-le", "surrogatepass")
-        return np.frombuffer(points, dtype="<u4").astype(np.int64), lengths
+        return np.frombuffer(points, dtype="<u4").astype(np.int64), lengths, None
     tokens = list(chain.from_iterable(segments))
-    vocab = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
-    return np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens)), lengths
+    if vocab is None:
+        vocab = dict(zip(dict.fromkeys(tokens), count()))
+    ids = np.fromiter(map(vocab.get, tokens, repeat(len(vocab))), dtype=np.int64, count=len(tokens))
+    return ids, lengths, vocab
+
+
+class _GramTable:
+    """The distinct n-grams, of orders 1..``order``, of a list of reference
+    segments, which are all strings (units are characters) or all token
+    sequences; ``stats`` counts a hypothesis list against them.
+
+    A gram's key is its pair index (order 1) or the index of its (n-1)-gram
+    prefix in the table of order n - 1, times ``base``, plus its last unit.
+    ``base`` exceeds every reference unit by two, and a hypothesis unit that
+    no reference holds becomes ``base`` - 1, so its grams are never found.
+    Indices stay below the number of units and pairs, and ``base`` at most
+    max(tokens, 0x110000) + 1, so a key stays far inside int64 for any
+    corpus that fits in memory. Each order keeps its sorted keys and their
+    counts, read-only. Grams are kept in key order from one order to the
+    next, so the keys of the next come grouped by prefix, in sorted runs
+    that a stable sort (timsort) merges fast; a lookup in the table is
+    faster on keys in that order too.
+    """
+
+    def __init__(self, refs: Sequence[Sequence], order: int):
+        units, lengths, self.vocab = _unit_ids(refs)
+        self.base = int(units.max(initial=-1)) + 2
+        tables = []
+        starts, room, ids = np.arange(len(units)), _room(lengths), np.arange(len(refs)).repeat(lengths)
+        for n in range(order):
+            keep = room > n
+            starts, room = starts[keep], room[keep]
+            key = ids[keep] * self.base + units[starts + n]
+            by_key = key.argsort(kind="stable")
+            key, starts, room = key[by_key], starts[by_key], room[by_key]
+            new = np.empty(len(key), dtype=bool)
+            new[:1] = True
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            ids, first = new.cumsum() - 1, new.nonzero()[0]
+            keys, counts = key[first], np.diff(first, append=len(key))
+            keys.flags.writeable = counts.flags.writeable = False
+            tables.append((keys, counts))
+        self.keys, self.counts = tuple(zip(*tables))
+        self.totals = tuple(int(np.maximum(lengths - n, 0).sum()) for n in range(order))
+
+    def stats(self, hyps: Sequence[Sequence]) -> list[list[int]]:
+        """[hypothesis n-grams, reference n-grams, clipped matches] of each
+        order, summed over ``hyps``, the hypothesis of each reference in turn.
+
+        A hypothesis gram is looked up by key only when its (n-1)-gram prefix
+        was found; its clipped matches are the sum over the table of
+        min(hypothesis count, reference count).
+        """
+        units, lengths, _ = _unit_ids(hyps, self.vocab)
+        np.minimum(units, self.base - 1, out=units)
+        room, ids = _room(lengths), np.arange(len(hyps)).repeat(lengths)
+        starts = (ids * self.base + units).argsort()
+        room, ids = room[starts], ids[starts]
+        matches = [0] * len(self.keys)
+        for n, (keys, counts) in enumerate(zip(self.keys, self.counts)):
+            keep = room > n
+            starts, room, ids = starts[keep], room[keep], ids[keep]
+            if not len(starts) or not len(keys):
+                break
+            key = ids * self.base + units[starts + n]
+            at = np.minimum(keys.searchsorted(key), len(keys) - 1)
+            found = keys[at] == key
+            starts, room, ids = starts[found], room[found], at[found]
+            matches[n] = int(np.minimum(np.bincount(ids, minlength=len(keys)), counts).sum())
+        return [[int(np.maximum(lengths - n, 0).sum()), total, match]
+                for n, (total, match) in enumerate(zip(self.totals, matches))]
+
+
+def _room(lengths: np.ndarray) -> np.ndarray:
+    """The number of units from each unit to the end of its segment, itself included."""
+    ends = np.cumsum(lengths)
+    return ends.repeat(lengths) - np.arange(ends[-1])
+
+
+class References:
+    """The reference side of a test set: each reference's 13a tokens, read
+    once, and the n-gram tables that BLEU and chrF++ count hypotheses
+    against, each built on first use.
+
+    Raises ArgumentError for an empty list or a reference without a token.
+    """
+
+    def __init__(self, texts: Sequence[str]):
+        if not texts:
+            raise ArgumentError("metric requires a non-empty corpus")
+        self.texts = tuple(texts)
+        self.tokens = tuple(tuple(tokenize_13a(text)) for text in self.texts)
+        for i, tokens in enumerate(self.tokens):
+            if not tokens:
+                raise ArgumentError(f"pair {i}: reference must hold at least one token")
+
+    @cached_property
+    def bleu_grams(self) -> _GramTable:
+        return _GramTable(self.tokens, BLEU_ORDER)
+
+    @cached_property
+    def words(self) -> tuple[tuple[str, ...], ...]:
+        """The whitespace tokens of each reference."""
+        return tuple(tuple(text.split()) for text in self.texts)
+
+    @cached_property
+    def char_grams(self) -> _GramTable:
+        return _GramTable(["".join(words) for words in self.words], CHRF_CHAR_ORDER)
+
+    @cached_property
+    def word_grams(self) -> _GramTable:
+        return _GramTable(self.words, CHRF_WORD_ORDER)
+
+
+def _references(pairs: Sequence[EvalPair], references: References | None) -> References:
+    """``references``, which must hold the references of ``pairs`` in order,
+    or by default the References of ``pairs``."""
+    texts = tuple(pair.reference for pair in pairs)
+    if references is None:
+        return References(texts)
+    if references.texts != texts:
+        raise ArgumentError("references must hold the pairs' references in order")
+    return references
 
 
 # -- BLEU -----------------------------------------------------------------------
 
 
-def bleu(pairs: Sequence[EvalPair]) -> MetricScore:
+def bleu(pairs: Sequence[EvalPair], references: References | None = None) -> MetricScore:
     """Corpus BLEU in [0, 100]."""
-    _require_pairs(pairs)
-    stats = _pooled_ngram_stats((pair.tokens for pair in pairs), range(1, BLEU_ORDER + 1))
+    stats = _references(pairs, references).bleu_grams.stats([pair.tokens for pair in pairs])
     if any(total == 0 for total, _, _ in stats):
         return MetricScore("BLEU", 0.0)
 
@@ -217,13 +302,11 @@ def bleu(pairs: Sequence[EvalPair]) -> MetricScore:
 # -- chrF++ ---------------------------------------------------------------------
 
 
-def chrf_pp(pairs: Sequence[EvalPair]) -> MetricScore:
+def chrf_pp(pairs: Sequence[EvalPair], references: References | None = None) -> MetricScore:
     """Corpus chrF++ in [0, 100]."""
-    _require_pairs(pairs)
-    words = [(tuple(pair.hypothesis.split()), tuple(pair.reference.split())) for pair in pairs]
-    stats = _pooled_ngram_stats(
-        (("".join(hyp), "".join(ref)) for hyp, ref in words), range(1, CHRF_CHAR_ORDER + 1)
-    ) + _pooled_ngram_stats(words, range(1, CHRF_WORD_ORDER + 1))
+    references = _references(pairs, references)
+    words = [pair.hypothesis.split() for pair in pairs]
+    stats = references.char_grams.stats(["".join(hyp) for hyp in words]) + references.word_grams.stats(words)
 
     eps = 1e-16
     beta_sq = CHRF_BETA * CHRF_BETA
@@ -448,7 +531,7 @@ def _ter_edits(sides: Sequence[tuple[Sequence[str], Sequence[str]]]) -> np.ndarr
     distance reaches |n - m| is done: no shift brings it lower.
     """
     hyps, refs = zip(*sides)
-    units, lengths = _unit_ids(hyps + refs)
+    units, lengths, _ = _unit_ids(hyps + refs)
     n, m = lengths.reshape(2, -1)
     pairs, words, width, depth = len(n), int(np.add.reduce(n)), int(np.maximum.reduce(m)), int(np.maximum.reduce(n))
     if pairs > 1 and 4 * pairs * (depth + 1) * (width + 1) > _TER_BLOCK_BYTES:
@@ -521,17 +604,19 @@ def ter_segment_edits(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> i
     return int(_ter_edits([(hyp_tokens, ref_tokens)])[0])
 
 
-def ter(pairs: Sequence[EvalPair]) -> MetricScore:
+def ter(pairs: Sequence[EvalPair], references: References | None = None) -> MetricScore:
     """Corpus TER: 100 * total edits / total reference words.
 
     The pairs run shortest hypothesis first, so that the halves of a large
     corpus pad little.
     """
-    _require_pairs(pairs)
-    sides = sorted((pair.tokens for pair in pairs), key=lambda side: len(side[0]))
-    return MetricScore("TER", 100.0 * int(_ter_edits(sides).sum()) / sum(len(ref) for _, ref in sides))
+    refs = _references(pairs, references).tokens
+    sides = sorted(zip((pair.tokens for pair in pairs), refs), key=lambda side: len(side[0]))
+    return MetricScore("TER", 100.0 * int(_ter_edits(sides).sum()) / sum(map(len, refs)))
 
 
-def score_all(pairs: Sequence[EvalPair]) -> list[MetricScore]:
-    """BLEU, chrF++, and TER for one corpus, in that order."""
-    return [bleu(pairs), chrf_pp(pairs), ter(pairs)]
+def score_all(pairs: Sequence[EvalPair], references: References | None = None) -> list[MetricScore]:
+    """BLEU, chrF++, and TER for one corpus, in that order, against one
+    ``References`` (by default that of ``pairs``)."""
+    references = _references(pairs, references)
+    return [bleu(pairs, references), chrf_pp(pairs, references), ter(pairs, references)]

@@ -600,6 +600,24 @@ class TestRetrieveAndPrompts:
         assert f"{field} must hold no line break and no ': '" in err
         assert not out.exists()
 
+    def test_run_reference_without_token_exit_2_before_any_request(self, corpus_tsv, tmp_path, capsys):
+        test_path = tmp_path / "test.tsv"
+        test_path.write_text("uno dos tres\tone two three\ncuatro cinco\t<skipped>\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with run_mock_server("echo-fuzzy") as server:
+            config = {"test_corpus": str(test_path), "context_corpus": corpus_tsv,
+                      "provider": {"kind": "deterministic-test", "dim": 32, "seed": 0},
+                      "ivf": {"dim": 32, "nlist": 2, "nprobe": 2}, "endpoint": server.endpoint,
+                      "output_dir": str(out)}
+            cfg_path = tmp_path / "exp.json"
+            cfg_path.write_text(json.dumps(config), encoding="utf-8")
+            code, stdout, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+            paths = [entry["path"] for entry in server.state.request_log]
+        assert (code, stdout) == (2, "")
+        assert "[prompts-zero-shot] pair 1: reference must hold at least one token" in err
+        assert "/v1/completions" not in paths
+        assert not list(out.glob("generations.*"))
+
 
 class TestDumps:
     @pytest.mark.parametrize("sub", ["filter", "retrieve", "prompts", "translate"])

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzymt import ann_index, embedding, retrieval
+from fuzzymt import ann_index, embedding, mt_metrics, retrieval
 from fuzzymt.corpus import ParallelCorpus, SegmentPair, load_any, read_jsonl, write_tsv
 from fuzzymt.errors import DataError, LeakageError, TransportError, ValidationError
 from fuzzymt.eval_harness import (
@@ -168,6 +168,18 @@ class TestAdaptiveGainFixture:
         # a 16-pair context is indexed flat: one list holding every pair
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["index"] == {"nlist": 1, "list_size_min": 16, "list_size_max": 16, "lists_empty": 0}
+
+
+def test_run_reads_its_references_once(leaky_setup, tmp_path, monkeypatch):
+    # each reference once for both conditions, and each condition's hypotheses once
+    calls = []
+    real = mt_metrics.tokenize_13a
+    monkeypatch.setattr(mt_metrics, "tokenize_13a", lambda line: calls.append(line) or real(line))
+    test_corpus, test_path, context_path = leaky_setup
+    with run_mock_server("echo-fuzzy") as server:
+        run_experiment(_config(tmp_path, server.endpoint, test_path, context_path, allow_context_overlap=True))
+    assert len(calls) == 3 * len(test_corpus)
+    assert calls[: len(test_corpus)] == test_corpus.targets()
 
 
 class TestDictionaryMock:

@@ -16,6 +16,7 @@ from fuzzymt import mt_metrics
 from fuzzymt.errors import ArgumentError
 from fuzzymt.mt_metrics import (
     EvalPair,
+    References,
     bleu,
     chrf_pp,
     score_all,
@@ -512,6 +513,52 @@ def test_score_all_tokenizes_each_side_once(monkeypatch):
     assert len(calls) == 2 * len(pairs)
 
 
+@st.composite
+def _hypothesis_lists(draw):
+    """References and 1-4 lists of hypotheses for them, each empty, a sentence or the reference."""
+    refs = draw(st.lists(_sentence(1).filter(tokenize_13a), min_size=1, max_size=6))
+    hyp = lambda ref: st.one_of(st.just(""), _sentence(0), st.just(ref))
+    return refs, draw(st.lists(st.tuples(*map(hyp, refs)), min_size=1, max_size=4))
+
+
+class TestSharedReferences:
+    @settings(max_examples=100, deadline=None)
+    @given(_hypothesis_lists())
+    def test_shared_references_score_as_fresh_ones(self, case):
+        refs, hyp_lists = case
+        shared = References(refs)
+        for hyps in hyp_lists:
+            pairs = [EvalPair(hyp, ref) for hyp, ref in zip(hyps, refs)]
+            scores = score_all(pairs, shared)
+            assert scores == score_all(pairs, References(refs)) == score_all(pairs)
+            assert scores == [bleu(pairs, shared), chrf_pp(pairs, shared), ter(pairs, shared)]
+
+    def test_tables_are_read_only(self):
+        refs = References(["a b c", "d e"])
+        for table in (refs.bleu_grams, refs.char_grams, refs.word_grams):
+            assert isinstance(table.keys, tuple) and isinstance(table.counts, tuple)
+            for array in table.keys + table.counts:
+                assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                table.counts[0][0] = 0
+
+    @pytest.mark.parametrize("metric", [bleu, chrf_pp, ter, score_all], ids=lambda f: f.__name__)
+    def test_references_of_other_pairs_rejected(self, metric):
+        refs = References(["a b", "c d"])
+        for pairs in ([EvalPair("a b", "c d"), EvalPair("c d", "a b")], [EvalPair("a b", "a b")]):
+            with pytest.raises(ArgumentError, match="references must hold the pairs' references in order"):
+                metric(pairs, refs)
+
+    def test_scoring_tokenizes_only_hypotheses(self, monkeypatch):
+        pairs = load_fixture()
+        refs = References([pair.reference for pair in pairs])
+        calls = []
+        real = mt_metrics.tokenize_13a
+        monkeypatch.setattr(mt_metrics, "tokenize_13a", lambda line: calls.append(line) or real(line))
+        score_all(pairs, refs)
+        assert calls == [pair.hypothesis for pair in pairs]
+
+
 # -- frozen per-pair scorers and the independent reference script -------------------
 
 _WORDS = st.one_of(
@@ -586,12 +633,14 @@ class TestFrozenScorers:
         pairs = [EvalPair(hyp, ref) for hyp, ref in corpus]
         words = [(tuple(hyp.split()), tuple(ref.split())) for hyp, ref in corpus]
         chars = [("".join(hyp), "".join(ref)) for hyp, ref in words]
+        ref_tokens = References([ref for _, ref in corpus]).tokens
         for sides, orders in (
-            ([pair.tokens for pair in pairs], range(1, 5)),
+            (list(zip([pair.tokens for pair in pairs], ref_tokens)), range(1, 5)),
             (chars, range(1, 7)),
             (words, range(1, 3)),
         ):
-            assert mt_metrics._pooled_ngram_stats(sides, orders) == _summed_ref_stats(sides, orders)
+            hyps, refs = zip(*sides)
+            assert mt_metrics._GramTable(refs, orders[-1]).stats(hyps) == _summed_ref_stats(sides, orders)
         _assert_equal_frozen_scorers(corpus)
 
     def test_independent_reference_script_reproduces_frozen_values(self):
