@@ -11,47 +11,46 @@ vectors with meaningful cosine structure. Either way every row is checked
 to be finite and of unit norm (a zero row from the encoder fails), so the
 inner product of two rows is their cosine similarity.
 
-The deterministic vectors are built in steps, each of as many texts as fit
-_STEP_BYTES at _POINT_BYTES a code point and 8 * dim bytes a row (and at
-least one text), so a step of short segments holds more texts than one of
-long segments, and one of empty texts is bounded by its rows. A step
-encodes its lowercased texts as UTF-32, which also rejects a lone surrogate
-with CorpusEncodingError, and gives every gram of size n in 3..5 an integer
-key in numpy: a 3-gram's key is its three code points in base 0x110000,
-and a longer gram's key is the id of its (n-1)-gram prefix in base
-0x110000 and its last code point, so no key can overflow a uint64. One
-table per gram size lives for the whole call: sorted runs of distinct
-keys, each key with the seed-keyed 8-byte BLAKE2b digest of its gram and,
-below the largest size, a stable uint32 id. The step looks up its distinct
-keys there, hashes only the grams the table lacks, so each distinct gram
-of a call is hashed once, and adds those as a new run, merged into the run
-before it while that one is smaller than RUN_FLOOR or at most twice its
-size, so upkeep is amortized. It then adds each gram's +/-1 to bucket
-``hash % dim`` of its text's row with one ``np.bincount`` over
-``row * dim + bucket`` for all three sizes. Only the tables, O(distinct
-grams), outlive a step; the per-gram arrays and the sums are a step's own.
-A call given an empty ``GramTables`` as ``base`` leaves its tables there,
-one run per gram size at 20 bytes a gram, 16 for the largest size: that is
-how a context store keeps its corpus's grams. A later call given the
-filled tables looks each key up there first, its own ids going on from
-theirs, hashes only the grams they lack and keeps those in tables of its
-own; the filled tables are never written again. A row whose sum is zero
-(no gram, or grams that cancel) becomes the unit basis vector e_0; every
-other row is divided by the float64 square root of its sum of squares and
-cast to float32. A digest depends only on the seed and the gram, so the
-result does not depend on the steps, the gram order, the batch a text
-arrives in or the tables a call starts from: every bucket sum is a sum of
+The deterministic provider (model ``deterministic-ngram-v2``) uses the
+hashing trick over character n-grams. It lowercases a text (``str.lower``)
+and gives each of its grams of n code points c_1 .. c_n, for n in 3, 4
+and 5, a 64-bit digest d, every operation taken modulo 2**64:
+
+    h = seed mod 2**64            (the signed seed's two's complement)
+    h = (h ^ c_i) * 0x100000001B3   for i = 1 .. n
+    z = h ^ n
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    d = z ^ (z >> 31)
+
+that is, FNV-1a steps over the code points, then the splitmix64 finalizer.
+The gram adds +1, or -1 when d >> 63 is 1, to bucket d % dim of its text's
+row. A row whose sum is zero (no gram, or grams that cancel) becomes the
+unit basis vector e_0; every other row is divided by the float64 square
+root of its sum of squares and cast to float32.
+
+The vectors are built in steps, each of as many texts as fit _STEP_BYTES
+at _POINT_BYTES a code point and 8 * dim bytes a row (and at least one
+text), so a step of short segments holds more texts than one of long
+segments, and one of empty texts is bounded by its rows. A step encodes its
+lowercased texts as UTF-32, which also rejects a lone surrogate with
+CorpusEncodingError, and runs the chain above in numpy from every code
+point at once, the 4- and 5-gram chains going on from the 3-gram one, so
+each gram occurrence gets its digest with no hashing in Python and no table
+of grams. One ``np.bincount`` over ``row * dim + bucket`` for all three
+sizes gives the step's sums; nothing but its rows outlives a step. A digest
+depends only on the seed and the gram, so the result does not depend on
+the steps or on the batch a text arrives in: every bucket sum is a sum of
 +/-1 and every sum of squares a sum of integer squares, both exact in
 float64 in any order, so each row is bit for bit the vector of the same
-text embedded on its own (``tests/oracles.py`` keeps that per-text loop as
-the reference).
+text embedded on its own (``tests/oracles.py`` keeps that per-text loop,
+written from the rule above, as the reference).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,23 +59,23 @@ from .errors import ArgumentError, ContractViolationError, CorpusEncodingError, 
 
 DEFAULT_DIM = 384
 NGRAM_SIZES = (3, 4, 5)
-# Bytes a step may hold, which bounds the gram strings and arrays alive at
-# once: _POINT_BYTES for each code point of its texts, about what its
-# per-gram arrays and fresh gram strings take, and 8 * dim for each row of
-# its float64 sums. At dim 384 a step holds about 75 texts of 15-40 words
-# (about 200 code points) or about 220 of 4-12 words. A 16 MiB bound raised
-# the long-segments benchmark's peak RSS from about 47.5 to 57 MB.
+# Bytes a step may hold, which bounds the arrays alive at once: _POINT_BYTES
+# for each code point of its texts, and 8 * dim for each row of its float64
+# sums. At its peak a step holds, for each code point and each of the three
+# gram sizes, the text and the digest of the gram that starts there and the
+# flat index and weight made from them (8 bytes each, 96 in all), besides a
+# size's index and weight before they are concatenated: tracemalloc read
+# 103-109 bytes a code point for 15-40-word, accented and astral texts. At
+# dim 384 a step holds about 164 texts of 15-40 words (about 200 code
+# points) or about 480 of 4-12 words. A 16 MiB bound raised the
+# long-segments benchmark's peak RSS from about 47.5 to 57 MB.
 _STEP_BYTES = 4 << 20
-_POINT_BYTES = 256
-# Code points are below this, so a 3-gram key c0*A^2 + c1*A + c2 and an
-# n-gram key id(prefix)*A + c fit a uint64.
-_ALPHABET = 0x110000
-# A call's run of fewer grams than this takes in the next run whatever that
-# one's size: copying so few costs about what searching one more run in
-# every later step would. A context of a few thousand segments (about 17k
-# grams a size) then keeps one run a size, while a corpus of millions of
-# grams copies each gram O(log grams) times rather than once a step.
-RUN_FLOOR = 16384
+_POINT_BYTES = 112
+# the constants of the digest (see the module docstring)
+_FNV_PRIME = np.uint64(0x100000001B3)
+_MIX = (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9), np.uint64(27), np.uint64(0x94D049BB133111EB), np.uint64(31))
+_SIGN_SHIFT = np.uint64(63)
+DETERMINISTIC_MODEL = "deterministic-ngram-v2"
 
 
 @dataclass
@@ -85,7 +84,7 @@ class EmbeddingProviderConfig:
 
     kind: str = "deterministic-test"  # "remote-http" | "deterministic-test"
     endpoint: str = ""
-    model_name: str = "deterministic-ngram"
+    model_name: str = DETERMINISTIC_MODEL
     dim: int = DEFAULT_DIM
     batch_size: int = 64
     seed: int = 0
@@ -102,6 +101,10 @@ class EmbeddingProviderConfig:
             raise ArgumentError(f"seed must fit a signed 64-bit integer, got {self.seed}")
         if self.max_in_flight < 1:
             raise ArgumentError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
+        if self.kind == "deterministic-test" and self.model_name != DETERMINISTIC_MODEL:
+            # another name would pass the fingerprint check of a store built with other vectors
+            raise ArgumentError(f"the deterministic-test provider is model_name {DETERMINISTIC_MODEL!r}, "
+                                f"got {self.model_name!r}")
         if self.kind == "remote-http" and not self.endpoint.startswith(("http://", "https://")):
             raise ArgumentError(f"remote-http needs an http:// or https:// endpoint, got {self.endpoint!r}")
 
@@ -119,61 +122,31 @@ def check_vectors(matrix: np.ndarray, dim: int) -> None:
         raise ContractViolationError(f"vector norm {norms[off.argmax()]} outside [1-1e-6, 1+1e-6]")
 
 
-def _embed_deterministic(texts: Sequence[str], dim: int, seed: int, base: GramTables | None) -> np.ndarray:
+def _embed_deterministic(texts: Sequence[str], dim: int, seed: int) -> np.ndarray:
     """Signed hashed character n-grams (n = 3..5) of each lowercased text, L2-normalized.
 
-    Each gram is hashed (keyed by the seed) to a bucket in [0, dim) with a
-    +/-1 contribution; a text whose contributions all cancel, or that is too
-    short to produce any n-gram, maps to the unit basis vector e_0. Returns
-    a (len(texts), dim) float32 matrix. A text holding a lone surrogate
-    raises CorpusEncodingError.
+    Returns a (len(texts), dim) float32 matrix of the rows the module
+    docstring defines. A text holding a lone surrogate raises
+    CorpusEncodingError.
     """
-    if base is not None and base.filled and base.seed != seed:
-        raise ArgumentError(f"gram tables were filled with seed {base.seed}, not {seed}")
-    keyed = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=True))
-    frozen = base.runs if base is not None and base.filled else (None,) * len(NGRAM_SIZES)
-    tables = [_GramTable(n, keyed, run, n < NGRAM_SIZES[-1]) for n, run in zip(NGRAM_SIZES, frozen)]
     out = np.empty((len(texts), dim), dtype=np.float32)
     for start, stop in _steps(texts, dim):
         # a step's arrays are the helper's locals, so none outlives its step
-        out[start:stop] = _step_rows(texts[start:stop], start, dim, tables)
-    if base is not None and not base.filled:
-        base.runs = tuple(table.merged() for table in tables)
-        for array in (a for run in base.runs if run is not None for a in run):
-            array.setflags(write=False)
-        base.seed = seed
+        out[start:stop] = _step_rows(texts[start:stop], start, dim, seed)
     return out
 
 
-def _step_rows(texts: Sequence[str], first: int, dim: int, tables: list[_GramTable]) -> np.ndarray:
+def _step_rows(texts: Sequence[str], first: int, dim: int, seed: int) -> np.ndarray:
     """The float64 unit rows of one step's texts, ``texts[0]`` being text
     ``first`` of the call."""
-    lowered = [text.lower() for text in texts]
-    rows = len(lowered)
-    lengths = np.fromiter(map(len, lowered), dtype=np.intp, count=rows)
-    ends = np.cumsum(lengths)
-    joined = "".join(lowered)
-    try:
-        points = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.uint64)
-    except UnicodeEncodeError as exc:
-        index = first + int(np.searchsorted(ends, exc.start, side="right"))
-        raise CorpusEncodingError(f"text {index} holds a lone surrogate {joined[exc.start]!r}") from None
-    row_of = np.repeat(np.arange(rows), lengths)
-    # the start of every 2-gram and its key, the prefix of the 3-gram keys
-    starts = np.flatnonzero(np.arange(len(points)) + 1 < ends[row_of])
-    ids = points[starts] * _ALPHABET + points[starts + 1]
-    flat, signs = [], []
-    for table in tables:
-        longer = starts + (table.n - 1) < ends[row_of[starts]]
-        starts = starts[longer]
-        keys = ids[longer].astype(np.uint64, copy=False) * _ALPHABET + points[starts + (table.n - 1)]
-        ids, hashes = table.lookup(keys, starts, joined)
-        flat.append(row_of[starts] * dim + (hashes % dim).astype(np.intp))
-        signs.append(hashes >> 63)
+    rows = len(texts)
+    # the code points die in the call, before the sums are made
+    found = _gram_digests(*_code_points(texts, first), seed)
+    flat = np.concatenate([row * dim + (digest % np.uint64(dim)).astype(np.intp) for row, digest in found])
     # one bincount for all three sizes; over no grams it would give int64 zeros
-    flat = np.concatenate(flat)
     if len(flat):
-        sums = np.bincount(flat, weights=1.0 - 2.0 * np.concatenate(signs), minlength=rows * dim)
+        weights = np.concatenate([1.0 - 2.0 * (digest >> _SIGN_SHIFT) for _, digest in found])
+        sums = np.bincount(flat, weights=weights, minlength=rows * dim)
     else:
         sums = np.zeros(rows * dim)
     sums = sums.reshape(rows, dim)
@@ -185,6 +158,44 @@ def _step_rows(texts: Sequence[str], first: int, dim: int, tables: list[_GramTab
     return sums
 
 
+def _code_points(texts: Sequence[str], first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uint64 code points of the lowercased texts, end to end, and each
+    text's length in them."""
+    lowered = [text.lower() for text in texts]
+    lengths = np.fromiter(map(len, lowered), dtype=np.intp, count=len(lowered))
+    joined = "".join(lowered)
+    try:
+        return np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.uint64), lengths
+    except UnicodeEncodeError as exc:
+        index = first + int(np.searchsorted(np.cumsum(lengths), exc.start, side="right"))
+        raise CorpusEncodingError(f"text {index} holds a lone surrogate {joined[exc.start]!r}") from None
+
+
+def _gram_digests(points: np.ndarray, lengths: np.ndarray, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each gram size, the text and the digest of every gram occurrence
+    of the texts whose code points ``points`` holds end to end."""
+    row_of = np.repeat(np.arange(len(lengths)), lengths)
+    # the code points from each position to the end of its text
+    left = np.cumsum(lengths)[row_of] - np.arange(len(points))
+    shift1, mul1, shift2, mul2, shift3 = _MIX
+    found = []
+    with np.errstate(over="ignore"):
+        # h[i] chains the code points from position i on, one more each pass;
+        # a chain that runs past its text's end is never finished
+        h = (points ^ np.uint64(seed % 2**64)) * _FNV_PRIME
+        for n in range(2, NGRAM_SIZES[-1] + 1):
+            h = (h[:-1] ^ points[n - 1 :]) * _FNV_PRIME
+            if n not in NGRAM_SIZES:
+                continue
+            at = np.flatnonzero(left[: len(h)] >= n)
+            z = h[at] ^ np.uint64(n)
+            z = (z ^ (z >> shift1)) * mul1
+            z = (z ^ (z >> shift2)) * mul2
+            z ^= z >> shift3
+            found.append((row_of[at], z))
+    return found
+
+
 def _steps(texts: Sequence[str], dim: int):
     """(start, stop) of each step: as many texts as fit _STEP_BYTES at
     _POINT_BYTES a code point and 8 * dim bytes a row, and at least one."""
@@ -194,137 +205,6 @@ def _steps(texts: Sequence[str], dim: int):
         stop = max(start + 1, int(np.searchsorted(cost, spent + _STEP_BYTES, side="right")))
         yield start, stop
         start, spent = stop, int(cost[stop - 1])
-
-
-class _Run(NamedTuple):
-    """Distinct grams of the largest size in ascending key order: the key
-    and keyed digest of each."""
-
-    keys: np.ndarray
-    digests: np.ndarray
-
-
-class _IdRun(NamedTuple):
-    """Distinct grams of a smaller size in ascending key order: the key,
-    keyed digest and uint32 id of each; an id is the prefix of the keys of
-    the next size's grams."""
-
-    keys: np.ndarray
-    digests: np.ndarray
-    ids: np.ndarray
-
-
-def _merge(older, newer):
-    """One run of the grams of two runs that share no key."""
-    # one position mask for every array; np.insert sorts the positions
-    # and builds a mask for each array it is called on
-    at = np.searchsorted(older.keys, newer.keys) + np.arange(len(newer.keys))
-    kept = np.ones(len(older.keys) + len(at), dtype=bool)
-    kept[at] = False
-    merged = []
-    for old, new in zip(older, newer):
-        both = np.empty(len(kept), dtype=old.dtype)
-        both[at] = new
-        both[kept] = old
-        merged.append(both)
-    return type(older)(*merged)
-
-
-class GramTables:
-    """The distinct character n-grams of one embedded corpus with their digests.
-
-    Empty until the first deterministic ``embed_batch`` call given it as
-    ``base``, which fills it with one run per gram size holding every gram
-    of that call's texts; read-only from then on. A later call looks its
-    grams up here first and hashes only those missing, into tables of its
-    own, so no call adds to a filled one and concurrent calls may share it.
-    A call with another seed raises ArgumentError. A remote provider neither
-    fills nor reads it.
-    """
-
-    def __init__(self):
-        self.seed: int | None = None
-        self.runs: tuple[_Run | _IdRun | None, ...] = ()
-
-    @property
-    def filled(self) -> bool:
-        return self.seed is not None
-
-
-class _GramTable:
-    """The distinct n-grams one call has met, layered over a read-only base run.
-
-    The call's grams sit in sorted runs after the base's. A step's fresh grams
-    form a new run, merged into the run before it while that one is smaller
-    than RUN_FLOOR or at most twice its size, so a call keeps O(log grams)
-    runs and copies each gram O(log grams) times. With ``with_ids`` each
-    gram gets an id, going on from the base's, so a key names one gram in
-    the base and the call alike; the largest size keeps none, as no longer
-    gram's key is built from it."""
-
-    def __init__(self, n: int, keyed, base: _Run | _IdRun | None, with_ids: bool):
-        self.n = n
-        self.keyed = keyed
-        self.with_ids = with_ids
-        self.runs = [] if base is None else [base]
-        self.own = 0 if base is None else 1  # runs[:own] belong to the base
-        self.count = 0 if base is None else len(base.keys)
-
-    def lookup(self, keys: np.ndarray, starts: np.ndarray, joined: str) -> tuple[np.ndarray | None, np.ndarray]:
-        """The id (None without ids) and the digest of each key, where the
-        gram of ``keys[i]`` is ``joined[starts[i]:][:n]``; each key in no run
-        is hashed once and added as a new run."""
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        ids = np.empty(len(distinct), dtype=np.uint32) if self.with_ids else None
-        digests = np.empty(len(distinct), dtype="<u8")
-        missing = np.arange(len(distinct))
-        for run in self.runs:
-            wanted = distinct[missing]
-            at = np.searchsorted(run.keys, wanted).clip(max=len(run.keys) - 1)
-            hit = run.keys[at] == wanted
-            at, found = at[hit], missing[hit]
-            digests[found] = run.digests[at]
-            if ids is not None:
-                ids[found] = run.ids[at]
-            missing = missing[~hit]
-        if len(missing):
-            start_of = np.empty(len(distinct), dtype=np.intp)
-            start_of[inverse] = starts
-            grams = [joined[s : s + self.n] for s in start_of[missing].tolist()]
-            # One array of known size: b"".join(...) would first grow a list,
-            # whose small freed blocks stay in glibc's per-thread cache and split
-            # the heap's free space (tm-build peak RSS 4 MB higher in 10 of 10
-            # benchmark runs with the join, in 4 of 10 without).
-            fresh = _Run(
-                distinct[missing],
-                np.fromiter(_digests(self.keyed, grams), dtype="S8", count=len(grams)).view("<u8"),
-            )
-            digests[missing] = fresh.digests
-            if ids is not None:
-                # past 2**32 grams of one size (some 80 GB of tables) np.arange raises OverflowError
-                fresh = _IdRun(*fresh, np.arange(self.count, self.count + len(grams), dtype=np.uint32))
-                self.count += len(grams)
-                ids[missing] = fresh.ids
-            self.runs.append(fresh)
-            while len(self.runs) - self.own > 1:
-                older, newer = self.runs[-2:]
-                if len(older.keys) >= RUN_FLOOR and len(older.keys) > 2 * len(newer.keys):
-                    break
-                self.runs[-2:] = [_merge(older, newer)]
-        return None if ids is None else ids[inverse], digests[inverse]
-
-    def merged(self) -> _Run | _IdRun | None:
-        """The call's own grams as one run (None if it met none)."""
-        while len(self.runs) - self.own > 1:
-            self.runs[-2:] = [_merge(*self.runs[-2:])]
-        return self.runs[-1] if len(self.runs) > self.own else None
-
-
-def _digests(keyed, grams: list[str]):
-    for gram in grams:
-        h = keyed.copy()
-        h.update(gram.encode("utf-8"))
-        yield h.digest()
 
 
 def _post_embeddings(texts: Sequence[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
@@ -359,18 +239,14 @@ def _embed_batch_remote(texts: Sequence[str], cfg: EmbeddingProviderConfig) -> n
     return np.concatenate(parts, axis=0)
 
 
-def embed_batch(texts: Sequence[str], cfg: EmbeddingProviderConfig, base: GramTables | None = None) -> np.ndarray:
-    """Embed texts in order; returns a (len(texts), cfg.dim) float32 matrix.
-
-    The deterministic provider reads the grams a filled ``base`` holds
-    instead of hashing them again, and fills an empty one (see GramTables).
-    """
+def embed_batch(texts: Sequence[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
+    """Embed texts in order; returns a (len(texts), cfg.dim) float32 matrix."""
     if len(texts) == 0:
         raise ArgumentError("embed_batch requires a non-empty text list")
     if cfg.kind == "deterministic-test":
         # rows are unit-normalized by construction; renormalizing would
         # perturb low-order bits and break bit-level determinism
-        matrix = _embed_deterministic(texts, cfg.dim, cfg.seed, base)
+        matrix = _embed_deterministic(texts, cfg.dim, cfg.seed)
     else:
         matrix = _embed_batch_remote(texts, cfg)
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)

@@ -3,13 +3,13 @@
 Everything here is deliberately written without any fuzzymt internals:
 brute-force exact nearest-neighbor ranking, a recursive word edit distance,
 an exhaustive block-shift search, a frozen copy of the scalar greedy
-TER shift search, a frozen copy of the per-text hashed n-gram
-embedding, and frozen copies of the per-pair BLEU and chrF++ scorers.
+TER shift search, the per-text hashed n-gram embedding written from the
+rule that ``fuzzymt.embedding``'s docstring states, and frozen copies of
+the per-pair BLEU and chrF++ scorers.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from collections import Counter
@@ -199,25 +199,36 @@ def greedy_ter_reference(hyp_tokens, ref_tokens) -> int:
     return shifts + _ref_edit_distance(hyp, ref_tokens)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def ngram_digest_reference(gram: str, seed: int) -> int:
+    """The 64-bit digest of one (lowercased) gram: FNV-1a steps over its code
+    points from the seed, then the splitmix64 finalizer of ``h ^ len(gram)``."""
+    h = seed & _MASK64
+    for char in gram:
+        h = ((h ^ ord(char)) * 0x100000001B3) & _MASK64
+    z = h ^ len(gram)
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def deterministic_embed_reference(text: str, dim: int, seed: int = 0) -> np.ndarray:
     """Frozen per-text hashed n-gram embedding (n = 3..5), one text at a time.
 
-    The lowercased text's n-grams are hashed (keyed by the seed) to buckets
-    in [0, dim) with a +/-1 contribution, then L2-normalized. Texts too
-    short to produce any n-gram, or whose contributions cancel, map to the
-    unit basis vector e_0.
+    Each n-gram of the lowercased text adds +1, or -1 when its digest's top
+    bit is set, to bucket ``digest % dim``; the sums are L2-normalized. Texts
+    too short to produce any n-gram, or whose contributions cancel, map to
+    the unit basis vector e_0.
     """
-    vec = np.zeros(dim, dtype=np.float64)
+    sums = [0] * dim
     lowered = text.lower()
-    key = seed.to_bytes(8, "little", signed=True)
     for n in (3, 4, 5):
         for i in range(len(lowered) - n + 1):
-            gram = lowered[i : i + n]
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
-            h = int.from_bytes(digest, "little")
-            bucket = h % dim
-            sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
-            vec[bucket] += sign
+            digest = ngram_digest_reference(lowered[i : i + n], seed)
+            sums[digest % dim] += -1 if digest >> 63 else 1
+    vec = np.array(sums, dtype=np.float64)
     if not vec.any():
         vec[0] = 1.0
         return vec.astype(np.float32)

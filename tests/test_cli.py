@@ -510,6 +510,27 @@ class TestContextStore:
         assert stdout == ""
         assert message in err
 
+    def test_store_of_older_vectors_exit_2(self, store_dir, queries_tsv, capsys):
+        # the store.json a deterministic store written before deterministic-ngram-v2 holds
+        meta_path = Path(store_dir) / "store.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["provider"]["model_name"] = "deterministic-ngram"
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        code, stdout, err = run_cli(["retrieve", "--in", queries_tsv, "--context", store_dir, *BUILD_FLAGS, *NPROBE],
+                                    capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "store was built with provider model_name='deterministic-ngram'" in err
+
+    def test_older_deterministic_model_name_exit_2(self, store_dir, queries_tsv, capsys):
+        # the older name would pass that store's fingerprint check with the newer vectors
+        argv = ["retrieve", "--in", queries_tsv, "--context", store_dir, *BUILD_FLAGS, *NPROBE,
+                "--model", "deterministic-ngram"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "deterministic-test provider is model_name 'deterministic-ngram-v2', got 'deterministic-ngram'" in err
+
     def test_index_search_provider_mismatch_exit_2(self, store_dir, capsys):
         code, _, err = run_cli(
             ["index-search", "--index", store_dir, "--query", "paciente", "--dim", "32", "--seed", "7"],

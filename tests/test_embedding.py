@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzymt import _http, embedding
-from fuzzymt.embedding import NGRAM_SIZES, EmbeddingProviderConfig, embed_batch
+from fuzzymt.embedding import EmbeddingProviderConfig, embed_batch
 from fuzzymt.errors import ArgumentError, ContractViolationError, CorpusEncodingError, ProviderError
 from fuzzymt.llm_client import run_mock_server
 
 from conftest import local_endpoint, step_texts
-from oracles import deterministic_embed_reference
+from oracles import deterministic_embed_reference, ngram_digest_reference
 
 
 def _cos(a, b):
@@ -108,22 +108,47 @@ class TestOracle:
         assert embed_batch(texts, det_provider).tobytes() == expected.tobytes()
 
 
-class _CountingBlake2b:
-    """Stands in for ``hashlib``: its keyed hashers count their copies."""
+_KNOWN_SEEDS = (-(2**63), -1, 0, 2**63 - 1)
+# the digest of each gram under each of _KNOWN_SEEDS; "i\u0307sta" is "İsta".lower()
+_KNOWN_DIGESTS = {
+    "abc": (0x0F66BED0D668CBFD, 0xBEA81CCEF8474AE4, 0x13BA3D8CEFE5C005, 0x1DFF93857F0E5331),
+    "señá": (0x275888BBB5E03C52, 0xDB06E107D95D3D77, 0x9EBEB8A9EA1FC934, 0x90C9E4FE3108BDC5),
+    "i\u0307sta": (0x096567E5A54191DB, 0x61F16D1DEBC0E953, 0x10EDE44F8C244E4F, 0x7307A4E6CB74E765),
+    "a\U0001F600b": (0x647724A13825A12F, 0xBD4A63144D272720, 0x484FFC8DC6B69EB6, 0x94BE8F1B3E3AB7FE),
+}
+_KNOWN_TEXT = "Señá İsta abc \U0001F600!"
+_KNOWN_VECTOR = [0.35355338, -0.17677669, 0.17677669, -0.70710677, -0.35355338, 0.35355338, -0.17677669, 0.17677669]
 
-    def __init__(self, real):
-        self.real = real
-        self.copies = 0
 
-    def blake2b(self, **kwargs):
-        counter, real = self, self.real.blake2b(**kwargs)
+class TestKnownAnswers:
+    """Literal digests and one vector, so that an edit to either the provider
+    or the oracle that changes a digest fails here."""
 
-        class Keyed:
-            def copy(self):
-                counter.copies += 1
-                return real.copy()
+    @pytest.mark.parametrize("gram", list(_KNOWN_DIGESTS))
+    def test_oracle_digests(self, gram):
+        assert tuple(ngram_digest_reference(gram, seed) for seed in _KNOWN_SEEDS) == _KNOWN_DIGESTS[gram]
 
-        return Keyed()
+    @pytest.mark.parametrize("gram", list(_KNOWN_DIGESTS))
+    def test_provider_digests(self, gram):
+        points, lengths = embedding._code_points([gram], 0)
+        digests = []
+        for seed in _KNOWN_SEEDS:
+            # the text is the gram, the one occurrence of its size
+            sizes = embedding._gram_digests(points, lengths, seed)
+            assert [len(digest) for _, digest in sizes] == [max(len(gram) - n + 1, 0) for n in (3, 4, 5)]
+            digests.append(int(sizes[len(gram) - 3][1][0]))
+        assert tuple(digests) == _KNOWN_DIGESTS[gram]
+
+    def test_dim_8_vector(self):
+        expected = np.array(_KNOWN_VECTOR, dtype=np.float32)
+        assert deterministic_embed_reference(_KNOWN_TEXT, 8, 0).tobytes() == expected.tobytes()
+        assert embed_one(_KNOWN_TEXT, 8, seed=0).tobytes() == expected.tobytes()
+
+    def test_top_seed_bit_reaches_the_vector(self):
+        a, b = embed_one(_KNOWN_TEXT, 8, seed=5), embed_one(_KNOWN_TEXT, 8, seed=5 - 2**63)
+        assert not np.array_equal(a, b)
+        assert a.tobytes() == deterministic_embed_reference(_KNOWN_TEXT, 8, 5).tobytes()
+        assert b.tobytes() == deterministic_embed_reference(_KNOWN_TEXT, 8, 5 - 2**63).tobytes()
 
 
 _SENTENCES = [
@@ -146,37 +171,14 @@ class TestCallWideTable:
         random.Random(0).shuffle(pool)
         per_step = step_texts(260, 384)
         texts = ["".join(pool[i : i + 260]) for i in range(0, 5 * per_step * 260, 260)]
-        texts += texts[:per_step]  # a sixth step of grams already in the table
-        # two 3-grams, five steps apart, with one key if code points had 16 bits each
+        texts += texts[:per_step]  # a sixth step of grams the first already met
+        # two 3-grams, five steps apart, that would be one gram if code points had 16 bits
         texts[0] += "\u4e00\U00020005\u4e10"
         texts[-1] += "\u4e01\U00010005\u4e10"
         assert len(set("".join(texts))) > 2**16
         cfg = EmbeddingProviderConfig(kind="deterministic-test", dim=384, seed=9)
         expected = np.stack([deterministic_embed_reference(t, 384, 9) for t in texts])
         assert embed_batch(texts, cfg).tobytes() == expected.tobytes()
-
-    def test_each_distinct_gram_hashed_once_per_call(self, monkeypatch):
-        counting = _CountingBlake2b(embedding.hashlib)
-        monkeypatch.setattr(embedding, "hashlib", counting)
-        texts = _SENTENCES[:3] * 200
-        embed_batch(texts, EmbeddingProviderConfig(kind="deterministic-test"))
-        distinct = {t.lower()[i : i + n] for t in texts for n in NGRAM_SIZES for i in range(len(t) - n + 1)}
-        assert counting.copies == len(distinct)
-
-    def test_memory_beyond_output_follows_distinct_grams(self):
-        def peak_beyond_output(count):
-            texts = [_SENTENCES[i % len(_SENTENCES)] for i in range(count)]
-            cfg = EmbeddingProviderConfig(kind="deterministic-test")
-            tracemalloc.start()
-            try:
-                matrix = embed_batch(texts, cfg)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak - matrix.nbytes
-
-        per_step = step_texts(min(map(len, _SENTENCES)), EmbeddingProviderConfig().dim)
-        assert peak_beyond_output(64 * per_step) <= 2 * peak_beyond_output(per_step)
 
 
 _WORDS = " ".join(_SENTENCES).split()
@@ -361,6 +363,9 @@ def test_config_validation():
         EmbeddingProviderConfig(kind="nonsense")
     with pytest.raises(ArgumentError, match="max_in_flight"):
         EmbeddingProviderConfig(max_in_flight=0)
+    with pytest.raises(ArgumentError, match="model_name 'deterministic-ngram-v2', got 'deterministic-ngram'"):
+        EmbeddingProviderConfig(model_name="deterministic-ngram")
+    EmbeddingProviderConfig(kind="remote-http", endpoint="https://host/v1/embeddings", model_name="deterministic-ngram")
     for endpoint in ("", "127.0.0.1:8000", "ftp://host/v1/embeddings"):
         with pytest.raises(ArgumentError, match="http:// or https://"):
             EmbeddingProviderConfig(kind="remote-http", endpoint=endpoint)

@@ -465,9 +465,9 @@ class TestContextStoreDirectory:
         embedded: list[str] = []
         embed_batch = embedding.embed_batch
 
-        def recording_embed(texts, cfg, base=None):
+        def recording_embed(texts, cfg):
             embedded.extend(texts)
-            return embed_batch(texts, cfg, base=base)
+            return embed_batch(texts, cfg)
 
         monkeypatch.setattr(ann_index, "train", no_training)
         monkeypatch.setattr(embedding, "embed_batch", recording_embed)
