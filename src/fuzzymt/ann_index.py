@@ -34,7 +34,9 @@ score matrix stays near _BLOCK_BYTES whatever the query count:
 
 The lists are picked by the same rule: lists within the error bound of the
 nprobe-th best are decided by their float64 scores, ties to the lower
-centroid index. ``search`` is ``search_many`` for one query.
+centroid index. ``search_many`` returns int64 ids and float64 scores, two
+arrays of shape (queries, min(k, size)), best first; a query whose probed
+lists hold fewer rows is padded with id -1 and score -inf, which ``search`` drops.
 
 The float64 score of a row is a row-wise einsum of that row and its query
 alone, so it does not depend on which other rows are scored with it. Two
@@ -51,7 +53,6 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -219,23 +220,20 @@ class IvfIndex:
 
     # -- build ---------------------------------------------------------------
 
-    def add(self, items: Iterable[tuple[int, np.ndarray]]) -> "IvfIndex":
-        """Fill the empty index with (id, vector) items; an index is filled once."""
+    def add(self, ids, vectors) -> "IvfIndex":
+        """Fill the empty index with copies of the (N, d) ``vectors``, row j under ``ids[j]``; once only."""
         if self._filled:
             raise StateError("index is already filled; an index takes one add")
-        items = list(items)
-        ids = np.array([int(i) for i, _ in items], dtype=np.int64)
+        vecs = _as_matrix(vectors, self.config.dim, np.float32)
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.shape != (len(vecs),):
+            raise ArgumentError(f"expected one id per row: ids of shape {ids.shape} for {len(vecs)} rows")
         unique, counts = np.unique(ids, return_counts=True)
         if (counts > 1).any():
             raise ConflictError(f"id {unique[counts > 1][0]} given more than once")
-        rows = [v for _, v in items]
-        dim = self.config.dim
-        vecs = _as_matrix(rows, dim, np.float32) if rows else np.empty((0, dim), np.float32)
-        if self.config.nlist == 1:
-            self._set_lists(ids, vecs, [len(ids)])
-            return self
-        labels = _assign(vecs, self.centroids)
-        # a stable sort keeps each list's rows in insertion order
+        # with nlist 1 every row is in list 0, and no row is scored against the centroid
+        labels = _assign(vecs, self.centroids) if self.config.nlist > 1 else np.zeros(len(vecs), np.int64)
+        # a stable sort keeps each list's rows in insertion order; taking them in that order copies them
         order = np.argsort(labels, kind="stable")
         self._set_lists(ids[order], vecs[order], np.bincount(labels, minlength=self.config.nlist))
         return self
@@ -254,14 +252,15 @@ class IvfIndex:
     def search(
         self, query: np.ndarray, k: int, nprobe_override: int | None = None
     ) -> list[SearchHit]:
-        """The k best hits for ``query`` (its first row, if a matrix is given)."""
-        return self.search_many(query, k, nprobe_override)[0]
+        """The k best hits for ``query`` (its first row, if a matrix is given), unpadded."""
+        ids, scores = self.search_many(query, k, nprobe_override)
+        return [SearchHit(id=i, score=s) for i, s in zip(ids[0].tolist(), scores[0].tolist()) if s != -math.inf]
 
     def search_many(
         self, queries: np.ndarray, k: int, nprobe: int | None = None
-    ) -> list[list[SearchHit]]:
-        """The k best hits of each query row, in row order: higher score first,
-        ties to the lower id. ``nprobe`` defaults to the config's."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ids and scores of each query row's k best hits, higher score first and ties to the
+        lower id, as two arrays padded as the module says. ``nprobe`` defaults to the config's."""
         if k <= 0:
             raise ArgumentError(f"k must be positive, got {k}")
         if nprobe is not None and nprobe <= 0:
@@ -271,16 +270,15 @@ class IvfIndex:
         dtype = np.float32 if getattr(queries, "dtype", None) == np.float32 else np.float64
         queries = _as_matrix(queries, self.config.dim, dtype)
         nprobe = min(nprobe or self.config.nprobe, self.config.nlist)
-        hits: list[list[SearchHit]] = [[] for _ in range(len(queries))]
-        if self.size == 0:
-            return hits
+        ids = np.full((len(queries), min(k, self.size)), -1, dtype=np.int64)
+        scores = np.full(ids.shape, -np.inf)
         step = max(1, _BLOCK_BYTES // (4 * max(len(self._ids), self.config.nlist)))
         for start in range(0, len(queries), step):
-            block = queries[start : start + step]
-            qi, ids, scores = self._search_block(block, k, nprobe)
-            for q, i, s in zip(qi.tolist(), ids.tolist(), scores.tolist()):
-                hits[start + q].append(SearchHit(id=i, score=s))
-        return hits
+            qi, hit_ids, hit_scores = self._search_block(queries[start : start + step], k, nprobe)
+            at = (start + qi, np.arange(len(qi)) - np.searchsorted(qi, qi))
+            ids[at] = hit_ids
+            scores[at] = hit_scores
+        return ids, scores
 
     def _search_block(self, queries: np.ndarray, k: int, nprobe: int):
         """(query row, id, score) of every hit of the block, best first per row."""

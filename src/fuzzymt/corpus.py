@@ -23,9 +23,11 @@ from pathlib import Path
 from types import UnionType
 from typing import Iterable, Iterator, Mapping, TextIO, get_args, get_origin, get_type_hints
 
-from .errors import AlignmentError, CorpusEncodingError, DataError, SizeError, ValidationError
+from .errors import AlignmentError, ArgumentError, CorpusEncodingError, DataError, SizeError, ValidationError
 
 DEFAULT_MAX_WORDS = 70
+# the ids an index stores, as int64
+_ID_RANGE = range(-(2**63), 2**63)
 
 
 @dataclass(frozen=True)
@@ -273,12 +275,15 @@ def check_new_id(path: str | Path, lineno: int, pid: int, first_line: dict[int, 
 def load_corpus_jsonl(path: str | Path) -> ParallelCorpus:
     """Load a corpus from JSON-lines records {id, source, target}; a record
     without an id (or with a null one) takes its record index. Raises
-    DataError naming ``path:line`` on an id that an earlier record holds."""
+    ValidationError naming ``path:line`` on an id outside int64, and
+    DataError naming it on an id that an earlier record holds."""
     records = iter_jsonl(path, required={"id": int | None, "source": str, "target": str})
     pairs = []
     first_line: dict[int, int] = {}
     for i, (lineno, r) in enumerate(records):
         pair = SegmentPair(id=i if r.get("id") is None else r["id"], source=r["source"], target=r["target"])
+        if pair.id not in _ID_RANGE:
+            raise ValidationError(f"{path}:{lineno}: id {pair.id} is outside the int64 range [-2**63, 2**63)")
         check_new_id(path, lineno, pair.id, first_line)
         pairs.append(pair)
     return ParallelCorpus(pairs)
@@ -295,8 +300,11 @@ def filter_corpus(corpus: ParallelCorpus, max_words: int = DEFAULT_MAX_WORDS) ->
     Duplicates are exact (source, target) string matches after trimming
     trailing whitespace; the first occurrence is kept. A pair is over-length
     when either side has more than ``max_words`` whitespace tokens. Relative
-    order is preserved and the operation is idempotent.
+    order is preserved and the operation is idempotent. ``max_words`` below 1,
+    which no pair can meet, is an ArgumentError.
     """
+    if max_words < 1:
+        raise ArgumentError(f"max_words must be at least 1, got {max_words}")
     seen: set[tuple[str, str]] = set()
     kept = []
     for pair in corpus.pairs:

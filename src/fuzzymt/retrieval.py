@@ -8,6 +8,7 @@ Its store.json then reads ``ivf.nlist: 1``.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -140,7 +141,7 @@ def build_context_store(
         )
     vectors = embedding.embed_batch(corpus.sources(), provider)
     index = ann_index.train(vectors, ivf)
-    index.add(zip(corpus.ids(), vectors))
+    index.add(corpus.ids(), vectors)
     return ContextStore(corpus=corpus, index=index, provider=provider)
 
 
@@ -153,15 +154,15 @@ def open_context_store(spec: str, provider: EmbeddingProviderConfig, ivf: IvfCon
 
 
 def retrieve_fuzzy_many(store: ContextStore, sources: Sequence[str], k: int = 1) -> list[list[FuzzyMatch]]:
-    """Top-k most similar context pairs for each source segment, in query order."""
+    """Top-k most similar context pairs for each source segment, in query order, unpadded."""
     if k <= 0:
         raise ArgumentError(f"k must be positive, got {k}")
     if len(sources) == 0:
         return []
-    queries = embedding.embed_batch(sources, store.provider)
+    ids, scores = store.index.search_many(embedding.embed_batch(sources, store.provider), k)
     return [
-        [FuzzyMatch(pair=store.pair(h.id), score=h.score) for h in hits]
-        for hits in store.index.search_many(queries, k)
+        [FuzzyMatch(pair=store.pair(i), score=s) for i, s in zip(row_ids, row_scores) if s != -math.inf]
+        for row_ids, row_scores in zip(ids.tolist(), scores.tolist())
     ]
 
 

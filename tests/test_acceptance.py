@@ -147,7 +147,7 @@ def test_04_ivf_exhaustive_equivalence():
                 warnings.simplefilter("ignore")
                 index = train(vectors, cfg)
             ids = np.arange(n)
-            index.add(zip(ids.tolist(), vectors))
+            index.add(ids, vectors)
             queries = rng.normal(size=(50, dim)).astype(np.float32)
             for q in queries:
                 got = [h.id for h in index.search(q, k=10)]
@@ -167,7 +167,7 @@ def test_05_ivf_recall_monotonicity():
             warnings.simplefilter("ignore")
             index = train(vectors, cfg)
         ids = np.arange(1000)
-        index.add(zip(ids.tolist(), vectors))
+        index.add(ids, vectors)
         query_texts = [f"consulta de prueba {i} con ruido {i % 7}" for i in range(50)]
         queries = embed_batch(query_texts, provider)
         exact = [set(brute_force_ids(vectors, ids, q, 10)) for q in queries]
@@ -350,7 +350,7 @@ def test_12_index_persistence(tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             index = train(vectors, cfg)
-        index.add(zip(range(500), vectors))
+        index.add(range(500), vectors)
         path = tmp_path / "index.ivf"
         index.save(path)
         loaded = IvfIndex.load(path, nprobe=cfg.nprobe)

@@ -20,6 +20,12 @@ from fuzzymt.errors import ArgumentError, ConflictError, StateError, TrainingErr
 from oracles import brute_force_ids
 
 
+def hit_lists(ids, scores):
+    """``search_many``'s arrays as one [(id, score), ...] list per query, its -inf padding dropped."""
+    return [[(i, s) for i, s in zip(row_ids, row_scores) if s != -math.inf]
+            for row_ids, row_scores in zip(ids.tolist(), scores.tolist())]
+
+
 def unit_rows(n: int, dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, dim))
@@ -115,44 +121,61 @@ class TestAdd:
 
     def test_size_and_list_lengths(self):
         index, vectors = self._trained(n=100)
-        index.add(zip(range(100), vectors))
+        index.add(range(100), vectors)
         assert index.size == 100
         assert sum(index.list_lengths()) == 100
 
     def test_vector_equal_to_centroid_lands_in_its_list(self):
         index, _ = self._trained()
         centroid = index.centroids[2].copy()
-        index.add([(7, centroid)])
+        index.add([7], [centroid])
         assert 7 in index._ids[index._offsets[2] : index._offsets[3]]
 
     def test_duplicate_id_conflict(self):
         index, vectors = self._trained()
         with pytest.raises(ConflictError, match="id 0 given more than once"):
-            index.add([(0, vectors[0]), (1, vectors[1]), (0, vectors[2])])
+            index.add([0, 1, 0], vectors[:3])
 
     def test_second_add_rejected(self):
         index, vectors = self._trained()
-        index.add([(0, vectors[0])])
+        index.add([0], vectors[:1])
         with pytest.raises(StateError):
-            index.add([(1, vectors[1])])
+            index.add([1], vectors[1:2])
 
     @pytest.mark.parametrize("nlist", [1, 4])
     def test_value_beyond_float32_rejected(self, nlist):
         index, _ = self._trained(dim=4, nlist=nlist)
         with pytest.raises(ArgumentError, match="non-finite"):
-            index.add([(0, [1e39, 0, 0, 0]), (1, [0, 1, 0, 0])])
+            index.add([0, 1], [[1e39, 0, 0, 0], [0, 1, 0, 0]])
 
     @pytest.mark.parametrize("nlist", [1, 4])
     def test_ragged_rows_rejected(self, nlist):
         index, _ = self._trained(dim=4, nlist=nlist)
         with pytest.raises(ArgumentError, match="expected vectors of dim 4"):
-            index.add([(0, [1, 2, 3, 4]), (1, [1, 2])])
+            index.add([0, 1], [[1, 2, 3, 4], [1, 2]])
+
+    def test_ids_and_rows_differ_in_count(self):
+        index, vectors = self._trained()
+        with pytest.raises(ArgumentError, match=r"one id per row: ids of shape \(3,\) for 2 rows"):
+            index.add([0, 1, 2], vectors[:2])
+
+    @pytest.mark.parametrize("nlist", [1, 4])
+    def test_later_writes_to_the_callers_arrays_do_not_reach_the_index(self, nlist):
+        index, vectors = self._trained(nlist=nlist)
+        ids = np.arange(len(vectors))
+        queries = vectors[:5].copy()
+        index.add(ids, vectors)
+        before = hit_lists(*index.search_many(queries, 3))
+        vectors *= -1
+        ids += 100
+        assert hit_lists(*index.search_many(queries, 3)) == before
+        assert before[0][0][0] == 0
 
     def test_flat_add_peak_memory(self):
         index, vectors = self._trained(n=2000, dim=384, nlist=1)
         tracemalloc.start()
         try:
-            index.add(zip(range(2000), vectors))
+            index.add(range(2000), vectors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -166,7 +189,7 @@ class TestSearch:
         vectors = unit_rows(n, dim, seed=seed)
         cfg = IvfConfig(dim=dim, nlist=nlist, nprobe=nlist, kmeans_iters=8, seed=0)
         index = train(vectors, cfg)
-        index.add(zip(range(n), vectors))
+        index.add(range(n), vectors)
         return index, vectors
 
     def test_self_match_rank_one(self):
@@ -199,12 +222,32 @@ class TestSearch:
         index = train(vectors, cfg)
         assert index.search(vectors[0], k=5) == []
 
+    def test_k_beyond_size_gives_width_size(self):
+        index, vectors = self._built(n=5, dim=4, nlist=1)
+        ids, scores = index.search_many(vectors[:2], 2**40)
+        assert ids.shape == scores.shape == (2, 5)
+        assert (ids.dtype, scores.dtype) == (np.int64, np.float64)
+        assert sorted(ids[0].tolist()) == list(range(5))
+        assert np.isfinite(scores).all()
+
+    def test_probed_list_shorter_than_k_padded(self):
+        # two lists: ids 0-2 near (1, 0) and ids 3-4 near (-1, 0)
+        index = IvfIndex(IvfConfig(dim=2, nlist=2, nprobe=1), np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        index.add(range(5), [[1.0, 0.1], [1.0, 0.2], [1.0, -0.1], [-1.0, 0.1], [-1.0, -0.2]])
+        query = np.array([-1.0, 0.05])
+        ids, scores = index.search_many(query, 4)
+        assert ids.tolist() == [[3, 4, -1, -1]]
+        assert scores[0, 2:].tolist() == [-math.inf, -math.inf]
+        assert np.isfinite(scores[0, :2]).all()
+        assert [h.id for h in index.search(query, 4)] == [3, 4]
+        assert [h.id for h in index.search(query, 4, nprobe_override=2)] == [3, 4, 1, 0]
+
     def test_tie_break_ascending_id(self):
         vectors = unit_rows(8, 8, seed=4)
         duplicated = np.concatenate([vectors, vectors[:1]])
         cfg = IvfConfig(dim=8, nlist=2, nprobe=2, kmeans_iters=4, seed=0)
         index = train(duplicated, cfg)
-        index.add(zip(range(9), duplicated))
+        index.add(range(9), duplicated)
         hits = index.search(vectors[0], k=3)
         assert hits[0].score == pytest.approx(hits[1].score, abs=1e-12)
         assert (hits[0].id, hits[1].id) == (0, 8)
@@ -268,16 +311,17 @@ class TestExactTies:
         rows = np.concatenate(pieces)
         index = train(rows, IvfConfig(dim=dim, nlist=nlist, nprobe=nlist, kmeans_iters=6, seed=0))
         # inserted in a shuffled order, so the copies sit at varied positions of their lists
-        index.add((i, rows[i]) for i in np.random.default_rng(tail).permutation(len(rows)).tolist())
+        order = np.random.default_rng(tail).permutation(len(rows))
+        index.add(order, rows[order])
         copy_ids = [np.flatnonzero((rows == o).all(axis=1)).tolist() for o in originals]
         lists = [index._ids[index._offsets[c] : index._offsets[c + 1]] for c in range(nlist)]
         assert sum(np.isin(ids, sum(copy_ids, [])).any() for ids in lists) >= 2
         queries = originals + 0.02 * np.random.default_rng(13).normal(size=originals.shape)
-        batched = index.search_many(queries, copies)
+        batched = hit_lists(*index.search_many(queries, copies))
         for q, want, many in zip(queries, copy_ids, batched):
-            for hits in (index.search(q, copies), many):
-                assert [h.id for h in hits] == want
-                assert len({h.score for h in hits}) == 1
+            for hits in ([(h.id, h.score) for h in index.search(q, copies)], many):
+                assert [i for i, _ in hits] == want
+                assert len({s for _, s in hits}) == 1
 
     @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
     @pytest.mark.parametrize("nlist", [1, 4])
@@ -287,9 +331,9 @@ class TestExactTies:
     def test_small_blocks_give_equal_hits(self, monkeypatch, nlist, block_bytes):
         rows = unit_rows(300, 16, seed=19)
         index = train(rows, IvfConfig(dim=16, nlist=nlist, nprobe=min(2, nlist), kmeans_iters=6))
-        index.add(enumerate(rows))
+        index.add(range(len(rows)), rows)
         queries = rows[:40] + 0.05 * np.random.default_rng(20).normal(size=(40, 16))
-        default = index.search_many(queries, 5)
+        default = hit_lists(*index.search_many(queries, 5))
         sizes = []
         exact = IvfIndex._exact_scores
 
@@ -299,7 +343,7 @@ class TestExactTies:
 
         monkeypatch.setattr(IvfIndex, "_exact_scores", counted)
         monkeypatch.setattr(ann_index, "_BLOCK_BYTES", block_bytes)
-        assert index.search_many(queries, 5) == default
+        assert hit_lists(*index.search_many(queries, 5)) == default
         assert max(sizes) > 1 + block_bytes // (16 * 16)  # so a call split its rows into blocks
 
     @settings(max_examples=80, deadline=None)
@@ -321,15 +365,15 @@ class TestExactTies:
         for j in np.flatnonzero(rng.random(nlist) < 0.5)[1:]:
             centroids[j] = nudged(rng, centroids[j - 1 : j])[0]
         index = IvfIndex(IvfConfig(dim=dim, nlist=nlist, nprobe=nlist), centroids)
-        index.add(zip(ids.tolist(), vectors))
+        index.add(ids, vectors)
         queries = np.concatenate([rng.normal(size=(4, dim)), vectors[rng.integers(len(vectors), size=4)]])
         row_of = {int(i): r for r, i in enumerate(ids)}
         for nprobe in range(1, nlist + 1):
-            many = index.search_many(queries, k, nprobe)
-            assert many == [index.search(q, k, nprobe) for q in queries]
+            many = hit_lists(*index.search_many(queries, k, nprobe))
+            assert many == [[(h.id, h.score) for h in index.search(q, k, nprobe)] for q in queries]
             for q, hits in zip(queries, many):
                 rows = [row_of[i] for i in exact_probe_ids(index, q, nprobe).tolist()]
-                assert [(h.id, h.score) for h in hits] == exact_top(vectors, ids, rows, q, k)
+                assert hits == exact_top(vectors, ids, rows, q, k)
 
 
 def partition_kth_best(approx, k):
@@ -413,16 +457,16 @@ class TestSelection:
         rows = np.concatenate([base, base, nudged(rng, base), base[rng.integers(12, size=20)]])
         ids = rng.permutation(len(rows)) * 2 + 5
         index = train(rows, IvfConfig(dim=8, nlist=nlist, nprobe=nlist, kmeans_iters=4, seed=0))
-        index.add(zip(ids.tolist(), rows))
+        index.add(ids, rows)
         queries = np.concatenate([rows[rng.integers(len(rows), size=6)], rng.normal(size=(4, 8))])
         queries = queries.astype(np.float32 if float32_queries else np.float64)
         for nprobe in range(1, nlist + 1):
-            got = index.search_many(queries, k, nprobe)
+            got = hit_lists(*index.search_many(queries, k, nprobe))
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(ann_index, "_kth_best", partition_kth_best)
                 patch.setattr(IvfIndex, "_search_block", partition_search_block)
-                want = index.search_many(queries, k, nprobe)
-            assert [[(h.id, h.score) for h in hits] for hits in got] == [[(h.id, h.score) for h in hits] for hits in want]
+                want = hit_lists(*index.search_many(queries, k, nprobe))
+            assert got == want
 
     @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
     @pytest.mark.parametrize("nlist", [1, 3])
@@ -433,14 +477,14 @@ class TestSelection:
         rows = (rng.choice([-1e19, 1e19], size=(30, 6)) * rng.integers(0, 2, size=(30, 6))).astype(np.float32)
         rows[10:20] = rows[:10]
         index = train(rows, IvfConfig(dim=6, nlist=nlist, nprobe=nlist, kmeans_iters=4, seed=0))
-        index.add(enumerate(rows))
+        index.add(range(len(rows)), rows)
         queries = rows[:5] + np.float32(1e18)
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(queries @ rows.T).all()
         assert (index._error_bound(ann_index._max_norm(queries), index._vec_norm) == math.inf)
         for k in (1, 2, 7):
-            for q, hits in zip(queries, index.search_many(queries, k)):
-                assert [(h.id, h.score) for h in hits] == exact_top(rows, np.arange(30), np.arange(30), q, k)
+            for q, hits in zip(queries, hit_lists(*index.search_many(queries, k))):
+                assert hits == exact_top(rows, np.arange(30), np.arange(30), q, k)
 
 
 @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
@@ -449,7 +493,7 @@ class TestPersistence:
         vectors = unit_rows(120, 16, seed=6)
         cfg = IvfConfig(dim=16, nlist=4, nprobe=2, kmeans_iters=8, seed=0)
         index = train(vectors, cfg)
-        index.add(zip(range(120), vectors))
+        index.add(range(120), vectors)
         path = tmp_path / "index.ivf"
         index.save(path)
         loaded = IvfIndex.load(path, nprobe=cfg.nprobe)
@@ -463,7 +507,7 @@ class TestPersistence:
         vectors = unit_rows(50, 8, seed=2)
         cfg = IvfConfig(dim=8, nlist=2, nprobe=1, kmeans_iters=4, seed=0)
         index = train(vectors, cfg)
-        index.add(zip(range(50), vectors))
+        index.add(range(50), vectors)
         path = tmp_path / "index.ivf"
         index.save(path)
         loaded = IvfIndex.load(path)
@@ -475,7 +519,7 @@ class TestPersistence:
     def _saved(tmp_path):
         vectors = unit_rows(50, 8, seed=2)
         index = train(vectors, IvfConfig(dim=8, nlist=2, nprobe=1, kmeans_iters=4, seed=0))
-        index.add(zip(range(50), vectors))
+        index.add(range(50), vectors)
         path = tmp_path / "index.ivf"
         index.save(path)
         return path

@@ -305,6 +305,13 @@ class TestFilter:
         assert code == 2
         assert "Is a directory" in err
 
+    @pytest.mark.parametrize("max_words", ["0", "-3"])
+    def test_max_words_below_one_exit_2(self, max_words, corpus_tsv, capsys):
+        code, stdout, err = run_cli(["filter", "--in", corpus_tsv, "--max-words", max_words], capsys)
+        assert code == 2
+        assert f"max_words must be at least 1, got {max_words}" in err
+        assert stdout == ""
+
     def test_config_flag_is_usage_error(self, corpus_tsv, tmp_path, capsys):
         # --config belongs to `run` only; it never set flag defaults of other commands
         path = tmp_path / "fc.json"
@@ -579,6 +586,38 @@ class TestRetrieveAndPrompts:
         records = [json.loads(line) for line in stdout.splitlines()]
         assert len(records) == 3
         assert len(records[0]["matches"]) == 2
+
+    def test_retrieve_k_beyond_context_gives_every_row(self, corpus_tsv, queries_tsv, capsys):
+        code, stdout, _ = run_cli(
+            ["retrieve", "--in", queries_tsv, "--context", corpus_tsv, "--dim", "32", "-k", str(2**40)], capsys
+        )
+        assert code == 0
+        records = [json.loads(line) for line in stdout.splitlines()]
+        assert len(records) == 5
+        assert all(sorted(m["context_id"] for m in r["matches"]) == list(range(12)) for r in records)
+
+    # the ids an index stores are int64; one past either end is a data error on its line
+    @pytest.mark.parametrize("sub", ["retrieve", "index-build"])
+    @pytest.mark.parametrize("bad_id", [2**63, -(2**63) - 1])
+    def test_context_id_outside_int64_exit_2(self, sub, bad_id, queries_tsv, tmp_path, capsys):
+        context = tmp_path / "c.jsonl"
+        context.write_text(f'{{"id": 0, "source": "hola", "target": "hello"}}\n'
+                           f'{{"id": {bad_id}, "source": "adiós", "target": "bye"}}\n', encoding="utf-8")
+        argv = {"retrieve": ["--in", queries_tsv, "--context", str(context)],
+                "index-build": ["--in", str(context), "--out", str(tmp_path / "store")]}[sub]
+        code, _, err = run_cli([sub, *argv, "--dim", "32"], capsys)
+        assert code == 2
+        assert f"c.jsonl:2: id {bad_id} is outside the int64 range" in err
+
+    def test_context_ids_at_int64_ends_retrieved(self, tmp_path, capsys):
+        context = tmp_path / "c.jsonl"
+        context.write_text(f'{{"id": {2**63 - 1}, "source": "hola mundo", "target": "hello world"}}\n'
+                           f'{{"id": {-(2**63)}, "source": "adiós amigo", "target": "goodbye friend"}}\n',
+                           encoding="utf-8")
+        code, stdout, _ = run_cli(["retrieve", "--in", str(context), "--context", str(context), "--dim", "32",
+                                   "-k", "1"], capsys)
+        assert code == 0
+        assert [json.loads(line)["matches"][0]["context_id"] for line in stdout.splitlines()] == [2**63 - 1, -(2**63)]
 
     def test_prompts_zero_shot(self, corpus_tsv, capsys):
         code, stdout, _ = run_cli(

@@ -68,7 +68,7 @@ class TestBuildContextStore:
 
     def test_store_index_rejects_add(self, store):
         with pytest.raises(StateError):
-            store.index.add([(-1, store.index.centroids[0])])
+            store.index.add([-1], store.index.centroids[:1])
 
 
 @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
@@ -105,7 +105,7 @@ class TestSaveLoad:
         store.save(tmp_path / "store")
         loaded = ContextStore.load(tmp_path / "store", det_provider, nprobe=store.index.config.nprobe)
         with pytest.raises(StateError):
-            loaded.index.add([(-1, loaded.index.centroids[0])])
+            loaded.index.add([-1], loaded.index.centroids[:1])
         assert loaded.corpus.pairs == small_corpus.pairs
         assert loaded.index.config == store.index.config
         assert ranked(loaded, small_corpus.sources(), 3) == ranked(store, small_corpus.sources(), 3)
@@ -211,6 +211,29 @@ class TestRetrieveFuzzy:
         store = build_context_store(corpus, det_provider, cfg)
         assert len(retrieve_one(store, "una consulta", k=3)) == 2
 
+    @pytest.mark.filterwarnings("ignore::fuzzymt.ann_index.ClusterRangeWarning")
+    def test_probed_lists_shorter_than_k_truncated(self, ivf_path, small_corpus, det_provider, small_ivf):
+        store = build_context_store(small_corpus, det_provider, replace(small_ivf, nprobe=1))
+        # no list holds k rows, so every query at nprobe 1 is padded
+        k = max(store.index.list_lengths()) + 1
+        sources = small_corpus.sources()
+        ids, scores = store.index.search_many(embedding.embed_batch(sources, det_provider), k)
+        assert ids.shape == (len(sources), k)
+        assert (ids[:, -1] == -1).all() and (scores[:, -1] == -np.inf).all()
+        unpadded = [[(i, s) for i, s in zip(row_ids, row_scores) if s > -np.inf]
+                    for row_ids, row_scores in zip(ids.tolist(), scores.tolist())]
+        assert ranked(store, sources, k) == unpadded
+        assert all(0 < len(hits) < k for hits in unpadded)
+
+    def test_corpus_id_minus_one_is_a_hit(self, det_provider):
+        corpus = ParallelCorpus([SegmentPair(id=-1, source="hola mundo", target="hello world"),
+                                 SegmentPair(id=3, source="adiós amigo", target="goodbye friend")])
+        store = build_context_store(corpus, det_provider, IvfConfig(dim=64, nlist=1, nprobe=1))
+        matches = retrieve_one(store, "hola mundo", k=2)
+        assert [m.pair.id for m in matches] == [-1, 3]
+        assert matches[0].pair.target == "hello world"
+        assert matches[0].score == pytest.approx(1.0, abs=1e-6)
+
     def test_k_zero_rejected(self, store):
         with pytest.raises(ArgumentError):
             retrieve_fuzzy_many(store, ["texto"], k=0)
@@ -296,7 +319,6 @@ class TestStoreGrams:
         expected = np.stack([deterministic_embed_reference(t, dim, seed) for t in queries])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(embedding, "_STEP_BYTES", step_bytes)
-            build_context_store(pairs_of(context), provider, IvfConfig(dim=dim, nlist=1, nprobe=1))
             assert embedding.embed_batch(queries, provider).tobytes() == expected.tobytes()
 
     def test_wide_alphabet_query_rows_match_reference(self):
@@ -308,7 +330,6 @@ class TestStoreGrams:
         # corpus grams and new ones meet in every step, across three steps
         queries = [t[:100] + pool[-1 - i] + t[101:] if i % 2 else t for i, t in enumerate(context + context[:per_step])]
         provider = EmbeddingProviderConfig(kind="deterministic-test", dim=384, seed=9)
-        build_context_store(pairs_of(context), provider, IvfConfig(dim=384, nlist=1, nprobe=1))
         expected = np.stack([deterministic_embed_reference(t, 384, 9) for t in queries])
         assert embedding.embed_batch(queries, provider).tobytes() == expected.tobytes()
 
