@@ -10,13 +10,14 @@ no k-means) the index is the exact flat index.
 An index is filled once: ``train`` returns it empty, and one ``add`` stores
 every row, as float32, in one contiguous (N, d) array beside an ids array and
 an offsets array: list c is rows offsets[c]:offsets[c + 1], in insertion order.
-A row's list is the centroid of its highest float64 dot product (``_assign``);
-with nlist 1 the rows are stored as given.
+A row's list is the first list a search for that row probes; with nlist 1
+the rows are stored as given.
 
 ``search_many`` works on blocks of queries, sized so that a block's float32
 score matrix stays near _BLOCK_BYTES whatever the query count:
 
-1. One float32 matmul against the centroids picks each query's lists.
+1. Each query's nprobe lists are picked as steps 2-4 pick rows, with the
+   centroids as the rows and ties to the lower centroid index.
 2. One float32 matmul scores the block against the rows of every list that
    some query of the block probes; rows of lists a query does not probe are
    set to -inf for that query. A block whose queries probe the same lists,
@@ -32,11 +33,11 @@ score matrix stays near _BLOCK_BYTES whatever the query count:
    given as float32, as ``embedding.embed_batch`` returns them, are never
    copied to float64 whole.
 
-The lists are picked by the same rule: lists within the error bound of the
-nprobe-th best are decided by their float64 scores, ties to the lower
-centroid index. ``search_many`` returns int64 ids and float64 scores, two
-arrays of shape (queries, min(k, size)), best first; a query whose probed
-lists hold fewer rows is padded with id -1 and score -inf, which ``search`` drops.
+Steps 2-4 are ``IvfIndex._best``, the one rule by which the index picks
+anything: rows for a search, lists for a probe and for each added row.
+``search_many`` returns int64 ids and float64 scores, two arrays of shape
+(queries, min(k, size)), best first; a query whose probed lists hold fewer
+rows is padded with id -1 and score -inf, which ``search`` drops.
 
 The float64 score of a row is a row-wise einsum of that row and its query
 alone, so it does not depend on which other rows are scored with it. Two
@@ -95,8 +96,10 @@ class IvfConfig:
             raise ArgumentError(f"dim must be positive, got {self.dim}")
         if self.nlist <= 0:
             raise ArgumentError(f"nlist must be positive, got {self.nlist}")
-        if not (1 <= self.nprobe <= self.nlist):
-            raise ArgumentError(f"nprobe must be in [1, nlist={self.nlist}], got {self.nprobe}")
+        if self.nprobe < 1:
+            raise ArgumentError(f"nprobe must be at least 1, got {self.nprobe}")
+        if self.nprobe > self.nlist:
+            raise ArgumentError(f"nprobe must be at most nlist={self.nlist}, got {self.nprobe}")
         if self.kmeans_iters <= 0:
             raise ArgumentError(f"kmeans_iters must be positive, got {self.kmeans_iters}")
         if self.seed < 0:
@@ -125,21 +128,17 @@ def _as_matrix(vectors, dim: int, dtype=np.float64) -> np.ndarray:
     return matrix
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray, by_distance: bool = False) -> np.ndarray:
-    """Each point's nearest centroid: the highest dot product, as a search
-    ranks lists, or with ``by_distance`` the least squared distance, as
-    k-means defines it. Scored in float64, a block of rows at a time."""
+def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each point's nearest centroid by least squared distance, as k-means
+    defines it. Scored in float64, a block of rows at a time."""
     cents = centroids.astype(np.float64, copy=False)
     c_sq = np.einsum("ij,ij->i", cents, cents)
     labels = np.empty(len(points), dtype=np.int64)
     block = max(1, 4_000_000 // len(cents))
     for start in range(0, len(points), block):
         dots = points[start : start + block].astype(np.float64, copy=False) @ cents.T
-        if by_distance:
-            # x.x is constant per row, so argmin of (c.c - 2 x.c) suffices
-            labels[start : start + block] = np.argmin(c_sq - 2.0 * dots, axis=1)
-        else:
-            labels[start : start + block] = np.argmax(dots, axis=1)
+        # x.x is constant per row, so argmin of (c.c - 2 x.c) suffices
+        labels[start : start + block] = np.argmin(c_sq - 2.0 * dots, axis=1)
     return labels
 
 
@@ -167,7 +166,7 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> 
     centroids = _kmeans_pp_seed(points, k, rng)
     n, dim = points.shape
     for _ in range(iters):
-        labels = _assign(points, centroids, by_distance=True)
+        labels = _assign(points, centroids)
         counts = np.bincount(labels, minlength=k).astype(np.int64)
         sums = np.zeros((k, dim), dtype=np.float64)
         np.add.at(sums, labels, points)
@@ -231,8 +230,14 @@ class IvfIndex:
         unique, counts = np.unique(ids, return_counts=True)
         if (counts > 1).any():
             raise ConflictError(f"id {unique[counts > 1][0]} given more than once")
+        # a row's list is the first list a search for that row probes;
         # with nlist 1 every row is in list 0, and no row is scored against the centroid
-        labels = _assign(vecs, self.centroids) if self.config.nlist > 1 else np.zeros(len(vecs), np.int64)
+        labels = np.zeros(len(vecs), np.int64)
+        if self.config.nlist > 1:
+            step = max(1, _BLOCK_BYTES // (4 * self.config.nlist))
+            lists = np.arange(self.config.nlist)
+            for a in range(0, len(vecs), step):
+                labels[a : a + step] = self._best(vecs[a : a + step], self.centroids, self._centroid_norm, 1, lists)[1]
         # a stable sort keeps each list's rows in insertion order; taking them in that order copies them
         order = np.argsort(labels, kind="stable")
         self._set_lists(ids[order], vecs[order], np.bincount(labels, minlength=self.config.nlist))
@@ -282,64 +287,57 @@ class IvfIndex:
 
     def _search_block(self, queries: np.ndarray, k: int, nprobe: int):
         """(query row, id, score) of every hit of the block, best first per row."""
-        q32 = queries.astype(np.float32, copy=False)
-        q_norm = _max_norm(queries)
-        rows, vecs = None, self._vecs
-        keep = None  # (queries, scored rows): the query probes the row's list
+        # rows: the rows scored, if not all; keep (queries, scored rows): the query probes the row's list
+        rows = keep = None
         if nprobe < self.config.nlist:
-            probed = self._probe(queries, q32, q_norm, nprobe)
+            probed = self._probe(queries, nprobe)
             used = probed.any(axis=0)
             n_used = np.count_nonzero(used)
             if n_used < len(used):
                 # score only the rows of the lists that some query of the block probes
                 rows = np.flatnonzero(used[self._row_list])
-                vecs = self._vecs[rows]
             if np.count_nonzero(probed) < len(queries) * n_used:
                 keep = probed[:, self._row_list if rows is None else self._row_list[rows]]
-        if len(vecs) == 0:
+        qi, col, scores = self._best(queries, self._vecs, self._vec_norm, k, self._ids, rows, keep)
+        return qi, self._ids[col], scores
+
+    def _probe(self, queries: np.ndarray, nprobe: int) -> np.ndarray:
+        """Boolean (queries, nlist): each query's nprobe best lists, chosen as ``_best`` chooses rows."""
+        qi, lists, _ = self._best(queries, self.centroids, self._centroid_norm, nprobe, np.arange(self.config.nlist))
+        probed = np.zeros((len(queries), self.config.nlist), dtype=bool)
+        probed[qi, lists] = True
+        return probed
+
+    def _best(self, queries, vecs, v_norm: float, k: int, tie, rows=None, keep=None):
+        """(query row, row of ``vecs``, float64 score) of each query's k best rows, best first per
+        query: higher score, then lower ``tie`` (one per row of ``vecs``). Only ``rows``, if given,
+        are scored, and of those only where ``keep`` (queries, scored rows) holds. ``v_norm``
+        bounds the norm of every row of ``vecs``."""
+        scored = vecs if rows is None else vecs[rows]
+        if len(scored) == 0:
             return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
         # with at most 2k rows the float32 pass would keep nearly all of them
-        if len(vecs) > 2 * k:
-            # float32 may overflow; then the error bound is infinite and every row is re-scored
-            with np.errstate(over="ignore"):
-                approx = q32 @ vecs.T
-            if keep is not None:
-                approx[~keep] = -np.inf
-            within = _within(approx, k, 2.0 * self._error_bound(q_norm, self._vec_norm))
+        if len(scored) > 2 * k:
+            # float32 may overflow, and inf - inf is NaN; then the error bound is infinite,
+            # a NaN is kept, and every row is re-scored
+            with np.errstate(over="ignore", invalid="ignore"):
+                approx = queries.astype(np.float32, copy=False) @ scored.T
+                if keep is not None:
+                    approx[~keep] = -np.inf
+                margin = 2.0 * self._error_bound(_max_norm(queries), v_norm)
+                within = ~(approx < _kth_best(approx, k) - margin)
             keep = within if keep is None else keep & within
         elif keep is None:
-            keep = np.ones((len(queries), len(vecs)), dtype=bool)
+            keep = np.ones((len(queries), len(scored)), dtype=bool)
         # row-major, so each query's entries are contiguous and qi ascends
-        qi, col = np.divmod(np.flatnonzero(keep), len(vecs))
+        qi, col = np.divmod(np.flatnonzero(keep), len(scored))
         if rows is not None:
             col = rows[col]
-        scores = self._exact_scores(self._vecs, col, queries, qi)
-        ids = self._ids[col]
-        order, rank = _rank_per_query(qi, ids, scores)
-        best = order[rank < k]
-        return qi[best], ids[best], scores[best]
-
-    def _probe(self, queries, q32, q_norm: float, nprobe: int) -> np.ndarray:
-        """Boolean (queries, nlist): each query's nprobe best lists by exact
-        float64 score, ties to the lower centroid index."""
-        margin = 2.0 * self._error_bound(q_norm, self._centroid_norm)
-        # float32 may overflow, and inf - inf is NaN: an infinite bound keeps every list
-        with np.errstate(over="ignore", invalid="ignore"):
-            approx = q32 @ self.centroids.T
-            kth = _kth_best(approx, nprobe)
-            maybe = ~(approx < kth - margin)
-            # each query has at least nprobe lists that may be among its best;
-            # when it has exactly nprobe, they are
-            if np.count_nonzero(maybe) == nprobe * len(queries):
-                return maybe
-            # only lists within the error bound of the boundary need their exact score
-            probed = approx > kth + margin
-        qi, cent = np.nonzero(maybe & ~probed)
-        scores = self._exact_scores(self.centroids, cent, queries, qi)
-        order, rank = _rank_per_query(qi, cent, scores)
-        best = order[rank < (nprobe - probed.sum(axis=1))[qi]]
-        probed[qi[best], cent[best]] = True
-        return probed
+        scores = self._exact_scores(vecs, col, queries, qi)
+        # qi ascends, so the sort keeps each query's entries in place: an entry's rank is its offset from the first
+        order = np.lexsort((tie[col], -scores, qi))
+        best = order[np.arange(len(qi)) - np.searchsorted(qi, qi) < k]
+        return qi[best], col[best], scores[best]
 
     def _error_bound(self, q_norm: float, v_norm: float) -> float:
         """A bound on |float32 score - float64 score| for queries of norm at
@@ -459,21 +457,6 @@ def _kth_best(approx: np.ndarray, k: int) -> np.ndarray:
     for col, value in reversed(taken):
         approx[rows, col] = value
     return kth
-
-
-def _within(approx: np.ndarray, k: int, margin: float) -> np.ndarray:
-    """Entries whose float32 score may still be among the row's k best once
-    every score is exact: within ``margin`` of the k-th best. NaN is kept."""
-    with np.errstate(invalid="ignore"):  # inf - inf, with an infinite margin
-        return ~(approx < _kth_best(approx, k) - margin)
-
-
-def _rank_per_query(qi: np.ndarray, tie: np.ndarray, scores: np.ndarray):
-    """The entries ordered by query, then best first (higher score, then lower
-    ``tie``), and each one's 0-based rank within its query; ``qi`` ascends,
-    as a row-major scan gives it, so the order keeps each query's entries in place."""
-    order = np.lexsort((tie, -scores, qi))
-    return order, np.arange(len(qi)) - np.searchsorted(qi, qi)
 
 
 def cluster_range_bounds(n_vectors: int) -> tuple[float, float]:

@@ -81,7 +81,8 @@ def _not_both(first: str, first_value, second: str, second_value) -> None:
 
 def _load_corpus_arg(spec: str) -> corpus.ParallelCorpus:
     if spec == "-":
-        return corpus.parse_tsv(sys.stdin.read(), "stdin")
+        # bytes, so stdin is decoded by the file rule whatever the locale says
+        return corpus.parse_tsv(corpus.decode_utf8(sys.stdin.buffer.read(), "stdin", text_lines=True), "stdin")
     return corpus.load_any(spec)
 
 

@@ -72,9 +72,13 @@ class DatasetSplit:
 
 
 def read_utf8(path: str | Path, text_lines: bool = False) -> str:
-    """The file decoded as UTF-8. CorpusEncodingError names the line of an
-    invalid byte: lines end at LF, or as in ``_text_lines`` if ``text_lines``."""
-    raw = Path(path).read_bytes()
+    """The file's bytes as ``decode_utf8`` decodes them, errors naming ``path``."""
+    return decode_utf8(Path(path).read_bytes(), path, text_lines)
+
+
+def decode_utf8(raw: bytes, origin: str | Path, text_lines: bool = False) -> str:
+    """``raw`` decoded as UTF-8. CorpusEncodingError names ``origin`` and the line of
+    an invalid byte: lines end at LF, or as in ``_text_lines`` if ``text_lines``."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -82,7 +86,7 @@ def read_utf8(path: str | Path, text_lines: bool = False) -> str:
         if text_lines:
             head = head.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         line = head.count(b"\n") + 1
-        raise CorpusEncodingError(f"{path}:{line}: not valid UTF-8: {exc}") from exc
+        raise CorpusEncodingError(f"{origin}:{line}: not valid UTF-8: {exc}") from exc
 
 
 def _lines(text: str) -> list[str]:

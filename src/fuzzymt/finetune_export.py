@@ -7,6 +7,7 @@ trainer needs, with validated defaults.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -101,13 +102,14 @@ class TrainingManifest:
             raise ValidationError(
                 f"training.batch_size must be positive, got {self.training.batch_size}"
             )
-        if self.training.warmup_ratio < 0:
+        # nan fails every comparison, so it needs isfinite; json would write nan and inf as NaN and Infinity
+        if not (math.isfinite(self.training.warmup_ratio) and self.training.warmup_ratio >= 0):
             raise ValidationError(
-                f"training.warmup_ratio must be non-negative, got {self.training.warmup_ratio}"
+                f"training.warmup_ratio must be a finite number >= 0, got {self.training.warmup_ratio}"
             )
-        if self.training.learning_rate <= 0:
+        if not (math.isfinite(self.training.learning_rate) and self.training.learning_rate > 0):
             raise ValidationError(
-                f"training.learning_rate must be positive, got {self.training.learning_rate}"
+                f"training.learning_rate must be a finite number > 0, got {self.training.learning_rate}"
             )
 
 

@@ -36,8 +36,10 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ArgumentError):
             IvfConfig(dim=0)
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match="nprobe must be at most nlist=2, got 3"):
             IvfConfig(dim=4, nlist=2, nprobe=3)
+        with pytest.raises(ArgumentError, match="nprobe must be at least 1, got 0"):
+            IvfConfig(dim=4, nlist=2, nprobe=0)
 
     def test_defaults_match_reference_setup(self):
         cfg = IvfConfig(dim=384)
@@ -287,13 +289,18 @@ def exact_top(vectors, ids, rows, query, k):
     return [(int(row_ids[i]), float(scores[i])) for i in np.lexsort((row_ids, -scores))[:k]]
 
 
-def exact_probe_ids(index, query, nprobe):
-    """Ids stored in the query's nprobe best lists, the lists ranked by
-    row-wise float64 centroid score, ties to the lower list."""
+def exact_probe_lists(index, query, nprobe):
+    """The query's nprobe best lists, ranked by the row-wise float64 centroid
+    scores that ``_exact_scores`` computes, ties to the lower list."""
     cents = index.centroids.astype(np.float64)
-    q = np.asarray(query, dtype=np.float64)
-    scores = np.einsum("ij,j->i", cents, q)
-    lists = np.lexsort((np.arange(len(cents)), -scores))[:nprobe]
+    q = np.repeat(np.asarray(query, dtype=np.float64)[None], len(cents), axis=0)
+    scores = np.einsum("ij,ij->i", cents, q)
+    return sorted(np.lexsort((np.arange(len(cents)), -scores))[:nprobe].tolist())
+
+
+def exact_probe_ids(index, query, nprobe):
+    """Ids stored in the query's nprobe best lists."""
+    lists = exact_probe_lists(index, query, nprobe)
     return np.concatenate([index._ids[index._offsets[c] : index._offsets[c + 1]] for c in lists])
 
 
@@ -376,6 +383,54 @@ class TestExactTies:
                 assert hits == exact_top(vectors, ids, rows, q, k)
 
 
+class TestOneRule:
+    # draws whose exact tie v . c == v . perm(c) a BLAS argmax over the centroids
+    # and the probe's row-wise float64 re-score break toward different lists
+    @pytest.mark.parametrize("seed", [0, 1, 3, 9])
+    def test_constant_row_found_between_permuted_centroids(self, seed):
+        dim = 384
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=dim).astype(np.float32)
+        v = np.full(dim, 1 / math.sqrt(dim), dtype=np.float32)
+        index = IvfIndex(IvfConfig(dim=dim, nlist=2, nprobe=1), np.stack([c, c[rng.permutation(dim)]]))
+        index.add([7], v[None])
+        assert [h.id for h in index.search(v, 1, nprobe_override=1)] == [7]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 30),
+        dim=st.integers(1, 24),
+        nlist=st.integers(2, 7),
+        constant=st.integers(0, 8),
+        # 1e19: float32 scores overflow, so the error bound is infinite
+        scale=st.sampled_from([1.0, 1e19]),
+    )
+    def test_rows_filed_where_the_probe_looks(self, seed, n, dim, nlist, constant, scale):
+        rng = np.random.default_rng(seed)
+        centroids = (scale * rng.normal(size=(nlist, dim))).astype(np.float32)
+        for j in np.flatnonzero(rng.random(nlist) < 0.5)[1:]:
+            centroids[j] = centroids[j - 1][rng.permutation(dim)]
+        # a row of equal coordinates (zero included) has exactly equal dot products with
+        # a centroid and its permutation, which float sums in another order may tell apart
+        rows = np.concatenate([
+            scale * rng.normal(size=(n, dim)),
+            np.repeat(scale * rng.integers(-2, 3, size=(constant, 1)), dim, axis=1),
+            centroids[rng.integers(nlist, size=2)],
+        ]).astype(np.float32)
+        index = IvfIndex(IvfConfig(dim=dim, nlist=nlist, nprobe=1), centroids)
+        index.add(rng.permutation(len(rows)), rows)
+        for c in range(nlist):
+            stored = index._vecs[index._offsets[c] : index._offsets[c + 1]]
+            assert (index._probe(stored, 1).argmax(axis=1) == c).all()
+        queries = np.concatenate([rows, scale * rng.normal(size=(3, dim))])
+        for nprobe in range(1, nlist + 1):
+            probed = index._probe(queries, nprobe)
+            assert [np.flatnonzero(p).tolist() for p in probed] == [
+                exact_probe_lists(index, q, nprobe) for q in queries
+            ]
+
+
 def partition_kth_best(approx, k):
     """Each row's k-th largest entry, as a column, by a partition of the negated scores."""
     neg = -approx
@@ -393,7 +448,7 @@ def partition_search_block(self, queries, k, nprobe):
     rows, vecs = None, self._vecs
     keep = None
     if nprobe < self.config.nlist:
-        probed = self._probe(q64, q32, q_norm, nprobe)
+        probed = self._probe(q64, nprobe)
         used = probed.any(axis=0)
         n_used = np.count_nonzero(used)
         if n_used < len(used):

@@ -312,6 +312,15 @@ class TestFilter:
         assert f"max_words must be at least 1, got {max_words}" in err
         assert stdout == ""
 
+    # stdin is read as bytes, so the locale's decoder (surrogateescape, latin-1) never applies
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+    def test_invalid_utf8_on_stdin_exit_2(self, encoding, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"a\tb\r\na\xffb\tx\n"), encoding=encoding))
+        code, stdout, err = run_cli(["filter", "--in", "-"], capsys)
+        assert code == 2
+        assert "stdin:2: not valid UTF-8" in err
+        assert stdout == ""
+
     def test_config_flag_is_usage_error(self, corpus_tsv, tmp_path, capsys):
         # --config belongs to `run` only; it never set flag defaults of other commands
         path = tmp_path / "fc.json"
@@ -335,7 +344,7 @@ class TestSplit:
     def test_pipe_composability_from_filter(self, corpus_tsv, tmp_path, capsys, monkeypatch):
         code, tsv_data, _ = run_cli(["filter", "--in", corpus_tsv], capsys)
         assert code == 0
-        monkeypatch.setattr(sys, "stdin", io.StringIO(tsv_data))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(tsv_data.encode("utf-8"))))
         validation_out = str(tmp_path / "val.tsv")
         code, train_data, _ = run_cli(
             ["split", "--in", "-", "--validation-size", "2", "--validation-out", validation_out],
@@ -739,6 +748,15 @@ class TestExportAndManifest:
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["training"]["learning_rate"] == 0.002
         assert payload["training"]["epochs"] == 1
+
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--warmup-ratio"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_manifest_non_finite_exit_2(self, flag, value, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        code, stdout, err = run_cli(["manifest", flag, value, "--out", str(path)], capsys)
+        assert code == 2
+        assert "must be a finite number" in err and f"got {value}" in err
+        assert stdout == "" and not path.exists()
 
 
 class TestTranslateEvaluateReport:
