@@ -424,6 +424,9 @@ class IvfIndex:
         if sum(lengths) != size:
             raise ArgumentError(f"{path}: header size {size} != stored {sum(lengths)}")
         ids = np.concatenate(id_parts).astype(np.int64, copy=False)
+        unique, counts = np.unique(ids, return_counts=True)
+        if (counts > 1).any():
+            raise ArgumentError(f"{path}: id {unique[counts > 1][0]} stored more than once")
         vecs = np.concatenate(vec_parts).astype(np.float32, copy=False).reshape(-1, dim)
         index._set_lists(ids, vecs, np.asarray(lengths))
         return index

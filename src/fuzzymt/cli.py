@@ -351,10 +351,10 @@ def _cmd_prompts(args) -> int:
             raise UsageError("one-shot prompts need --context")
         store = _context_store(args, args.context)
         match_lists = retrieval.retrieve_fuzzy_many(store, test.sources(), k=1)
-    prompts = eval_harness.condition_prompts(args.condition, test.pairs, match_lists, _langs_from_args(args))
+    prompts = prompting.render_prompts(test.sources(), match_lists, _langs_from_args(args))
     n = prompting.write_prompt_dump(sys.stdout if args.out is None else args.out, test.ids(), prompts, test.targets())
     if args.out is not None:
-        _print({"prompts": n, "shots": prompts[0].shots if prompts else 0, "out": args.out})
+        _print({"prompts": n, "shots": max((p.shots for p in prompts), default=0), "out": args.out})
     return EXIT_OK
 
 

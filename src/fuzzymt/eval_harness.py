@@ -21,12 +21,12 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import llm_client, retrieval
 from .ann_index import IvfConfig
-from .corpus import ParallelCorpus, SegmentPair, pair_key, pair_keys
+from .corpus import ParallelCorpus, pair_key, pair_keys
 from .embedding import EmbeddingProviderConfig
 from .errors import DataError, FuzzyMtError, LeakageError, ValidationError
 from .llm_client import DecodingParams, TranslationResult
 from .mt_metrics import EvalPair, MetricScore, References, score_all
-from .prompting import LanguageNames, RenderedPrompt, render_few_shot, render_zero_shot, write_prompt_dump
+from .prompting import LanguageNames, render_prompts, write_prompt_dump
 
 CONDITION_ZERO = "zero-shot"
 CONDITION_ONE = "one-shot"
@@ -120,7 +120,8 @@ def _stage(label: str, stages: list[dict]):
 
 def _retrieval_summary(match_lists: list[list]) -> dict:
     """Top-1 score quantiles (linear interpolation; None without any match) and
-    the number of queries that got no match."""
+    the number of queries that got no match: the one-shot sources that were
+    given their zero-shot prompt."""
     top = [matches[0].score for matches in match_lists if matches]
     p10, p50, p90 = np.percentile(top, [10, 50, 90]).tolist() if top else (None, None, None)
     return {"top1_score_p10": p10, "top1_score_p50": p50, "top1_score_p90": p90,
@@ -138,19 +139,6 @@ def check_no_leakage(test: ParallelCorpus, context: ParallelCorpus) -> None:
             + ")",
             offending_ids=offending,
         )
-
-
-def condition_prompts(
-    condition: str,
-    pairs: list[SegmentPair],
-    match_lists: list[list] | None,
-    langs: LanguageNames,
-) -> list[RenderedPrompt]:
-    """One prompt per pair: zero-shot, or one-shot from the match list at the pair's position."""
-    if condition == CONDITION_ZERO:
-        return [render_zero_shot(pair.source, langs) for pair in pairs]
-    return [render_few_shot(pair.source, matches, langs)
-            for pair, matches in zip(pairs, match_lists, strict=True)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
@@ -192,7 +180,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
         with _stage(f"prompts-{condition}", stages) as stage:
             # read once for every condition; a reference without a token fails before any request
             references = references or References(test.targets())
-            prompts = condition_prompts(condition, test.pairs, match_lists, cfg.langs)
+            prompts = render_prompts(test.sources(), match_lists if condition == CONDITION_ONE else None, cfg.langs)
             stage["items"] = len(prompts)
             write_prompt_dump(
                 out_dir / f"prompts.{condition}.jsonl", test.ids(), prompts, test.targets()
@@ -254,7 +242,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ConditionResult]:
             # wall time and item count (pairs, texts or report rows) of every
             # stage before this one; timings stay out of report.*
             "stages": stages,
-            "retrieval": retrieved,  # null when no condition retrieves
+            # null when no condition retrieves; empty_hits counts the one-shot
+            # sources given their zero-shot prompt for want of a match
+            "retrieval": retrieved,
             # the list count (1: the flat index) and the lists' balance
             "index": {"nlist": store.index.config.nlist, "list_size_min": min(lengths),
                       "list_size_max": max(lengths), "lists_empty": lengths.count(0)},

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .corpus import ParallelCorpus, pair_key, write_json, write_jsonl_records
 from .errors import ArgumentError, SizeError, StateError, ValidationError
-from .prompting import STOP, LanguageNames, normalize_segment, render_few_shot, render_zero_shot
+from .prompting import STOP, LanguageNames, normalize_segment, render_prompts
 from .retrieval import ContextStore, retrieve_fuzzy_many
 
 SCHEMA_VERSION = 1
@@ -140,34 +140,22 @@ def build_finetune_dataset(
     chosen = rng.sample(range(len(corpus)), mix.total)
     pairs = [corpus.pairs[i] for i in chosen]
     one_shot_pairs = pairs[:n_one]
-    zero_shot_pairs = pairs[n_one:]
-
-    examples: list[FinetuneExample] = []
-    if one_shot_pairs:
-        # two hits, so a store that holds the training pair itself still yields another match
-        match_lists = retrieve_fuzzy_many(store, [p.source for p in one_shot_pairs], k=2)
-        for pair, matches in zip(one_shot_pairs, match_lists):
-            own = pair_key(pair)
+    match_lists = []
+    # two hits, so a store that holds the training pair itself once still yields another match
+    for pair, matches in zip(one_shot_pairs, retrieve_fuzzy_many(store, [p.source for p in one_shot_pairs], k=2)):
+        own = pair_key(pair)
+        shot = next((m for m in matches if pair_key(m.pair) != own), None)
+        if shot is None:
+            # both hits are copies of the pair: search the whole store for this pair alone
+            [matches] = retrieve_fuzzy_many(store, [pair.source], k=len(store))
             shot = next((m for m in matches if pair_key(m.pair) != own), None)
-            if shot is None:
-                raise StateError(f"pair {pair.id}: the context store has no match other than the pair itself")
-            prompt = render_few_shot(pair.source, [shot], langs)
-            examples.append(
-                FinetuneExample(
-                    prompt=prompt.text,
-                    completion=make_completion(pair.target),
-                    shot_type=SHOT_ONE,
-                )
-            )
-    for pair in zero_shot_pairs:
-        prompt = render_zero_shot(pair.source, langs)
-        examples.append(
-            FinetuneExample(
-                prompt=prompt.text,
-                completion=make_completion(pair.target),
-                shot_type=SHOT_ZERO,
-            )
-        )
+        if shot is None:
+            raise StateError(f"pair {pair.id}: the context store has no match other than the pair itself")
+        match_lists.append([shot])
+    prompts = render_prompts([p.source for p in pairs], match_lists + [[]] * (mix.total - n_one), langs)
+    examples = [FinetuneExample(prompt=prompt.text, completion=make_completion(pair.target),
+                                shot_type=SHOT_ONE if prompt.shots else SHOT_ZERO)
+                for pair, prompt in zip(pairs, prompts)]
 
     val_indices = set(rng.sample(range(len(examples)), mix.validation_size))
     train = [ex for i, ex in enumerate(examples) if i not in val_indices]

@@ -11,6 +11,10 @@ sequence and fine-tuning completions end with it. Segment-internal newlines
 are therefore always normalized to spaces, and the prompt ends exactly at
 "<target_name>:" with no trailing whitespace.
 
+``render_prompts`` is the package's one prompt rule, for runs, prompt dumps
+and the fine-tuning export alike: a source with matches gets them as its
+example pairs, and a source without a match gets its zero-shot prompt.
+
 A language name is non-empty and holds no line break and no ": ", so
 ``parse_prompt``, the one reader of the format, reads both names from the
 prompt: the target name is the stub line less its ":", the source name is
@@ -82,6 +86,18 @@ def render_few_shot(
     lines.append(f"{langs.source_name}: {normalize_segment(source)}")
     text = "\n".join(lines) + f"\n{langs.target_name}:"
     return RenderedPrompt(text=text, shots=len(ordered))
+
+
+def render_prompts(sources: Sequence[str], match_lists: Sequence[Sequence[FuzzyMatch]] | None,
+                   langs: LanguageNames = LanguageNames()) -> list[RenderedPrompt]:
+    """One prompt per source: zero-shot for every source when ``match_lists`` is None,
+    else few-shot from the source's own match list, or zero-shot when that list is empty."""
+    if match_lists is None:
+        match_lists = [()] * len(sources)
+    elif len(match_lists) != len(sources):
+        raise ArgumentError(f"one match list required per source: {len(match_lists)} for {len(sources)} sources")
+    return [render_few_shot(source, matches, langs) if matches else render_zero_shot(source, langs)
+            for source, matches in zip(sources, match_lists)]
 
 
 def parse_prompt(text: str) -> tuple[list[tuple[str, str]], str]:

@@ -5,12 +5,14 @@ import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from fuzzymt import _http, embedding
-from fuzzymt.ann_index import IvfConfig
+from fuzzymt.ann_index import IvfConfig, IvfIndex
 from fuzzymt.corpus import ParallelCorpus, SegmentPair
 from fuzzymt.embedding import EmbeddingProviderConfig
+from fuzzymt.retrieval import ContextStore
 
 WORDS = [
     "paciente", "dosis", "tableta", "fiebre", "herida", "analisis", "sangre",
@@ -43,6 +45,24 @@ def step_texts(length: int, dim: int) -> int:
     provider holds: the most for texts at least that long."""
     most = embedding._STEP_BYTES // (8 * dim) + 1
     return next(embedding._steps(["x" * length] * most, dim))[1]
+
+
+def empty_list_store(directory) -> ParallelCorpus:
+    """Save under ``directory`` a store of 6 pairs (dim 48, seed 0) whose rows all lie in
+    list 0 of 2, and return two test pairs: at nprobe 1 the first probes only the empty
+    list 1, and the second, a near-duplicate of a context pair, probes list 0."""
+    provider = EmbeddingProviderConfig(kind="deterministic-test", dim=48, seed=0)
+    context = synth_corpus(6, seed=60, id_offset=100)
+    near = context.pairs[0]
+    test = ParallelCorpus([SegmentPair(0, "xilofono quetzal yunque", "xylophone quetzal anvil"),
+                           SegmentPair(1, near.source + " hoy", near.target + " today")])
+    rows = embedding.embed_batch(context.sources(), provider)
+    lonely = embedding.embed_batch(test.sources()[:1], provider)[0]
+    index = IvfIndex(IvfConfig(dim=48, nlist=2, nprobe=1), np.stack([rows.mean(axis=0), lonely]))
+    index.add(context.ids(), rows)
+    assert index.list_lengths() == [6, 0]
+    ContextStore(corpus=context, index=index, provider=provider).save(directory)
+    return test
 
 
 @pytest.fixture

@@ -598,6 +598,18 @@ class TestPersistence:
         with pytest.raises(ArgumentError, match="trailing"):
             IvfIndex.load(path)
 
+    def test_repeated_id_rejected(self, tmp_path):
+        index = IvfIndex(IvfConfig(dim=4, nlist=1, nprobe=1), np.zeros((1, 4)))
+        index.add([1, 2, 3, 4], unit_rows(4, 4, seed=0))
+        path = tmp_path / "index.ivf"
+        index.save(path)
+        # 21-byte header, one float32 centroid (16 bytes), the list length (8), then the ids
+        raw = bytearray(path.read_bytes())
+        raw[53:61] = raw[45:53]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ArgumentError, match=r"index\.ivf: id 1 stored more than once"):
+            IvfIndex.load(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "index.ivf"
         path.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")

@@ -22,7 +22,7 @@ from fuzzymt.finetune_export import LoraConfig, MixSpec, TrainingArgs
 from fuzzymt.llm_client import DecodingParams, run_mock_server
 from fuzzymt.prompting import LanguageNames, parse_prompt
 
-from conftest import local_endpoint, synth_corpus
+from conftest import empty_list_store, local_endpoint, synth_corpus
 
 
 # one record that `filter --in`, `translate --in` and `evaluate --in` all accept
@@ -273,6 +273,21 @@ class TestHelpAndUsage:
                       if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                       and node.value.id in modules and node.attr.startswith("_")]
         assert reads == []
+
+    def test_prompts_rendered_only_by_the_prompting_module(self):
+        """No package module but ``prompting`` calls ``render_few_shot`` or
+        ``render_zero_shot``: every other module renders through ``render_prompts``."""
+        renderers = {"render_few_shot", "render_zero_shot"}
+        calls = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            if path.name == "prompting.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                func = getattr(node, "func", None)
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and name in renderers:
+                    calls.append(f"{path.name}:{node.lineno}: {name}")
+        assert calls == []
 
 
 class TestFilter:
@@ -638,6 +653,16 @@ class TestRetrieveAndPrompts:
         assert first["prompt"].startswith("Spanish: ")
         assert first["prompt"].endswith("\nEnglish:")
 
+    def test_prompts_one_shot_source_without_match_is_zero_shot(self, tmp_path, capsys):
+        test_path, out = tmp_path / "test.tsv", tmp_path / "prompts.jsonl"
+        write_tsv(empty_list_store(tmp_path / "store"), test_path)
+        code, stdout, err = run_cli(["prompts", "--in", str(test_path), "--condition", "one-shot", "--context",
+                                     str(tmp_path / "store"), "--dim", "48", "--nprobe", "1", "--out", str(out)],
+                                    capsys)
+        assert code == 0, err
+        assert [json.loads(line)["shots"] for line in out.read_text(encoding="utf-8").splitlines()] == [0, 1]
+        assert json.loads(stdout)["shots"] == 1
+
     def test_prompts_whitespace_source_exit_2(self, tmp_path, capsys):
         path = tmp_path / "test.tsv"
         path.write_text("hola\thello\n \tfoo\n", encoding="utf-8")
@@ -723,6 +748,20 @@ class TestExportAndManifest:
         counts = json.loads(stdout)
         assert counts["train"] == 6 and counts["validation"] == 2
         assert counts["one_shot"] == 4 and counts["zero_shot"] == 4
+
+    def test_export_finds_a_shot_beyond_copies_of_the_pair(self, tmp_path, capsys):
+        # both of the two best hits for "hola mundo" are copies of that pair
+        dup = tmp_path / "dup.tsv"
+        dup.write_text("hola mundo\thello world\nhola mundo\thello world\n"
+                       "hola mundo amigo\thello world friend\nadiós amigo\tgoodbye friend\n", encoding="utf-8")
+        prefix = tmp_path / "ex"
+        code, _, err = run_cli(["export-dataset", "--in", str(dup), "--context", str(dup), "--total", "4",
+                                "--validation-size", "1", "--ratio", "1", "--out", str(prefix)], capsys)
+        assert code == 0, err
+        examples = [json.loads(line) for part in ("train", "validation")
+                    for line in Path(f"{prefix}.{part}.jsonl").read_text(encoding="utf-8").splitlines()]
+        shots = {query: shot for [(shot, _)], query in (parse_prompt(e["prompt"]) for e in examples)}
+        assert shots["hola mundo"] == "hola mundo amigo"
 
     def test_export_crlf_files_as_lf(self, tmp_path, capsys):
         pairs = synth_corpus(12, seed=3).pairs

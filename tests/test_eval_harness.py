@@ -27,7 +27,7 @@ from fuzzymt.embedding import EmbeddingProviderConfig
 from fuzzymt.llm_client import run_mock_server
 from fuzzymt.mt_metrics import MetricScore
 
-from conftest import synth_corpus
+from conftest import empty_list_store, synth_corpus
 
 
 def _write_corpora(tmp_path, test_corpus, context_corpus):
@@ -496,3 +496,23 @@ class TestContextStoreDirectory:
         with pytest.raises(Stop):
             run_experiment(cfg)
         assert seen == [IvfConfig(dim=48, seed=11)]
+
+
+def test_source_probing_only_an_empty_list_gets_its_zero_shot_prompt(tmp_path):
+    """At nprobe 1 the first test source probes only an empty list: the run
+    completes, its one-shot prompt is its zero-shot one, and empty_hits counts it."""
+    store_dir = tmp_path / "store"
+    test_corpus = empty_list_store(store_dir)
+    test_path = tmp_path / "test.tsv"
+    write_tsv(test_corpus, test_path)
+    with run_mock_server("echo-fuzzy") as server:
+        cfg = _config(tmp_path, server.endpoint, str(test_path), str(store_dir),
+                      ivf=IvfConfig(dim=48, nlist=2, nprobe=1))
+        run_experiment(cfg)
+    out = Path(cfg.output_dir)
+    assert [len(r["matches"]) for r in read_jsonl(out / "retrieval.jsonl")] == [0, 1]
+    one_shot = read_jsonl(out / "prompts.one-shot.jsonl")
+    assert [r["shots"] for r in one_shot] == [0, 1]
+    assert one_shot[0]["prompt"] == read_jsonl(out / "prompts.zero-shot.jsonl")[0]["prompt"]
+    assert json.loads((out / "run_meta.json").read_text(encoding="utf-8"))["retrieval"]["empty_hits"] == 1
+    assert all((out / f"report.{suffix}").exists() for suffix in ("md", "tsv", "json"))

@@ -10,6 +10,7 @@ from fuzzymt.prompting import (
     normalize_segment,
     parse_prompt,
     render_few_shot,
+    render_prompts,
     render_zero_shot,
     write_prompt_dump,
 )
@@ -99,6 +100,22 @@ class TestFewShot:
     def test_determinism(self):
         matches = [_match("a", "b", 0.5), _match("c", "d", 0.7)]
         assert render_few_shot("q", matches, LANGS).text == render_few_shot("q", matches, LANGS).text
+
+
+class TestRenderPrompts:
+    def test_no_match_lists_renders_every_source_zero_shot(self):
+        assert render_prompts(["uno", "dos"], None, LANGS) == [render_zero_shot(s, LANGS) for s in ("uno", "dos")]
+
+    def test_each_source_gets_its_own_matches_or_zero_shot(self):
+        match = _match("s", "t")
+        prompts = render_prompts(["uno", "dos"], [[], [match]], LANGS)
+        assert prompts == [render_zero_shot("uno", LANGS), render_few_shot("dos", [match], LANGS)]
+        assert [p.shots for p in prompts] == [0, 1]
+
+    @pytest.mark.parametrize("match_lists", [[], [[], []]], ids=["fewer", "more"])
+    def test_one_match_list_per_source(self, match_lists):
+        with pytest.raises(ArgumentError, match="one match list required per source"):
+            render_prompts(["uno"], match_lists, LANGS)
 
 
 class TestRoundTripParse:

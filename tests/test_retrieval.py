@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -188,6 +189,26 @@ class TestSaveLoad:
         meta_path.write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(StoreError, match="does not match store.json"):
             ContextStore.load(tmp_path / "store", det_provider, nprobe=1)
+
+    def test_index_repeating_an_id_rejected(self, tmp_path, det_provider):
+        # index ids [1, 1, 3] against corpus ids [1, 3], with both digests rewritten to match
+        corpus = ParallelCorpus([SegmentPair(i, f"hola {i}", f"hello {i}") for i in (1, 2, 3)])
+        store_dir = tmp_path / "store"
+        build_context_store(corpus, det_provider, IvfConfig(dim=64, nlist=1, nprobe=1)).save(store_dir)
+        index_path, corpus_path, meta_path = (store_dir / name for name in ("index.ivf", "corpus.jsonl", "store.json"))
+        raw = bytearray(index_path.read_bytes())
+        at = 21 + 4 * 64 + 8  # header, one centroid and the list length come first
+        assert raw[at + 8 : at + 16] == (2).to_bytes(8, "little")
+        raw[at + 8 : at + 16] = raw[at : at + 8]
+        index_path.write_bytes(bytes(raw))
+        lines = corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        corpus_path.write_text("".join(line for line in lines if json.loads(line)["id"] != 2), encoding="utf-8")
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["sha256"] = {name: hashlib.sha256((store_dir / name).read_bytes()).hexdigest()
+                          for name in ("corpus.jsonl", "index.ivf")}
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(StoreError, match=r"index\.ivf: id 1 stored more than once"):
+            ContextStore.load(store_dir, det_provider, nprobe=1)
 
 
 def retrieve_one(store, source, k):
