@@ -222,9 +222,13 @@ def dataclass_from_json(cls, raw, what: str, where: str = ""):
         raise ValidationError(f"{where}{what}: {exc}") from exc
 
 
+# what json.dumps(record, ensure_ascii=False) builds anew on every call; encode() keeps no state
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def encode_jsonl(record: dict) -> str:
     """One JSON-lines line: compact JSON, non-ASCII kept, newline-terminated."""
-    return json.dumps(record, ensure_ascii=False) + "\n"
+    return _JSONL_ENCODER.encode(record) + "\n"
 
 
 def write_jsonl_records(path: str | Path | TextIO, records: Iterable[dict]) -> int:

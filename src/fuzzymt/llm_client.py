@@ -16,11 +16,14 @@ writes two files in batch order, also when a batch fails: the trace, one line
 per batch sent with its status, attempts and latency, and the generations,
 one record {id, text} per prompt of every batch that got its reply. The
 bundled mock server speaks the same protocol (and the embeddings shape) for
-offline end-to-end runs, and each reply depends only on the request's
-content. Both read each prompt with ``prompting.parse_prompt`` and answer 400
-to a request holding one it rejects, or a prompt or embedding input that is
-not a string. ``echo-fuzzy`` answers each prompt's last example target, even
-a blank one (never an earlier example's), or nothing without an example, and
+offline end-to-end runs, over HTTP/1.1 connections kept open between
+requests and with TCP_NODELAY set, and each reply depends only on the
+request's content. It answers 400, and closes the connection, to a request
+whose Content-Length is missing or not a count of bytes. Both modes read
+each prompt with ``prompting.parse_prompt`` and answer 400 to a request
+holding one it rejects, or a prompt or embedding input that is not a
+string. ``echo-fuzzy`` answers each prompt's last example target, even a
+blank one (never an earlier example's), or nothing without an example, and
 ``dictionary`` looks each query source up in a lexicon, answering 400, with
 the first source it lacks, to a request that holds one.
 """
@@ -204,22 +207,32 @@ class _MockState:
 
 class _MockHandler(BaseHTTPRequestHandler):
     state: _MockState
+    # keep each connection open for the client's next request, and send the
+    # body, written after the headers, without waiting for their ACK
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):
         pass
 
-    def _reply(self, code: int, payload: dict) -> None:
+    def _reply(self, code: int, payload: dict, close: bool = False) -> None:
         raw = json.dumps(payload, ensure_ascii=False).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
+        if close:
+            self.send_header("Connection", "close")  # also ends this connection after the reply
         self.end_headers()
         self.wfile.write(raw)
 
     def do_POST(self):
-        length = int(self.headers.get("Content-Length", "0"))
+        length = self.headers.get("Content-Length", "")
+        if not (length.isascii() and length.isdigit()):
+            # the body's end is unknown, so the next request's start is too
+            self._reply(400, {"error": f"Content-Length must be a count of bytes, got {length!r}"}, close=True)
+            return
         try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            payload = json.loads(self.rfile.read(int(length)).decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             self._reply(400, {"error": "invalid JSON"})
             return

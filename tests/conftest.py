@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -88,15 +89,68 @@ def sleeps(monkeypatch) -> list[float]:
     return recorded
 
 
+class ConnectionLog:
+    """What a test server saw: ``requests[i]`` counts the requests its i-th
+    connection carried, ``headers`` holds each request's headers, and ``open``
+    counts the connections the client has not closed yet."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.requests: list[int] = []
+        self.headers: list[dict] = []
+        self.open = 0
+
+    def wait_closed(self, timeout: float = 5.0) -> int:
+        """The connections still open once none is, or after ``timeout`` s."""
+        deadline = time.monotonic() + timeout
+        while self.open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return self.open
+
+
+def counted(handler_class: type, log: ConnectionLog) -> type:
+    """A subclass of the request handler ``handler_class`` that records its connections in ``log``."""
+
+    class Counted(handler_class):
+        def setup(self):
+            super().setup()
+            with log.lock:
+                self.connection_no = len(log.requests)
+                log.requests.append(0)
+                log.open += 1
+
+        def do_POST(self):
+            with log.lock:
+                log.requests[self.connection_no] += 1
+                log.headers.append(dict(self.headers))
+            super().do_POST()
+
+        def finish(self):
+            try:
+                super().finish()
+            finally:
+                with log.lock:
+                    log.open -= 1
+
+    return Counted
+
+
 @contextmanager
-def local_endpoint(replies, short_by: int = 0):
+def local_endpoint(replies, short_by: int = 0, connection: str = "close", log: ConnectionLog | None = None):
     """Answer the n-th POST with ``replies[n]``, a (status, body) pair, and every
     later one with the last reply; yields (endpoint, request paths). Each reply
-    declares a Content-Length ``short_by`` bytes longer than its body."""
+    declares a Content-Length ``short_by`` bytes longer than its body.
+    ``connection`` is "close" (an HTTP/1.0 server, one request a connection),
+    "keep-alive" (HTTP/1.1, the connection kept for the next request) or
+    "drop" (HTTP/1.1, yet the connection closed after each reply without
+    saying so). ``log``, if given, records the connections."""
     paths: list[str] = []
     lock = threading.Lock()
 
     class FixedHandler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.0" if connection == "close" else "HTTP/1.1"
+        disable_nagle_algorithm = True
+
         def log_message(self, *a):
             pass
 
@@ -109,8 +163,10 @@ def local_endpoint(replies, short_by: int = 0):
             self.send_header("Content-Length", str(len(body) + short_by))
             self.end_headers()
             self.wfile.write(body)
+            if connection == "drop":
+                self.close_connection = True
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), FixedHandler)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), FixedHandler if log is None else counted(FixedHandler, log))
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:

@@ -15,10 +15,11 @@ import pytest
 from fuzzymt import _http
 from fuzzymt.embedding import EmbeddingProviderConfig, embed_batch
 from fuzzymt.errors import ProviderError, TransportError
-from fuzzymt.llm_client import make_batches, translate_batch
+from fuzzymt.corpus import read_jsonl
+from fuzzymt.llm_client import make_batches, translate_all, translate_batch
 from fuzzymt.prompting import render_zero_shot
 
-from conftest import local_endpoint
+from conftest import ConnectionLog, local_endpoint
 
 CLOSED_PORT = "http://127.0.0.1:9"
 # one 200 body that both clients accept for a single text
@@ -62,6 +63,66 @@ def test_retry_rule(client, replies, attempts, succeeds, sleeps):
         assert (record["status"], record["attempts"]) == (status, attempts)
     elif not succeeds:
         assert err.value.status == status and f"attempts: {attempts}" in str(err.value)
+
+
+@pytest.mark.parametrize("client", CLIENTS)
+@pytest.mark.parametrize("replies, attempts, succeeds", [p for p in RETRY_RULE if p.values[0] is not None])
+def test_retry_rule_over_a_kept_alive_connection(client, replies, attempts, succeeds, sleeps):
+    """Each attempt that gets a reply leaves its connection to the next, and none stays open after the call."""
+    log = ConnectionLog()
+    error = TransportError if client == "translate_batch" else ProviderError
+    with local_endpoint(replies, connection="keep-alive", log=log) as (endpoint, paths):
+        with nullcontext() if succeeds else pytest.raises(error):
+            _call(client, endpoint, [])
+        assert log.wait_closed() == 0
+    assert sleeps == [1.0, 2.0, 4.0][: attempts - 1]
+    assert (len(paths), log.requests) == (attempts, [attempts])
+
+
+def test_connection_closed_while_idle_is_sent_again_at_once(sleeps, tmp_path):
+    """A server that closes each connection after its reply, while advertising keep-alive, gets each
+    request once: the send that finds the pooled connection closed is repeated on a new one, at once."""
+    log = ConnectionLog()
+    batches = make_batches([render_zero_shot(s) for s in ("a", "b", "c")], batch_size=1)
+    with local_endpoint([(200, OK_BODY)], connection="drop", log=log) as (endpoint, paths):
+        translate_all(batches, endpoint, max_concurrent_batches=1, trace_path=tmp_path / "trace.jsonl")
+    assert [record["attempts"] for record in read_jsonl(tmp_path / "trace.jsonl")] == [1, 1, 1]
+    assert (len(paths), log.requests, sleeps) == (3, [1, 1, 1], [])
+
+
+def test_request_headers(monkeypatch):
+    """urllib's User-Agent, the JSON content type and the API key as a bearer token."""
+    monkeypatch.setenv(_http.API_KEY_ENV, "key")
+    log = ConnectionLog()
+    with local_endpoint([(200, b"{}")], log=log) as (endpoint, _):
+        _http.post_json(endpoint, {})
+    [headers] = log.headers
+    assert headers["User-Agent"] == "Python-urllib/%d.%d" % sys.version_info[:2]
+    assert (headers["Content-Type"], headers["Authorization"]) == ("application/json", "Bearer key")
+
+
+PROXY_SCRIPT = "import sys; from fuzzymt import _http; print(_http.post_json(sys.argv[1], {}).status)"
+
+
+@pytest.mark.parametrize("bypass", [False, True], ids=["http_proxy", "no_proxy"])
+def test_proxy_from_the_environment(bypass):
+    """The http_proxy of the environment gets the request with its absolute URL as the
+    path, unless no_proxy names the host, which is then reached directly."""
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(_http.__file__).resolve().parents[1]),
+                                                      os.environ.get("PYTHONPATH")]))
+    with local_endpoint([(200, b"{}")]) as (proxy, proxied), local_endpoint([(200, b"{}")]) as (direct, reached):
+        env["http_proxy"] = proxy
+        if bypass:
+            env["no_proxy"] = "127.0.0.1"
+        url = direct + "/v1/completions" if bypass else "http://example.invalid/v1/completions"
+        proc = subprocess.run([sys.executable, "-c", PROXY_SCRIPT, url], capture_output=True, text=True, env=env,
+                              timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "200\n")
+    if bypass:
+        assert (proxied, reached) == ([], ["/v1/completions"])
+    else:
+        assert (proxied, reached) == (["http://example.invalid/v1/completions"], [])
 
 
 def test_reply_reports_attempts_and_latency():
@@ -126,8 +187,9 @@ def test_map_ordered_keeps_item_order():
     assert _http.map_ordered(lambda i: i, [], 2) == []
 
 
-# the names through which code could send a request, sleep or start a pool itself
-BOUNDARY_NAMES = {"requests", "urllib", "urlopen", "sleep", "ThreadPoolExecutor"}
+# the names through which code could send a request, open a connection, sleep or start a pool itself
+BOUNDARY_NAMES = {"requests", "urllib", "urlopen", "client", "HTTPConnection", "HTTPSConnection", "sleep",
+                  "ThreadPoolExecutor"}
 
 
 def test_only_http_module_sends_sleeps_or_pools():

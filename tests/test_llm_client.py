@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import socket
+import time
+from http.client import HTTPResponse
+from urllib.parse import urlsplit
 
 import pytest
 
-from fuzzymt import _http
+from fuzzymt import _http, llm_client
 from fuzzymt.embedding import EmbeddingProviderConfig, embed_batch
 from fuzzymt.errors import ArgumentError, ContractViolationError, PromptError, TransportError
 from fuzzymt.llm_client import (
@@ -20,7 +24,7 @@ from fuzzymt.prompting import LanguageNames, RenderedPrompt, render_few_shot, re
 from fuzzymt.retrieval import FuzzyMatch
 from fuzzymt.corpus import SegmentPair, read_jsonl
 
-from conftest import local_endpoint
+from conftest import ConnectionLog, counted, local_endpoint
 
 LANGS = LanguageNames()
 
@@ -347,3 +351,66 @@ class TestTranslateAll:
 def test_mock_server_rejects_unknown_mode():
     with pytest.raises(ArgumentError):
         run_mock_server("surprise")
+
+
+@pytest.fixture
+def mock_connections(monkeypatch) -> ConnectionLog:
+    """The connections of every mock server the test starts."""
+    log = ConnectionLog()
+    monkeypatch.setattr(llm_client, "_MockHandler", counted(llm_client._MockHandler, log))
+    return log
+
+
+class TestMockConnections:
+    def test_translate_all_keeps_one_connection_per_batch_in_flight(self, mock_connections):
+        batches = make_batches(_prompts([f"s{i}" for i in range(25)]), batch_size=1)
+        with run_mock_server("echo-fuzzy") as server:
+            assert len(translate_all(batches, server.endpoint, max_concurrent_batches=2)) == 25
+            assert mock_connections.wait_closed() == 0
+        assert len(mock_connections.requests) <= 2 and sum(mock_connections.requests) == 25
+
+    @pytest.mark.parametrize("max_concurrent_batches", [1, 2])
+    def test_no_connection_left_open_by_a_failed_batch(self, max_concurrent_batches, mock_connections):
+        batches = make_batches(_prompts([f"s{i}" for i in range(25)]), batch_size=1)
+        with run_mock_server("dictionary", fixtures={f"s{i}": "t" for i in range(10)}) as server:
+            with pytest.raises(TransportError):
+                translate_all(batches, server.endpoint, max_concurrent_batches=max_concurrent_batches)
+            assert mock_connections.wait_closed() == 0
+        assert len(mock_connections.requests) <= max_concurrent_batches
+
+    def test_remote_embedding_keeps_one_connection_per_request_in_flight(self, mock_connections):
+        with run_mock_server("echo-fuzzy", embed_dim=8) as server:
+            provider = EmbeddingProviderConfig(kind="remote-http", endpoint=server.endpoint + "/v1/embeddings",
+                                               dim=8, batch_size=2, max_in_flight=3)
+            assert embed_batch([f"text {i}" for i in range(30)], provider).shape == (30, 8)
+            assert mock_connections.wait_closed() == 0
+        assert len(mock_connections.requests) <= 3 and sum(mock_connections.requests) == 15
+
+    def test_sequential_requests_do_not_wait_for_delayed_acks(self, mock_connections):
+        """A reply's body goes out without waiting for the ACK of its headers: with Nagle's
+        algorithm, each of these 20 requests on one connection would take about 40 ms."""
+        payload = {"prompt": [_prompts(["a"])[0].text]}
+        with run_mock_server("echo-fuzzy") as server:
+            url = server.endpoint + "/v1/completions"
+            start = time.monotonic()
+            replies = _http.map_ordered(lambda _: _http.post_json(url, payload), range(20), 1)
+            elapsed = time.monotonic() - start
+        assert [reply.status for reply in replies] == [200] * 20 and mock_connections.requests == [20]
+        assert elapsed < 0.4
+
+    @pytest.mark.parametrize("length", [None, "abc", "-1"], ids=["missing", "not-a-number", "negative"])
+    def test_body_without_a_byte_count_400_and_closed(self, length):
+        """The mock cannot tell where such a body ends, so it reads none of it as the next request."""
+        head = "POST /v1/completions HTTP/1.1\r\nHost: mock\r\n"
+        if length is not None:
+            head += f"Content-Length: {length}\r\n"
+        with run_mock_server("echo-fuzzy") as server:
+            address = urlsplit(server.endpoint)
+            with socket.create_connection((address.hostname, address.port), timeout=5) as sock:
+                sock.sendall(head.encode() + b"\r\n{}")
+                response = HTTPResponse(sock)
+                response.begin()
+                body = json.loads(response.read())
+                assert (response.status, response.getheader("Connection")) == (400, "close")
+                assert "Content-Length" in body["error"] and sock.recv(1) == b""
+            assert server.state.request_log == []
